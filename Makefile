@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: verify build test race vet lint lint-fast lint-audit lint-report bench chaos datacenter eviction
+.PHONY: verify build test race vet lint lint-fast lint-audit lint-report bench fuzz chaos datacenter eviction
 
 verify: build test race vet lint
 
@@ -102,6 +102,15 @@ bench:
 	$(GO) run ./cmd/hpmmap-perf -out BENCH_6.json -baseline BENCH_6.json -regress-pct 10 \
 		-ledger bench-history.jsonl \
 		-cpuprofile bench-cpu.pprof -memprofile bench-mem.pprof
+
+# Differential fuzzing of the zone's bulk run operations (AllocRun,
+# FreeRun) against block-at-a-time allocation and freeing. Plain
+# `go test` replays the committed seed corpus
+# (internal/mem/testdata/fuzz/FuzzZoneRuns); this explores further for
+# FUZZTIME. A failing input is written back under that directory.
+FUZZTIME ?= 30s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzZoneRuns$$' -fuzztime $(FUZZTIME) ./internal/mem
 
 # Quick contention-storm study (see DESIGN.md §8): chaos intensity x
 # manager with the invariant auditor attached, small scale for speed.

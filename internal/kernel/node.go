@@ -40,11 +40,11 @@ type Node struct {
 	// with every fork over a macro run).
 	runningCommodity int
 
-	// Page cache, one FIFO block queue per zone. Blocks are order-3
+	// Page cache, one FIFO run queue per zone. Blocks are order-3
 	// (32KB) so commodity file I/O fragments large-page-sized regions
-	// realistically.
+	// realistically. pcRuns is PageCacheAdd's AllocRun scratch.
 	pageCache []pcQueue
-	pcPages   []uint64
+	pcRuns    []mem.Run
 
 	kswapd *sim.Ticker
 	swap   *SwapDevice
@@ -83,43 +83,35 @@ type Interposer interface {
 	Registered(pid int) bool
 }
 
-type pcBlock struct {
-	pfn  mem.PFN
-	zone int
-}
-
-// pcQueue is a FIFO of page-cache blocks with a head index instead of
-// front reslicing, so eviction keeps the backing array's capacity and
-// sustained add/evict cycles stop paying O(len) growslice copies (the
-// pre-ISSUE-6 profile put PageCacheAdd at 38% of simulator CPU, mostly
-// memmove under append).
+// pcQueue is one zone's page cache: a FIFO of ascending runs of
+// contiguous order-3 blocks, oldest block first. A push that continues
+// the tail run extends it, so under Fig. 7's churn the queue holds one
+// entry per ~19 blocks, and eviction frees whole runs with one
+// Zone.FreeRun. The head index replaces front reslicing, so eviction
+// keeps the backing array's capacity.
 type pcQueue struct {
-	blocks []pcBlock
+	runs   []mem.Run
 	head   int
+	blocks uint64 // blocks queued, across all runs
 }
 
-func (q *pcQueue) len() int { return len(q.blocks) - q.head }
-
-func (q *pcQueue) push(b pcBlock) {
-	if len(q.blocks) == cap(q.blocks) && q.head > 0 {
+// push appends a run of blocks at the back of the queue.
+//
+//detsim:hotpath
+func (q *pcQueue) push(r mem.Run) {
+	q.blocks += r.Blocks
+	if last := len(q.runs) - 1; last >= q.head && q.runs[last].End(pcOrder) == r.Base {
+		q.runs[last].Blocks += r.Blocks
+		return
+	}
+	if len(q.runs) == cap(q.runs) && q.head > 0 {
 		// About to grow: compact into the dead front instead.
-		n := copy(q.blocks, q.blocks[q.head:])
-		q.blocks = q.blocks[:n]
+		n := copy(q.runs, q.runs[q.head:])
+		q.runs = q.runs[:n]
 		q.head = 0
 	}
-	q.blocks = append(q.blocks, b)
-}
-
-// popFront removes the count oldest blocks, calling free for each.
-func (q *pcQueue) popFront(count int, free func(pcBlock)) {
-	for i := 0; i < count; i++ {
-		free(q.blocks[q.head+i])
-	}
-	q.head += count
-	if q.head == len(q.blocks) {
-		q.blocks = q.blocks[:0]
-		q.head = 0
-	}
+	//detsim:allow queue growth: runs keeps its backing array for the node's lifetime and grows only past its high-water mark, after compacting into the dead front; steady-state churn appends into reused capacity (DESIGN.md §10)
+	q.runs = append(q.runs, r)
 }
 
 const pcOrder = 3 // 32KB page-cache allocation units
@@ -135,7 +127,6 @@ func NewNode(cfg MachineConfig, eng *sim.Engine, rnd *sim.Rand) *Node {
 		procs:     make(map[int]*Process),
 		nextPID:   100,
 		pageCache: make([]pcQueue, cfg.NumaZones),
-		pcPages:   make([]uint64, cfg.NumaZones),
 
 		poolLifecycle: true,
 	}
@@ -398,10 +389,7 @@ func (n *Node) SetReservedBytes(b uint64) { n.reservedPages = b / mem.PageSize }
 func (n *Node) CommitPressure() float64 {
 	total := n.Mem.TotalPages()
 	free := n.Mem.FreePages()
-	var cache uint64
-	for z := range n.pcPages {
-		cache += n.pcPages[z]
-	}
+	cache := n.pageCachePagesTotal()
 	used := total - free
 	nonEvict := int64(used) - int64(cache) - int64(n.reservedPages)
 	usable := int64(total) - int64(n.reservedPages)
@@ -452,46 +440,70 @@ func (n *Node) LoadFor(p *Process) fault.Load {
 // the cache never pushes the system to OOM, it just keeps memory at the
 // watermarks, exactly the sustained-pressure regime of the paper.
 //
+// Blocks come from the same zones in the same order as one gated
+// allocation per block, trying the zone and then its neighbour: no frees
+// interleave with a drain, so a zone that fails its gate stays failed
+// until the recycle step, after which both zones are tried again. Zone
+// Failures would differ only if a zone passed the gate yet held no
+// order-3 block; nothing allocates below order 3, so every free block is
+// at least that large and the gate's margin guarantees one.
+//
 //detsim:hotpath
 func (n *Node) PageCacheAdd(zone int, bytes uint64) {
 	blocks := bytes / (mem.PageSize << pcOrder)
 	if blocks == 0 {
 		blocks = 1
 	}
-	for i := uint64(0); i < blocks; i++ {
-		// Page-cache growth respects the low watermark: readahead and
-		// buffered writes back off rather than stealing the emergency
-		// reserve (they recycle the oldest cache instead).
-		gated := func(zid int) (mem.PFN, *mem.Zone, bool) {
-			z := n.Mem.Zones[zid%len(n.Mem.Zones)]
-			if z.FreePages() < z.WatermarkLow+mem.PagesPerOrder(pcOrder) {
-				return 0, nil, false
-			}
-			pfn, ok := z.AllocPages(pcOrder)
-			return pfn, z, ok
+	for {
+		blocks -= n.pageCacheFill(zone, blocks)
+		if blocks > 0 {
+			blocks -= n.pageCacheFill(zone+1, blocks)
 		}
-		pfn, z, ok := gated(zone)
+		if blocks == 0 {
+			return
+		}
+		n.PCAllocFails++
+		// Recycle: drop the oldest cached block and reuse its frame.
+		if !n.dropOneCacheBlock() {
+			return
+		}
+		pfn, z, ok := n.Mem.Alloc(zone, pcOrder)
 		if !ok {
-			pfn, z, ok = gated(zone + 1)
+			return
 		}
-		if !ok {
-			n.PCAllocFails++
-			// Recycle: drop the oldest cached block and reuse its frame.
-			if !n.dropOneCacheBlock() {
-				return
-			}
-			pfn, z, ok = n.Mem.Alloc(zone, pcOrder)
-			if !ok {
-				return
-			}
-		}
-		n.pageCache[z.ID].push(pcBlock{pfn: pfn, zone: z.ID})
-		n.pcPages[z.ID] += 1 << pcOrder
+		n.pageCache[z.ID].push(mem.Run{Base: pfn, Blocks: 1})
+		blocks--
 	}
 }
 
+// pageCacheFill caches up to want blocks from zone zid (mod the zone
+// count), allocating while the zone stays above its low watermark:
+// readahead and buffered writes back off rather than stealing the
+// emergency reserve. It returns the blocks cached.
+//
+//detsim:hotpath
+func (n *Node) pageCacheFill(zid int, want uint64) uint64 {
+	z := n.Mem.Zones[zid%len(n.Mem.Zones)]
+	var got uint64
+	n.pcRuns, got = z.AllocRun(pcOrder, want, z.WatermarkLow+mem.PagesPerOrder(pcOrder), n.pcRuns[:0])
+	q := &n.pageCache[z.ID]
+	for _, r := range n.pcRuns {
+		q.push(r)
+	}
+	return got
+}
+
 // PageCachePages returns cached pages in the zone.
-func (n *Node) PageCachePages(zone int) uint64 { return n.pcPages[zone] }
+func (n *Node) PageCachePages(zone int) uint64 { return n.pageCache[zone].blocks << pcOrder }
+
+// pageCachePagesTotal returns cached pages across all zones.
+func (n *Node) pageCachePagesTotal() uint64 {
+	var pages uint64
+	for z := range n.pageCache {
+		pages += n.PageCachePages(z)
+	}
+	return pages
+}
 
 // dropOneCacheBlock evicts one block from the fullest zone's cache.
 //
@@ -499,7 +511,7 @@ func (n *Node) PageCachePages(zone int) uint64 { return n.pcPages[zone] }
 func (n *Node) dropOneCacheBlock() bool {
 	best := -1
 	for z := range n.pageCache {
-		if n.pageCache[z].len() > 0 && (best < 0 || n.pageCache[z].len() > n.pageCache[best].len()) {
+		if n.pageCache[z].blocks > 0 && (best < 0 || n.pageCache[z].blocks > n.pageCache[best].blocks) {
 			best = z
 		}
 	}
@@ -510,15 +522,33 @@ func (n *Node) dropOneCacheBlock() bool {
 	return true
 }
 
-// evictFrom frees count blocks from the zone's cache (FIFO).
-func (n *Node) evictFrom(zone int, count int) {
+// evictFrom frees the zone's count oldest cached blocks (fewer if the
+// cache holds fewer), run by run, with the same frees in the same order
+// as one FreeBlock per block.
+//
+//detsim:hotpath
+func (n *Node) evictFrom(zone int, count uint64) {
 	q := &n.pageCache[zone]
-	if count > q.len() {
-		count = q.len()
+	count = min(count, q.blocks)
+	z := n.Mem.Zones[zone]
+	for left := count; left > 0; {
+		r := &q.runs[q.head]
+		k := min(left, r.Blocks)
+		z.FreeRun(r.Base, k, pcOrder)
+		left -= k
+		if k == r.Blocks {
+			q.head++
+		} else {
+			r.Base += mem.PFN(k << pcOrder)
+			r.Blocks -= k
+		}
 	}
-	q.popFront(count, func(b pcBlock) { n.Mem.Free(b.pfn, pcOrder) })
-	n.pcPages[zone] -= uint64(count) << pcOrder
-	n.ReclaimedPages += uint64(count) << pcOrder
+	if q.head == len(q.runs) {
+		q.runs = q.runs[:0]
+		q.head = 0
+	}
+	q.blocks -= count
+	n.ReclaimedPages += count << pcOrder
 }
 
 // kswapdPass frees page cache in any zone below its low watermark, down
@@ -529,12 +559,12 @@ func (n *Node) kswapdPass() {
 			continue
 		}
 		n.KswapdRuns++
-		n.obs.traceReclaim("kswapd", z.ID, n.eng.Now())
+		n.obs.traceReclaim(reclaimKswapd, z.ID, n.eng.Now())
 		need := z.WatermarkHigh - z.FreePages()
 		if need > n.cfg.KswapdBatchPages {
 			need = n.cfg.KswapdBatchPages
 		}
-		blocks := int(need >> pcOrder)
+		blocks := need >> pcOrder
 		if blocks == 0 {
 			blocks = 1
 		}
@@ -549,14 +579,13 @@ func (n *Node) kswapdPass() {
 // elevated priority), so a single stall covers many subsequent
 // allocations.
 func (n *Node) DirectReclaim(zone int, order int) bool {
-	n.obs.traceReclaim("direct_reclaim", zone, n.eng.Now())
+	n.obs.traceReclaim(reclaimDirect, zone, n.eng.Now())
 	z := n.Mem.Zones[zone]
 	before := z.FreePages()
 	pages := mem.PagesPerOrder(order) * 4
 	if min := uint64(8192); pages < min { // >= 32MB per pass
 		pages = min
 	}
-	blocks := int(pages>>pcOrder) + 1
-	n.evictFrom(zone, blocks)
+	n.evictFrom(zone, pages>>pcOrder+1)
 	return z.FreePages() > before
 }

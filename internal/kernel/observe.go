@@ -54,7 +54,20 @@ type nodeObs struct {
 	// pgtable_* shared handles, installed into every process table.
 	ptWalks *metrics.Counter
 	ptDepth *metrics.Histogram
+
+	// reclaimNames[kind][zone] names the trace instant of a reclaim
+	// pass, built once by Observe so a pass formats no string.
+	reclaimNames [numReclaimKinds][]string
 }
+
+// Reclaim pass kinds, indexing nodeObs.reclaimNames.
+const (
+	reclaimKswapd = iota
+	reclaimDirect
+	numReclaimKinds
+)
+
+var reclaimKindNames = [numReclaimKinds]string{reclaimKswapd: "kswapd", reclaimDirect: "direct_reclaim"}
 
 // Observe instruments the node: push handles are obtained from reg once
 // here and incremented by the fault, scheduler and page-table hot paths
@@ -93,13 +106,7 @@ func (n *Node) Observe(reg *metrics.Registry, tr *metrics.ChromeTracer) {
 	reg.CounterFunc(metrics.KernelLifecycleReapsTotal, func() uint64 { return n.LifecycleReaps })
 	reg.CounterFunc(metrics.KernelLifecycleProcReusesTotal, func() uint64 { return n.LifecycleProcReuses })
 	reg.CounterFunc(metrics.KernelLifecycleTaskReusesTotal, func() uint64 { return n.LifecycleTaskReuses })
-	reg.GaugeFunc(metrics.KernelPagecachePages, func() float64 {
-		var pages uint64
-		for z := range n.pcPages {
-			pages += n.pcPages[z]
-		}
-		return float64(pages)
-	})
+	reg.GaugeFunc(metrics.KernelPagecachePages, func() float64 { return float64(n.pageCachePagesTotal()) })
 	reg.GaugeFunc(metrics.KernelCommitPressure, func() float64 { return n.CommitPressure() })
 
 	n.obs = o
@@ -108,6 +115,11 @@ func (n *Node) Observe(reg *metrics.Registry, tr *metrics.ChromeTracer) {
 	n.Processes(func(p *Process) { p.PT.Instrument(o.ptWalks, o.ptDepth) })
 	if tr != nil {
 		tr.SetThreadName(tidKernel, "kernel")
+		for k, name := range reclaimKindNames {
+			for z := range n.Mem.Zones {
+				o.reclaimNames[k] = append(o.reclaimNames[k], fmt.Sprintf("%s/zone%d", name, z))
+			}
+		}
 	}
 }
 
@@ -154,11 +166,11 @@ func (o *nodeObs) observeFaultBulk(p *Process, count uint64, total sim.Cycles) {
 	o.appFaultCycles.Add(uint64(total))
 }
 
-// traceReclaim emits an instant event for a reclaim pass, labelled with
-// the zone. No-op without a tracer.
-func (o *nodeObs) traceReclaim(name string, zone int, at sim.Cycles) {
+// traceReclaim emits an instant event for a reclaim pass of the given
+// kind, labelled with the zone. No-op without a tracer.
+func (o *nodeObs) traceReclaim(kind, zone int, at sim.Cycles) {
 	if o == nil || o.tracer == nil {
 		return
 	}
-	o.tracer.Instant(tidKernel, "kernel", fmt.Sprintf("%s/zone%d", name, zone), uint64(at))
+	o.tracer.Instant(tidKernel, "kernel", o.reclaimNames[kind][zone], uint64(at))
 }

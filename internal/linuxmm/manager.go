@@ -99,8 +99,9 @@ type Manager struct {
 	// capacity across pod/compile churn.
 	psPool []*procState
 
-	// Scratch buffers for gatedAllocRun (block PFNs and per-zone run
-	// segments), reused across calls.
+	// Scratch buffers for gatedAllocRun (one zone's AllocRun runs, block
+	// PFNs and per-zone run segments), reused across calls.
+	runs    []mem.Run
 	runPFNs []mem.PFN
 	runSegs []allocSeg
 

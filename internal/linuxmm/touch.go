@@ -308,16 +308,17 @@ type allocSeg struct {
 }
 
 // gatedAllocRun allocates up to want blocks of 2^order pages through the
-// watermark gate, draining each zone in rotation order from preferred.
-// This produces exactly the block sequence `want` sequential gatedAlloc
-// calls would: free pages only decrease during a run (no frees can
-// interleave inside one touchSmall backing loop), so once a zone fails
-// the gate or the buddy search it cannot recover until the caller's slow
-// path reclaims memory. Blocks land in m.runPFNs and per-zone segments
-// in m.runSegs; the return is the count allocated. A short return means
-// every zone was probed and refused — the equivalent of one failed
-// gatedAlloc, so callers go straight to the reclaim slow path without
-// re-probing.
+// watermark gate, draining each zone in rotation order from preferred
+// with one Zone.AllocRun. This produces exactly the block sequence
+// `want` sequential gatedAlloc calls would: free pages only decrease
+// during a run (no frees can interleave inside one touchSmall backing
+// loop), so once a zone fails the gate or the buddy search it cannot
+// recover until the caller's slow path reclaims memory, and AllocRun
+// matches per-block AllocPages calls exactly (DESIGN.md §10). Blocks
+// land in m.runPFNs and per-zone segments in m.runSegs; the return is
+// the count allocated. A short return means every zone was probed and
+// refused — the equivalent of one failed gatedAlloc, so callers go
+// straight to the reclaim slow path without re-probing.
 //
 //detsim:hotpath
 func (m *Manager) gatedAllocRun(preferred, order int, want uint64) uint64 {
@@ -328,20 +329,17 @@ func (m *Manager) gatedAllocRun(preferred, order int, want uint64) uint64 {
 	for i := 0; i < len(zones) && got < want; i++ {
 		zi := (preferred + i) % len(zones)
 		z := zones[zi]
-		reserve := z.WatermarkMin + mem.PagesPerOrder(order)
 		var n uint64
-		for got < want && z.FreePages() >= reserve {
-			pfn, ok := z.AllocPages(order)
-			if !ok {
-				break
+		m.runs, n = z.AllocRun(order, want-got, z.WatermarkMin+mem.PagesPerOrder(order), m.runs[:0])
+		for _, r := range m.runs {
+			for b := uint64(0); b < r.Blocks; b++ {
+				m.runPFNs = append(m.runPFNs, r.Base+mem.PFN(b<<uint(order)))
 			}
-			m.runPFNs = append(m.runPFNs, pfn)
-			n++
-			got++
 		}
 		if n > 0 {
 			m.runSegs = append(m.runSegs, allocSeg{zone: zi, n: n})
 		}
+		got += n
 	}
 	m.GatedAllocRuns++
 	m.GatedAllocBlocks += got

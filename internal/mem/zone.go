@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"hpmmap/internal/invariant"
@@ -94,26 +95,44 @@ func (z *Zone) AllocPages(order int) (PFN, bool) {
 		// Programmer error: order outside [0, MaxOrder].
 		panic(fmt.Sprintf("mem: AllocPages order %d out of range [0,%d]", order, MaxOrder))
 	}
+	p, _, ok := z.take(order, 1)
+	return p, ok
+}
+
+// take is the zone's one search-and-split path. It pops the most recently
+// freed block of the smallest free order o >= order and hands out its
+// first k = min(n, 2^(o-order)) pieces of the requested order, ascending.
+// That is exactly what k consecutive AllocPages calls return: every list
+// in [order, o) was empty at the pop, so each later call pops the lowest
+// untaken piece of the same block. The untaken tail goes back as
+// one aligned piece per set bit of 2^(o-order) - k, each alone on its
+// list, which is where those calls would leave it; the calls' splits
+// number k-1 plus those pieces. n must be at least 1.
+//
+//detsim:hotpath
+func (z *Zone) take(order int, n uint64) (PFN, uint64, bool) {
 	for o := order; o <= MaxOrder; o++ {
 		p, ok := z.free[o].pop()
 		if !ok {
 			continue
 		}
-		// Split down to the requested order, returning the upper halves.
-		for o > order {
-			o--
+		m := uint64(1) << uint(o-order)
+		k := min(n, m)
+		z.Splits += k - 1
+		// The piece at block offset pos spans its lowest set bit.
+		for pos := k; pos < m; pos += pos & -pos {
+			z.free[order+bits.TrailingZeros64(pos)].push(p + PFN(pos<<uint(order)))
 			z.Splits++
-			z.free[o].push(p + PFN(PagesPerOrder(o)))
 		}
-		z.freePages -= PagesPerOrder(order)
-		z.Allocs++
-		return p, true
+		z.freePages -= k << uint(order)
+		z.Allocs += k
+		return p, k, true
 	}
 	z.Failures++
-	return 0, false
+	return 0, 0, false
 }
 
-// FreePages returns a block to the allocator, coalescing with free buddies
+// FreeBlock returns a block to the allocator, coalescing with free buddies
 // as far as possible.
 func (z *Zone) FreeBlock(p PFN, order int) {
 	if order < 0 || order > MaxOrder {
