@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: verify build test race vet lint lint-fast lint-audit lint-report bench fuzz chaos datacenter eviction
+.PHONY: verify build test race vet lint lint-fast lint-audit lint-report bench bench-check fuzz chaos datacenter eviction
 
 verify: build test race vet lint
 
@@ -102,6 +102,22 @@ bench:
 	$(GO) run ./cmd/hpmmap-perf -out BENCH_6.json -baseline BENCH_6.json -regress-pct 10 \
 		-ledger bench-history.jsonl \
 		-cpuprofile bench-cpu.pprof -memprofile bench-mem.pprof
+
+# The benchmark (BENCHMARK.json) against its committed digests.
+# benchmark/ is its own module, so `make verify` never builds it, yet it
+# compiles against internal/runner and internal/experiments. Vet and
+# test the module, then run every workload for one second and fail
+# unless its summary (the last line) reports correct output and no
+# failed cell.
+BENCH_WORKLOADS = fig7-grid faultstudy datacenter-churn chaos-audit
+bench-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+	@for w in $(BENCH_WORKLOADS); do \
+	  line=$$(bash benchmark/run.sh --workload $$w --seconds 1 | tail -n 1); \
+	  echo "$$w: $$line"; \
+	  echo "$$line" | grep -q '"correct":true' && echo "$$line" | grep -Eq '"failed":0[,}]' || \
+	    { echo "bench-check: $$w is not correct or has failed cells"; exit 1; }; \
+	done
 
 # Differential fuzzing of the zone's bulk run operations (AllocRun,
 # FreeRun) against block-at-a-time allocation and freeing. Plain

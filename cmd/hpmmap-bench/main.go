@@ -114,7 +114,7 @@ func main() {
 		cores    = flag.String("cores", "", "comma-separated core counts (fig7 only)")
 		workers  = flag.Int("workers", 0, "parallel simulation workers (0 = one per CPU; results identical at any count)")
 		timeout  = flag.Duration("timeout", 0, "cancel the run after this long (0 = no timeout)")
-		cacheDir = flag.String("cache-dir", "", "JSON result cache: reuse per-cell results keyed by exp/cell/seed/scale/model-version")
+		cacheDir = flag.String("cache-dir", "", "JSON result cache: reuse per-cell results keyed by exp/cell/seed/plan inputs (scale, study options)/model-version")
 		verbose  = flag.Bool("v", false, "print per-cell progress with done/total and ETA")
 		plotW    = flag.Int("plot-width", 100, "timeline plot width")
 		plotH    = flag.Int("plot-height", 18, "timeline plot height")
@@ -132,7 +132,7 @@ func main() {
 		intensities = flag.String("intensities", "", "chaos study: comma-separated chaos intensities in [0,1] (default 0,0.25,0.5,0.75,1)")
 		chaosPoison = flag.Int("chaos-poison", -1, "chaos study: inject a deliberate invariant violation into this plan cell (>= 1) to drill the quarantine path; -1 = off")
 		cellTimeout = flag.Duration("cell-timeout", 0, "chaos study: per-cell wall-clock budget (0 = none)")
-		retries     = flag.Int("retries", 0, "chaos study: retries for host-transient cell failures (cache I/O)")
+		retries     = flag.Int("retries", 0, "chaos study: retries for cell failures marked host-transient (no simulation failure is; cache I/O never fails a cell)")
 		failFast    = flag.Bool("fail-fast", false, "chaos study: abort on the first cell failure instead of quarantining it as an annotated hole")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole invocation to this file")

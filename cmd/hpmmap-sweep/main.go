@@ -98,7 +98,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		opts.Ledger = led
+		// The runner journals through an observation collector.
+		opts.Obs = runner.NewObservations(0)
+		opts.Obs.SetLedger(led)
 	}
 	closeLedger := func() {
 		if err := led.Close(); err != nil {

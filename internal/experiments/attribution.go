@@ -95,8 +95,8 @@ func RunAttributionStudy(o AttributionStudyOptions) ([]AttributionCell, error) {
 	cells, err := runner.Run(runner.Options{
 		Workers:  o.Workers,
 		Context:  o.Context,
-		Progress: runtimeProgress(o.Progress),
-		Ledger:   o.Obs.LedgerSink(),
+		Progress: progressLines[any](o.Progress, nil),
+		Obs:      o.Obs,
 	}, plan, func(ctx context.Context, idx int, cell runner.Cell, seed uint64) (cellOut, error) {
 		attr := timeline.NewAttribution(o.Ranks)
 		reg, tr := o.Obs.Cell(idx, cell.String())
@@ -116,7 +116,6 @@ func RunAttributionStudy(o AttributionStudyOptions) ([]AttributionCell, error) {
 		if err != nil {
 			return cellOut{}, err
 		}
-		o.Obs.Snap(idx)
 		return cellOut{RuntimeSec: out.RuntimeSec, Summary: attr.Summarize()}, nil
 	})
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 
 	"hpmmap/internal/chaos"
 	"hpmmap/internal/invariant"
-	"hpmmap/internal/metrics"
 	"hpmmap/internal/runner"
 	"hpmmap/internal/stats"
 	"hpmmap/internal/workload"
@@ -50,8 +49,14 @@ type ChaosStudyOptions struct {
 	Progress func(string)
 	Workers  int
 	Context  context.Context
-	Cache    *runner.Cache
-	Obs      *runner.Observations
+	// Cache, when non-nil, memoizes per-cell results through the runner,
+	// keyed by the cell's coordinates and seed plus Scale, Audit and
+	// PoisonCell (see Fig7Options.Cache).
+	Cache *runner.Cache
+	// Obs, when non-nil, collects per-cell metric snapshots and Chrome
+	// trace events; cached cells replay their snapshots (see
+	// Fig7Options.Obs).
+	Obs *runner.Observations
 	// Audit attaches the invariant auditor to every cell's node.
 	Audit bool
 	// ContinueOnError quarantines failed cells as annotated holes
@@ -60,7 +65,8 @@ type ChaosStudyOptions struct {
 	DisableContinueOnError bool
 	// CellTimeout bounds one cell's wall clock (0 = none).
 	CellTimeout time.Duration
-	// Retries re-runs host-transient cell failures (cache I/O).
+	// Retries re-runs cell failures marked runner.Transient (see
+	// runner.Options.Retries; no simulation error is transient).
 	Retries int
 	// PoisonCell, when > 0, arms the chaos injector's InjectViolation
 	// hook in that plan cell — the end-to-end drill for the containment
@@ -153,13 +159,6 @@ func (s ChaosStudy) Report() invariant.Report {
 	return invariant.NewReport(vs)
 }
 
-// chaosCell is the cached/reduced unit of one run.
-type chaosCell struct {
-	RuntimeSec float64          `json:"runtime_sec"`
-	Faults     uint64           `json:"faults"`
-	Metrics    metrics.Snapshot `json:"metrics,omitempty"`
-}
-
 // intensityVariant encodes the sweep coordinate into the cell's Variant
 // axis (and therefore the seed derivation and the cache key).
 func intensityVariant(x float64) string { return fmt.Sprintf("i%g", x) }
@@ -181,7 +180,8 @@ func ChaosStudyRun(o ChaosStudyOptions) (ChaosStudy, error) {
 		kind      ManagerKind
 		intensity float64
 	}
-	plan := runner.Plan{Name: "chaos", Seed: o.Seed}
+	plan := runner.Plan{Name: "chaos", Seed: o.Seed,
+		Inputs: fmt.Sprintf("scale=%g audit=%t poison=%d", o.Scale, o.Audit, o.PoisonCell)}
 	var metas []cellMeta
 	for _, kind := range o.Managers {
 		for _, x := range o.Intensities {
@@ -196,51 +196,20 @@ func ChaosStudyRun(o ChaosStudyOptions) (ChaosStudy, error) {
 		}
 	}
 
-	o.Obs.ObserveCache(o.Cache)
-	progress := func(e runner.Event) {
-		if o.Progress == nil {
-			return
-		}
-		msg := e.String()
-		if cc, ok := e.Result.(chaosCell); ok {
-			msg += fmt.Sprintf(": %.1f s", cc.RuntimeSec)
-		}
-		o.Progress(msg)
-	}
-	if o.Progress == nil {
-		progress = nil
-	}
-
 	results, err := runner.Run(runner.Options{
 		Workers:         o.Workers,
 		Context:         o.Context,
-		Progress:        progress,
+		Progress:        progressLines(o.Progress, runtimeSuffix),
 		ContinueOnError: !o.DisableContinueOnError,
 		CellTimeout:     o.CellTimeout,
 		Retries:         o.Retries,
 		Metrics:         o.Obs.PlanRegistry(),
-		Ledger:          o.Obs.LedgerSink(),
-	}, plan, func(ctx context.Context, idx int, cell runner.Cell, seed uint64) (chaosCell, error) {
-		poisoned := idx == o.PoisonCell
-		key := o.Cache.Key(plan.Name, cell, seed, float64(o.Scale))
-		var cc chaosCell
-		// Poisoned cells never consult or populate the cache: the drill
-		// must actually run, and a deliberate failure must not shadow a
-		// real result.
-		if !poisoned && o.Cache.Get(key, &cc) {
-			if o.Obs == nil || len(cc.Metrics.Metrics) > 0 {
-				o.Obs.LedgerSink().CacheHit(idx)
-				o.Obs.Record(idx, cc.Metrics)
-				return cc, nil
-			}
-			cc = chaosCell{}
-		}
-		if !poisoned && o.Cache != nil {
-			o.Obs.LedgerSink().CacheMiss(idx)
-		}
+		Cache:           o.Cache,
+		Obs:             o.Obs,
+	}, plan, func(ctx context.Context, idx int, cell runner.Cell, seed uint64) (runtimeCell, error) {
 		reg, tr := o.Obs.Cell(idx, cell.String())
 		cfg := chaos.DefaultConfig(metas[idx].intensity)
-		cfg.InjectViolation = poisoned
+		cfg.InjectViolation = idx == o.PoisonCell
 		inj := chaos.New(cfg, seed)
 		out, err := ExecuteSingleNode(SingleRun{
 			Bench:   spec,
@@ -256,17 +225,9 @@ func ChaosStudyRun(o ChaosStudyOptions) (ChaosStudy, error) {
 			Audit:   o.Audit,
 		})
 		if err != nil {
-			return chaosCell{}, err
+			return runtimeCell{}, err
 		}
-		cc.RuntimeSec = out.RuntimeSec
-		for _, rr := range out.Result.Ranks {
-			cc.Faults += rr.Faults.TotalFaults()
-		}
-		cc.Metrics = o.Obs.Snap(idx)
-		if !poisoned {
-			_ = o.Cache.Put(key, cc)
-		}
-		return cc, nil
+		return runtimeCell{RuntimeSec: out.RuntimeSec}, nil
 	})
 
 	study := ChaosStudy{Bench: o.Bench, Cores: o.Cores}

@@ -9,7 +9,6 @@ import (
 	"hpmmap/internal/chaos"
 	"hpmmap/internal/datacenter"
 	"hpmmap/internal/kernel"
-	"hpmmap/internal/metrics"
 	"hpmmap/internal/runner"
 	"hpmmap/internal/sim"
 	"hpmmap/internal/timeline"
@@ -53,13 +52,20 @@ type DatacenterStudyOptions struct {
 	Progress func(string)
 	Workers  int
 	Context  context.Context
-	Cache    *runner.Cache
-	Obs      *runner.Observations
+	// Cache, when non-nil, memoizes per-cell results through the runner,
+	// keyed by the cell's coordinates and seed plus Scale, Audit and the
+	// pod shape overrides (see Fig7Options.Cache).
+	Cache *runner.Cache
+	// Obs, when non-nil, collects per-cell metric snapshots, Chrome
+	// trace events and (EnableSeries) time series; cached cells replay
+	// their snapshots (see Fig7Options.Obs).
+	Obs *runner.Observations
 	// Audit attaches the invariant auditor to every cell's node.
 	Audit bool
 	// CellTimeout bounds one cell's wall clock (0 = none).
 	CellTimeout time.Duration
-	// Retries re-runs host-transient cell failures (cache I/O).
+	// Retries re-runs cell failures marked runner.Transient (see
+	// runner.Options.Retries; no simulation error is transient).
 	Retries int
 }
 
@@ -111,9 +117,8 @@ type DatacenterCell struct {
 	OOMKilled  uint64                                      `json:"oom_killed"`
 	// Barriers and DominantCause summarize the victim's barrier
 	// critical-path attribution for the cell.
-	Barriers      int              `json:"barriers"`
-	DominantCause string           `json:"dominant_cause"`
-	Metrics       metrics.Snapshot `json:"metrics,omitempty"`
+	Barriers      int    `json:"barriers"`
+	DominantCause string `json:"dominant_cause"`
 }
 
 // DatacenterPoint aggregates one (churn, intensity) grid point.
@@ -155,7 +160,8 @@ func DatacenterStudyRun(o DatacenterStudyOptions) (DatacenterStudy, error) {
 		churn     float64
 		intensity float64
 	}
-	plan := runner.Plan{Name: "datacenter", Seed: o.Seed}
+	plan := runner.Plan{Name: "datacenter", Seed: o.Seed,
+		Inputs: fmt.Sprintf("scale=%g audit=%t pod=%d resident=%d", o.Scale, o.Audit, o.PodBytes, o.ResidentBytes)}
 	var metas []cellMeta
 	for _, churn := range o.Churns {
 		for _, x := range o.Intensities {
@@ -170,47 +176,20 @@ func DatacenterStudyRun(o DatacenterStudyOptions) (DatacenterStudy, error) {
 		}
 	}
 
-	o.Obs.ObserveCache(o.Cache)
-	progress := func(e runner.Event) {
-		if o.Progress == nil {
-			return
-		}
-		msg := e.String()
-		if dc, ok := e.Result.(DatacenterCell); ok {
-			msg += fmt.Sprintf(": %.1f s, %d pods", dc.RuntimeSec, dc.Launched)
-		}
-		o.Progress(msg)
-	}
-	if o.Progress == nil {
-		progress = nil
-	}
-	// Time-series sampling can't be reconstructed from a cached cell, so
-	// a series-enabled study bypasses the cache (the fig7 pattern).
-	useCache := !o.Obs.SeriesEnabled()
 	clockHz := kernel.DellR415().ClockHz
 
 	results, err := runner.Run(runner.Options{
-		Workers:     o.Workers,
-		Context:     o.Context,
-		Progress:    progress,
+		Workers: o.Workers,
+		Context: o.Context,
+		Progress: progressLines(o.Progress, func(c DatacenterCell) string {
+			return fmt.Sprintf(": %.1f s, %d pods", c.RuntimeSec, c.Launched)
+		}),
 		CellTimeout: o.CellTimeout,
 		Retries:     o.Retries,
 		Metrics:     o.Obs.PlanRegistry(),
-		Ledger:      o.Obs.LedgerSink(),
+		Cache:       o.Cache,
+		Obs:         o.Obs,
 	}, plan, func(ctx context.Context, idx int, cell runner.Cell, seed uint64) (DatacenterCell, error) {
-		key := o.Cache.Key(plan.Name, cell, seed, float64(o.Scale))
-		var dc DatacenterCell
-		if useCache && o.Cache.Get(key, &dc) {
-			if o.Obs == nil || len(dc.Metrics.Metrics) > 0 {
-				o.Obs.LedgerSink().CacheHit(idx)
-				o.Obs.Record(idx, dc.Metrics)
-				return dc, nil
-			}
-			dc = DatacenterCell{}
-		}
-		if useCache && o.Cache != nil {
-			o.Obs.LedgerSink().CacheMiss(idx)
-		}
 		reg, tr := o.Obs.Cell(idx, cell.String())
 		dcCfg := datacenter.DefaultConfig()
 		if metas[idx].churn > 0 {
@@ -248,7 +227,7 @@ func DatacenterStudyRun(o DatacenterStudyOptions) (DatacenterStudy, error) {
 		if err != nil {
 			return DatacenterCell{}, err
 		}
-		dc.RuntimeSec = out.RuntimeSec
+		dc := DatacenterCell{RuntimeSec: out.RuntimeSec}
 		if a := out.Datacenter; a != nil {
 			dc.Launched = a.LaunchedTotal()
 			dc.Rejected = a.Rejected
@@ -268,10 +247,6 @@ func DatacenterStudyRun(o DatacenterStudyOptions) (DatacenterStudy, error) {
 		dc.Barriers = sum.Barriers
 		if cause, ok := sum.DominantCause(); ok {
 			dc.DominantCause = cause.String()
-		}
-		dc.Metrics = o.Obs.Snap(idx)
-		if useCache {
-			_ = o.Cache.Put(key, dc)
 		}
 		return dc, nil
 	})

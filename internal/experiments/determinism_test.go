@@ -102,7 +102,7 @@ func TestFig7ProgressSerializedUnderParallelism(t *testing.T) {
 
 // TestFig7CacheRoundTrip proves the result cache short-circuits
 // re-simulation: a second run against a populated cache returns
-// identical panels, and corrupting the cache version forces a miss.
+// identical panels, and bumping the cache version forces a miss.
 func TestFig7CacheRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := runner.NewCache(dir, ModelVersion)
@@ -128,14 +128,23 @@ func TestFig7CacheRoundTrip(t *testing.T) {
 	if a, b := asJSON(t, first), asJSON(t, second); string(a) != string(b) {
 		t.Fatalf("cached rerun diverged:\n%s\nvs\n%s", a, b)
 	}
-	// A different model version must not see the old entries.
+	// A different model version must not see the old entries: every
+	// cell misses and stores a second entry next to the old one.
 	bumped, err := runner.NewCache(dir, ModelVersion+"-next")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell := runner.Cell{Exp: "fig7", Bench: "HPCCG", Profile: "A", Manager: "thp", Cores: 1, Run: 0}
-	var cc struct{ RuntimeSec float64 }
-	if bumped.Get(bumped.Key("fig7", cell, cell.Seed(101), 0.25), &cc) {
-		t.Fatal("version bump did not invalidate the cache")
+	third, err := Fig7(fig7Reduced(4, bumped))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := asJSON(t, first), asJSON(t, third); string(a) != string(b) {
+		t.Fatalf("rerun under a bumped version diverged:\n%s\nvs\n%s", a, b)
+	}
+	if entries, err = os.ReadDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 48 {
+		t.Fatalf("cache holds %d entries after the version bump, want 48 (24 per version)", len(entries))
 	}
 }

@@ -59,14 +59,21 @@ type EvictionStudyOptions struct {
 	Progress func(string)
 	Workers  int
 	Context  context.Context
-	Cache    *runner.Cache
-	Obs      *runner.Observations
+	// Cache, when non-nil, memoizes per-cell results through the runner,
+	// keyed by the cell's coordinates and seed plus Scale, Audit, Churn
+	// and the pod shape overrides (see Fig7Options.Cache).
+	Cache *runner.Cache
+	// Obs, when non-nil, collects per-cell metric snapshots, Chrome
+	// trace events and (EnableSeries) time series; cached cells replay
+	// their snapshots (see Fig7Options.Obs).
+	Obs *runner.Observations
 	// Audit attaches the invariant auditor to every cell's node — the
 	// frame/VMA/pool conservation net under every eviction and outage.
 	Audit bool
 	// CellTimeout bounds one cell's wall clock (0 = none).
 	CellTimeout time.Duration
-	// Retries re-runs host-transient cell failures (cache I/O).
+	// Retries re-runs cell failures marked runner.Transient (see
+	// runner.Options.Retries; no simulation error is transient).
 	Retries int
 }
 
@@ -125,9 +132,8 @@ type EvictionCell struct {
 	Violations uint64 `json:"violations"`
 	// Barriers and DominantCause summarize the victim's barrier
 	// critical-path attribution for the cell.
-	Barriers      int              `json:"barriers"`
-	DominantCause string           `json:"dominant_cause"`
-	Metrics       metrics.Snapshot `json:"metrics,omitempty"`
+	Barriers      int    `json:"barriers"`
+	DominantCause string `json:"dominant_cause"`
 }
 
 // EvictionPoint aggregates one (overcommit, chaos) grid point.
@@ -169,7 +175,9 @@ func EvictionStudyRun(o EvictionStudyOptions) (EvictionStudy, error) {
 		overcommit float64
 		intensity  float64
 	}
-	plan := runner.Plan{Name: "eviction", Seed: o.Seed}
+	plan := runner.Plan{Name: "eviction", Seed: o.Seed,
+		Inputs: fmt.Sprintf("scale=%g audit=%t churn=%g pod=%d resident=%d",
+			o.Scale, o.Audit, o.Churn, o.PodBytes, o.ResidentBytes)}
 	var metas []cellMeta
 	for _, oc := range o.Overcommits {
 		for _, x := range o.Chaos {
@@ -184,47 +192,20 @@ func EvictionStudyRun(o EvictionStudyOptions) (EvictionStudy, error) {
 		}
 	}
 
-	o.Obs.ObserveCache(o.Cache)
-	progress := func(e runner.Event) {
-		if o.Progress == nil {
-			return
-		}
-		msg := e.String()
-		if ec, ok := e.Result.(EvictionCell); ok {
-			msg += fmt.Sprintf(": %.1f s, %d evicted, %d restarts", ec.RuntimeSec, total(ec.Evicted), total(ec.Restarts))
-		}
-		o.Progress(msg)
-	}
-	if o.Progress == nil {
-		progress = nil
-	}
-	// Time-series sampling can't be reconstructed from a cached cell, so
-	// a series-enabled study bypasses the cache (the fig7 pattern).
-	useCache := !o.Obs.SeriesEnabled()
 	clockHz := kernel.DellR415().ClockHz
 
 	results, err := runner.Run(runner.Options{
-		Workers:     o.Workers,
-		Context:     o.Context,
-		Progress:    progress,
+		Workers: o.Workers,
+		Context: o.Context,
+		Progress: progressLines(o.Progress, func(c EvictionCell) string {
+			return fmt.Sprintf(": %.1f s, %d evicted, %d restarts", c.RuntimeSec, total(c.Evicted), total(c.Restarts))
+		}),
 		CellTimeout: o.CellTimeout,
 		Retries:     o.Retries,
 		Metrics:     o.Obs.PlanRegistry(),
-		Ledger:      o.Obs.LedgerSink(),
+		Cache:       o.Cache,
+		Obs:         o.Obs,
 	}, plan, func(ctx context.Context, idx int, cell runner.Cell, seed uint64) (EvictionCell, error) {
-		key := o.Cache.Key(plan.Name, cell, seed, float64(o.Scale))
-		var ec EvictionCell
-		if useCache && o.Cache.Get(key, &ec) {
-			if o.Obs == nil || len(ec.Metrics.Metrics) > 0 {
-				o.Obs.LedgerSink().CacheHit(idx)
-				o.Obs.Record(idx, ec.Metrics)
-				return ec, nil
-			}
-			ec = EvictionCell{}
-		}
-		if useCache && o.Cache != nil {
-			o.Obs.LedgerSink().CacheMiss(idx)
-		}
 		reg, tr := o.Obs.Cell(idx, cell.String())
 		dcCfg := datacenter.DefaultConfig()
 		dcCfg.ChurnMeanPeriod = sim.Cycles(clockHz / o.Churn)
@@ -263,7 +244,7 @@ func EvictionStudyRun(o EvictionStudyOptions) (EvictionStudy, error) {
 		if err != nil {
 			return EvictionCell{}, err
 		}
-		ec.RuntimeSec = out.RuntimeSec
+		ec := EvictionCell{RuntimeSec: out.RuntimeSec}
 		if a := out.Datacenter; a != nil {
 			ec.Launched = a.LaunchedTotal()
 			ec.Rejected = a.Rejected
@@ -292,11 +273,10 @@ func EvictionStudyRun(o EvictionStudyOptions) (EvictionStudy, error) {
 		if cause, ok := sum.DominantCause(); ok {
 			ec.DominantCause = cause.String()
 		}
-		ec.Metrics = o.Obs.Snap(idx)
-		ec.Violations = ec.Metrics.CounterValue(metrics.InvariantViolationsTotal)
-		if useCache {
-			_ = o.Cache.Put(key, ec)
-		}
+		// Read through the cell's snapshot (the one the runner keeps):
+		// looking the counter up in reg would register it in unaudited
+		// cells.
+		ec.Violations = o.Obs.Snap(idx).CounterValue(metrics.InvariantViolationsTotal)
 		return ec, nil
 	})
 	if err != nil {

@@ -98,7 +98,7 @@ func NoiseStudy(o NoiseStudyOptions) ([]NoisePoint, error) {
 	secs, err := runner.Run(runner.Options{
 		Workers:  o.Workers,
 		Context:  o.Context,
-		Progress: runtimeProgress(o.Progress),
+		Progress: progressLines[any](o.Progress, nil),
 	}, plan, func(ctx context.Context, idx int, cell runner.Cell, seed uint64) (float64, error) {
 		// Both variants of a rank count boot the same engine stream.
 		engineCell := cell

@@ -166,10 +166,12 @@ type Fig8Options struct {
 	Workers int
 	// Context, when non-nil, cancels the study.
 	Context context.Context
-	// Cache, when non-nil, memoizes per-cell results (see Fig7Options).
+	// Cache, when non-nil, memoizes per-cell results through the runner
+	// (see Fig7Options.Cache).
 	Cache *runner.Cache
 	// Obs, when non-nil, collects per-cell metric snapshots and Chrome
-	// trace events (see Fig7Options.Obs and OBSERVABILITY.md).
+	// trace events; cached cells replay their snapshots (see
+	// Fig7Options.Obs and OBSERVABILITY.md).
 	Obs *runner.Observations
 }
 
@@ -239,7 +241,7 @@ func Fig8(o Fig8Options) ([]Fig8Panel, error) {
 		prof Profile
 		kind ManagerKind
 	}
-	plan := runner.Plan{Name: "fig8", Seed: o.Seed}
+	plan := runner.Plan{Name: "fig8", Seed: o.Seed, Inputs: fmt.Sprintf("scale=%g", o.Scale)}
 	var metas []cellMeta
 	for _, bench := range o.Benches {
 		for _, prof := range o.Profiles {
@@ -260,26 +262,10 @@ func Fig8(o Fig8Options) ([]Fig8Panel, error) {
 	results, err := runner.Run(runner.Options{
 		Workers:  o.Workers,
 		Context:  o.Context,
-		Progress: runtimeProgress(o.Progress),
-		Ledger:   o.Obs.LedgerSink(),
-	}, plan, func(ctx context.Context, idx int, cell runner.Cell, seed uint64) (fig7Cell, error) {
-		key := o.Cache.Key(plan.Name, cell, seed, float64(o.Scale))
-		var cc fig7Cell
-		// Series-enabled runs bypass the cache both ways (see Fig7).
-		useCache := !o.Obs.SeriesEnabled()
-		if useCache && o.Cache.Get(key, &cc) {
-			// Pre-observability cache entries lack the snapshot:
-			// re-simulate so it can be captured (see Fig7).
-			if o.Obs == nil || len(cc.Metrics.Metrics) > 0 {
-				o.Obs.LedgerSink().CacheHit(idx)
-				o.Obs.Record(idx, cc.Metrics)
-				return cc, nil
-			}
-			cc = fig7Cell{}
-		}
-		if useCache && o.Cache != nil {
-			o.Obs.LedgerSink().CacheMiss(idx)
-		}
+		Progress: progressLines(o.Progress, runtimeSuffix),
+		Cache:    o.Cache,
+		Obs:      o.Obs,
+	}, plan, func(ctx context.Context, idx int, cell runner.Cell, seed uint64) (runtimeCell, error) {
 		reg, tr := o.Obs.Cell(idx, cell.String())
 		out, err := ExecuteCluster(ClusterRun{
 			Bench:   specs[cell.Bench],
@@ -294,14 +280,9 @@ func Fig8(o Fig8Options) ([]Fig8Panel, error) {
 			Series:  o.Obs.Series(idx),
 		})
 		if err != nil {
-			return fig7Cell{}, err
+			return runtimeCell{}, err
 		}
-		cc.RuntimeSec = out.RuntimeSec
-		cc.Metrics = o.Obs.Snap(idx)
-		if useCache {
-			_ = o.Cache.Put(key, cc)
-		}
-		return cc, nil
+		return runtimeCell{RuntimeSec: out.RuntimeSec}, nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("fig8: %w", err)

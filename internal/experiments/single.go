@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"hpmmap/internal/metrics"
 	"hpmmap/internal/runner"
 	"hpmmap/internal/stats"
 	"hpmmap/internal/workload"
@@ -32,14 +31,15 @@ type Fig7Options struct {
 	// Context, when non-nil, cancels the study (first error or
 	// cancellation stops the remaining cells).
 	Context context.Context
-	// Cache, when non-nil, memoizes per-cell results keyed by
-	// exp/cell/seed/scale/version so reports can be regenerated without
-	// re-simulating unchanged cells.
+	// Cache, when non-nil, memoizes per-cell results so reports can be
+	// regenerated without re-simulating unchanged cells. The runner owns
+	// the protocol and keys each cell by its coordinates, seed, scale
+	// and the model version (runner.Options.Cache).
 	Cache *runner.Cache
 	// Obs, when non-nil, collects per-cell metric snapshots and Chrome
 	// trace events (see OBSERVABILITY.md). Cached cells replay the
-	// snapshot they stored; cells cached before observability existed
-	// are re-simulated so the snapshot can be captured. Traces are never
+	// snapshot they stored; an entry written by an unobserved run has
+	// none, so its cell is re-simulated to capture one. Traces are never
 	// cached: a cache-hit cell contributes metrics but no trace events.
 	Obs *runner.Observations
 }
@@ -90,26 +90,27 @@ type Fig7Panel struct {
 	Series  []Fig7Series
 }
 
-// fig7Cell is the cached/reduced unit of one single-node run.
-type fig7Cell struct {
+// runtimeCell is the cached/reduced unit of one Fig. 7, Fig. 8 or
+// chaos-study run.
+type runtimeCell struct {
 	RuntimeSec float64 `json:"runtime_sec"`
 	Faults     uint64  `json:"faults"`
-	// Metrics is the cell's registry snapshot, captured when the study
-	// ran with an Observations collector; cached alongside the scalars
-	// so cache hits can replay it.
-	Metrics metrics.Snapshot `json:"metrics,omitempty"`
 }
 
-// runtimeProgress adapts a legacy func(string) progress option onto the
-// runner's serialized event sink, appending the cell's runtime.
-func runtimeProgress(p func(string)) func(runner.Event) {
+// runtimeSuffix is the progress-line suffix of a runtimeCell.
+func runtimeSuffix(c runtimeCell) string { return fmt.Sprintf(": %.1f s", c.RuntimeSec) }
+
+// progressLines adapts a func(string) progress option onto the runner's
+// serialized event sink. suffix, when non-nil, renders a completed
+// cell's result after the event line; failed cells get no suffix.
+func progressLines[T any](p func(string), suffix func(T) string) func(runner.Event) {
 	if p == nil {
 		return nil
 	}
 	return func(e runner.Event) {
 		msg := e.String()
-		if cc, ok := e.Result.(fig7Cell); ok {
-			msg += fmt.Sprintf(": %.1f s", cc.RuntimeSec)
+		if r, ok := e.Result.(T); ok && suffix != nil {
+			msg += suffix(r)
 		}
 		p(msg)
 	}
@@ -136,7 +137,7 @@ func Fig7(o Fig7Options) ([]Fig7Panel, error) {
 		prof Profile
 		kind ManagerKind
 	}
-	plan := runner.Plan{Name: "fig7", Seed: o.Seed}
+	plan := runner.Plan{Name: "fig7", Seed: o.Seed, Inputs: fmt.Sprintf("scale=%g", o.Scale)}
 	var metas []cellMeta
 	for _, bench := range o.Benches {
 		for _, prof := range o.Profiles {
@@ -157,30 +158,10 @@ func Fig7(o Fig7Options) ([]Fig7Panel, error) {
 	results, err := runner.Run(runner.Options{
 		Workers:  o.Workers,
 		Context:  o.Context,
-		Progress: runtimeProgress(o.Progress),
-		Ledger:   o.Obs.LedgerSink(),
-	}, plan, func(ctx context.Context, idx int, cell runner.Cell, seed uint64) (fig7Cell, error) {
-		key := o.Cache.Key(plan.Name, cell, seed, float64(o.Scale))
-		var cc fig7Cell
-		// Series-enabled runs bypass the cache both ways: a cached cell
-		// would replay no samples, and a freshly sampled cell's snapshot
-		// (which carries timeline_samples_total) must never overwrite a
-		// baseline entry — either would break byte-identity between
-		// sampled/unsampled and cold/warm runs.
-		useCache := !o.Obs.SeriesEnabled()
-		if useCache && o.Cache.Get(key, &cc) {
-			// A cached cell from before observability was enabled has no
-			// snapshot; re-simulate it so the metrics can be captured.
-			if o.Obs == nil || len(cc.Metrics.Metrics) > 0 {
-				o.Obs.LedgerSink().CacheHit(idx)
-				o.Obs.Record(idx, cc.Metrics)
-				return cc, nil
-			}
-			cc = fig7Cell{}
-		}
-		if useCache && o.Cache != nil {
-			o.Obs.LedgerSink().CacheMiss(idx)
-		}
+		Progress: progressLines(o.Progress, runtimeSuffix),
+		Cache:    o.Cache,
+		Obs:      o.Obs,
+	}, plan, func(ctx context.Context, idx int, cell runner.Cell, seed uint64) (runtimeCell, error) {
 		reg, tr := o.Obs.Cell(idx, cell.String())
 		out, err := ExecuteSingleNode(SingleRun{
 			Bench:   specs[cell.Bench],
@@ -195,16 +176,11 @@ func Fig7(o Fig7Options) ([]Fig7Panel, error) {
 			Series:  o.Obs.Series(idx),
 		})
 		if err != nil {
-			return fig7Cell{}, err
+			return runtimeCell{}, err
 		}
-		cc.RuntimeSec = out.RuntimeSec
+		cc := runtimeCell{RuntimeSec: out.RuntimeSec}
 		for _, rr := range out.Result.Ranks {
 			cc.Faults += rr.Faults.TotalFaults()
-		}
-		cc.Metrics = o.Obs.Snap(idx)
-		if useCache {
-			// A failed Put only costs a future re-simulation.
-			_ = o.Cache.Put(key, cc)
 		}
 		return cc, nil
 	})

@@ -94,16 +94,12 @@ func faultStudies(o FaultStudyOptions, benches []string) ([]FaultStudy, error) {
 			profs = append(profs, prof)
 		}
 	}
-	type studyCell struct {
-		rec  *trace.Recorder
-		snap metrics.Snapshot
-	}
 	recs, err := runner.Run(runner.Options{
 		Workers:  o.Workers,
 		Context:  o.Context,
-		Progress: runtimeProgress(o.Progress),
-		Ledger:   o.Obs.LedgerSink(),
-	}, plan, func(ctx context.Context, idx int, cell runner.Cell, seed uint64) (studyCell, error) {
+		Progress: progressLines[any](o.Progress, nil),
+		Obs:      o.Obs,
+	}, plan, func(ctx context.Context, idx int, cell runner.Cell, seed uint64) (*trace.Recorder, error) {
 		rec := trace.NewRecorder()
 		reg, tr := o.Obs.Cell(idx, cell.String())
 		_, err := ExecuteSingleNode(SingleRun{
@@ -121,9 +117,9 @@ func faultStudies(o FaultStudyOptions, benches []string) ([]FaultStudy, error) {
 			Series:   o.Obs.Series(idx),
 		})
 		if err != nil {
-			return studyCell{}, err
+			return nil, err
 		}
-		return studyCell{rec: rec, snap: o.Obs.Snap(idx)}, nil
+		return rec, nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("faultstudy: %w", err)
@@ -133,14 +129,13 @@ func faultStudies(o FaultStudyOptions, benches []string) ([]FaultStudy, error) {
 	for _, bench := range benches {
 		fs := FaultStudy{Bench: bench, Kind: o.Kind}
 		for _, prof := range studyProfiles {
-			sc := recs[i]
-			i++
 			fs.Rows = append(fs.Rows, FaultStudyRow{
 				Loaded:    prof != ProfileNone,
-				Summaries: sc.rec.Summarize(),
-				Recorder:  sc.rec,
-				Metrics:   sc.snap,
+				Summaries: recs[i].Summarize(),
+				Recorder:  recs[i],
+				Metrics:   o.Obs.Snap(i), // captured by the runner at the cell's end
 			})
+			i++
 		}
 		out = append(out, fs)
 	}

@@ -9,18 +9,22 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+
+	"hpmmap/internal/metrics"
 )
 
 // Cache is a JSON result cache keyed by experiment cell coordinates. It
 // lets report generation (cmd/hpmmap-report -cache-dir) regenerate tables
 // without re-simulating unchanged cells: a cell's key covers the
-// experiment, every cell coordinate, the derived seed, the scale, and a
-// version string that consumers bump whenever the simulator's cost model
-// changes, so stale entries can never be confused with fresh ones.
+// experiment, every cell coordinate, the derived seed, the plan's
+// Inputs (scale and the other plan-wide options that change a result),
+// and a version string that consumers bump whenever the simulator's cost
+// model changes, so stale entries can never be confused with fresh ones.
+// Run drives the cache (Options.Cache); nothing else reads or writes it.
 //
 // Entries are one JSON file per key, written atomically (temp file +
-// rename), so concurrent workers may Put distinct cells safely. A nil
-// *Cache is a valid no-op cache: Get always misses and Put discards.
+// rename), so concurrent workers may put distinct cells safely. A nil
+// *Cache is a valid no-op cache: get always misses and put discards.
 type Cache struct {
 	dir     string
 	version string
@@ -46,26 +50,34 @@ func NewCache(dir, version string) (*Cache, error) {
 	return &Cache{dir: dir, version: version}, nil
 }
 
-// Key builds the cache key for one cell of a plan. scale is the
-// experiment's problem-scale factor (part of the result's identity).
-func (c *Cache) Key(plan string, cell Cell, seed uint64, scale float64) string {
+// entry is one cached cell: its result and, when the run was observed,
+// its metric snapshot.
+type entry[T any] struct {
+	Result  T                `json:"result"`
+	Metrics metrics.Snapshot `json:"metrics"`
+}
+
+// key builds the cache key for one cell of a plan. inputs is the plan's
+// Inputs: everything besides the coordinates and seed that is part of
+// the result's identity.
+func (c *Cache) key(plan string, cell Cell, seed uint64, inputs string) string {
 	v := ""
 	if c != nil {
 		v = c.version
 	}
-	raw := fmt.Sprintf("v=%s|plan=%s|exp=%s|bench=%s|prof=%s|mgr=%s|var=%s|cores=%d|run=%d|seed=%016x|scale=%g",
+	raw := fmt.Sprintf("v=%s|plan=%s|exp=%s|bench=%s|prof=%s|mgr=%s|var=%s|cores=%d|run=%d|seed=%016x|in=%s",
 		v, plan, cell.Exp, cell.Bench, cell.Profile, cell.Manager, cell.Variant,
-		cell.Cores, cell.Run, seed, scale)
+		cell.Cores, cell.Run, seed, inputs)
 	sum := sha256.Sum256([]byte(raw))
 	return hex.EncodeToString(sum[:16])
 }
 
-// Get loads the cached value for key into out, reporting whether it hit.
+// get loads the cached value for key into out, reporting whether it hit.
 // A missing file is a plain miss. A file that exists but fails to decode
 // (truncated or corrupt JSON) is also a miss — but it is counted (see
 // CorruptCount), logged once, and deleted so the re-simulated cell can
 // re-cache a clean entry instead of tripping over the bad file forever.
-func (c *Cache) Get(key string, out any) bool {
+func (c *Cache) get(key string, out any) bool {
 	if c == nil {
 		return false
 	}
@@ -97,9 +109,9 @@ func (c *Cache) CorruptCount() uint64 {
 	return c.corrupt.Load()
 }
 
-// Put stores v under key. Errors are returned but callers may ignore
-// them: a failed Put only costs a future re-simulation.
-func (c *Cache) Put(key string, v any) error {
+// put stores v under key. Errors are returned but callers may ignore
+// them: a failed put only costs a future re-simulation.
+func (c *Cache) put(key string, v any) error {
 	if c == nil {
 		return nil
 	}

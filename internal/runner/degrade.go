@@ -14,9 +14,10 @@ import (
 // error report.
 
 // transientErr marks an error as host-transient: caused by the machine
-// running the experiment (cache I/O, file-system hiccups), not by the
-// simulation. Only transient errors are retried — retrying a
-// deterministic simulation error would re-execute the identical failure.
+// running the experiment, not by the simulation. Only transient errors
+// are retried — retrying a deterministic simulation error would
+// re-execute the identical failure. No simulator code marks errors
+// transient today (cache I/O never fails a cell).
 type transientErr struct{ err error }
 
 func (t *transientErr) Error() string { return t.err.Error() }

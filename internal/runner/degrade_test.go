@@ -232,8 +232,8 @@ func TestCacheCorruptEntryDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := c.Key("p", Cell{Exp: "t"}, 42, 1)
-	if err := c.Put(key, map[string]int{"x": 1}); err != nil {
+	key := c.key("p", Cell{Exp: "t"}, 42, "")
+	if err := c.put(key, map[string]int{"x": 1}); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the entry: truncate mid-JSON.
@@ -242,7 +242,7 @@ func TestCacheCorruptEntryDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out map[string]int
-	if c.Get(key, &out) {
+	if c.get(key, &out) {
 		t.Fatal("corrupt entry reported as a hit")
 	}
 	if got := c.CorruptCount(); got != 1 {
@@ -252,15 +252,18 @@ func TestCacheCorruptEntryDetected(t *testing.T) {
 		t.Fatal("corrupt entry was not deleted")
 	}
 	// The slot is reusable after deletion.
-	if err := c.Put(key, map[string]int{"x": 2}); err != nil {
+	if err := c.put(key, map[string]int{"x": 2}); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Get(key, &out) || out["x"] != 2 {
+	if !c.get(key, &out) || out["x"] != 2 {
 		t.Fatal("re-cached entry does not hit")
 	}
-	// Wire into the plan registry.
+	// A plan run with the cache reports the tally in its plan registry.
 	obs := NewObservations(0)
-	obs.ObserveCache(c)
+	if _, err := Run(Options{Cache: c, Metrics: obs.PlanRegistry()}, degradePlan(1),
+		func(context.Context, int, Cell, uint64) (int, error) { return 0, nil }); err != nil {
+		t.Fatal(err)
+	}
 	if got := obs.Merged().CounterValue(metrics.RunnerCacheCorruptTotal); got != 1 {
 		t.Fatalf("runner_cache_corrupt_total = %d, want 1", got)
 	}
@@ -342,40 +345,33 @@ func TestCacheCorruptEntryReExecuted(t *testing.T) {
 	}
 	plan := degradePlan(1)
 	var executions atomic.Int64
-	runPlan := func() int {
-		res, err := Run(Options{Workers: 1}, plan,
+	runPlan := func() (int, *Observations) {
+		obs := NewObservations(0)
+		res, err := Run(Options{Workers: 1, Cache: c, Metrics: obs.PlanRegistry()}, plan,
 			func(ctx context.Context, idx int, cell Cell, seed uint64) (int, error) {
-				key := c.Key(plan.Name, cell, seed, 1)
-				var v int
-				if c.Get(key, &v) {
-					return v, nil
-				}
 				executions.Add(1)
-				v = 7
-				if err := c.Put(key, v); err != nil {
-					return 0, Transient(err)
-				}
-				return v, nil
+				return 7, nil
 			})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res[0]
+		return res[0], obs
 	}
-	if got := runPlan(); got != 7 {
+	if got, _ := runPlan(); got != 7 {
 		t.Fatalf("first run = %d, want 7", got)
 	}
-	if got := runPlan(); got != 7 || executions.Load() != 1 {
+	if got, _ := runPlan(); got != 7 || executions.Load() != 1 {
 		t.Fatalf("warm run re-executed (executions=%d)", executions.Load())
 	}
 	// Corrupt the entry on disk: the next run must detect it, delete it,
 	// count it, and re-execute the cell.
-	key := c.Key(plan.Name, plan.Cells[0], plan.Cells[0].Seed(plan.Seed), 1)
+	key := c.key(plan.Name, plan.Cells[0], plan.Cells[0].Seed(plan.Seed), plan.Inputs)
 	path := filepath.Join(dir, key+".json")
 	if err := os.WriteFile(path, []byte("{broken"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got := runPlan(); got != 7 {
+	got, obs := runPlan()
+	if got != 7 {
 		t.Fatalf("recovery run = %d, want 7", got)
 	}
 	if executions.Load() != 2 {
@@ -384,13 +380,11 @@ func TestCacheCorruptEntryReExecuted(t *testing.T) {
 	if got := c.CorruptCount(); got != 1 {
 		t.Fatalf("CorruptCount = %d, want 1", got)
 	}
-	obs := NewObservations(0)
-	obs.ObserveCache(c)
 	if got := obs.Merged().CounterValue(metrics.RunnerCacheCorruptTotal); got != 1 {
 		t.Fatalf("runner_cache_corrupt_total = %d, want 1", got)
 	}
 	// The re-executed result was re-cached: a final run hits clean.
-	if got := runPlan(); got != 7 || executions.Load() != 2 {
+	if got, _ := runPlan(); got != 7 || executions.Load() != 2 {
 		t.Fatalf("re-cached entry does not hit (executions=%d)", executions.Load())
 	}
 }
@@ -400,8 +394,12 @@ func TestNilCacheCorruptCount(t *testing.T) {
 	if c.CorruptCount() != 0 {
 		t.Fatal("nil cache reports corruption")
 	}
+	// A nil collector and a nil cache are valid Run options.
 	var o *Observations
-	o.ObserveCache(nil) // must not panic
+	if _, err := Run(Options{Cache: c, Obs: o, Metrics: o.PlanRegistry()}, degradePlan(2),
+		func(_ context.Context, idx int, _ Cell, _ uint64) (int, error) { return idx, nil }); err != nil {
+		t.Fatal(err)
+	}
 	if o.PlanRegistry() != nil {
 		t.Fatal("nil observations returned a live registry")
 	}

@@ -29,7 +29,7 @@ func holesArtifacts(t *testing.T, workers int) (snap, trace, series, canon []byt
 	boom := errors.New("cell exploded\nhost stack detail varies across runs")
 	_, err := Run(Options{
 		Workers: workers, ContinueOnError: true,
-		Metrics: obs.PlanRegistry(), Ledger: obs.LedgerSink(),
+		Metrics: obs.PlanRegistry(), Obs: obs,
 	}, plan, func(_ context.Context, idx int, c Cell, seed uint64) (int, error) {
 		if idx == 2 || idx == 5 {
 			return 0, boom
@@ -133,7 +133,7 @@ func TestLedgerMetricsInMergedSnapshot(t *testing.T) {
 		obs.SetLedger(led)
 		plan := degradePlan(8)
 		_, err := Run(Options{
-			Workers: workers, Metrics: obs.PlanRegistry(), Ledger: obs.LedgerSink(),
+			Workers: workers, Metrics: obs.PlanRegistry(), Obs: obs,
 		}, plan, func(_ context.Context, idx int, _ Cell, _ uint64) (int, error) {
 			return idx, nil
 		})
@@ -155,15 +155,15 @@ func TestLedgerMetricsInMergedSnapshot(t *testing.T) {
 // nothing and pays no host probes (totalAlloc is gated on led != nil).
 func TestLedgerNilSinkUnwired(t *testing.T) {
 	obs := NewObservations(0)
-	if obs.LedgerSink() != nil {
+	if obs.ledgerSink() != nil {
 		t.Fatal("LedgerSink non-nil before SetLedger")
 	}
 	var o *Observations
-	if o.LedgerSink() != nil {
+	if o.ledgerSink() != nil {
 		t.Fatal("nil Observations returned a ledger")
 	}
 	o.SetLedger(nil) // must not panic
-	_, err := Run(Options{Workers: 2, Ledger: obs.LedgerSink()}, degradePlan(4),
+	_, err := Run(Options{Workers: 2, Obs: obs}, degradePlan(4),
 		func(_ context.Context, idx int, _ Cell, _ uint64) (int, error) { return idx, nil })
 	if err != nil {
 		t.Fatal(err)

@@ -36,8 +36,8 @@ type Observations struct {
 	// tally. Folded into Merged exactly once, after the cells.
 	plan *metrics.Registry
 
-	// led is the attached run journal (SetLedger); LedgerSink hands it
-	// to the runner via Options.Ledger.
+	// led is the attached run journal (SetLedger); Run writes to it
+	// when the collector is Options.Obs.
 	led *ledger.Ledger
 }
 
@@ -97,12 +97,9 @@ func (o *Observations) EnableSeries() {
 	o.mu.Unlock()
 }
 
-// SeriesEnabled reports whether EnableSeries was called (false on a nil
-// receiver). Figure pipelines use this to bypass the result cache:
-// cached cells replay no samples, and freshly sampled cells must not
-// overwrite baseline cache entries (their snapshots carry the sampler's
-// own counter).
-func (o *Observations) SeriesEnabled() bool {
+// seriesEnabled reports whether EnableSeries was called (false on a nil
+// receiver). Run bypasses the result cache when it is.
+func (o *Observations) seriesEnabled() bool {
 	if o == nil {
 		return false
 	}
@@ -153,9 +150,11 @@ func (o *Observations) WriteSeriesCSV(w io.Writer) error {
 	return nil
 }
 
-// Snap captures and stores the cell's registry snapshot, returning it so
-// the caller can embed it in a cacheable result. Safe on a nil receiver
-// (returns an empty snapshot).
+// Snap returns the cell's registry snapshot, capturing it on the first
+// call and returning the stored snapshot afterwards. Run calls it when a
+// cell succeeds; a cell function that needs a value from its own
+// snapshot may call it first, at the end of the cell. Safe on a nil
+// receiver (returns an empty snapshot).
 func (o *Observations) Snap(idx int) metrics.Snapshot {
 	if o == nil {
 		return metrics.Snapshot{}
@@ -166,15 +165,17 @@ func (o *Observations) Snap(idx int) metrics.Snapshot {
 	if c == nil {
 		return metrics.Snapshot{}
 	}
-	c.snap = c.reg.Snapshot()
-	c.hasSnap = true
+	if !c.hasSnap {
+		c.snap = c.reg.Snapshot()
+		c.hasSnap = true
+	}
 	return c.snap
 }
 
-// Record stores a pre-computed snapshot for a cell that did not run
+// record stores a pre-computed snapshot for a cell that did not run
 // (a result-cache hit replaying the metrics it cached). Safe on a nil
 // receiver.
-func (o *Observations) Record(idx int, snap metrics.Snapshot) {
+func (o *Observations) record(idx int, snap metrics.Snapshot) {
 	if o == nil {
 		return
 	}
@@ -209,8 +210,8 @@ func (o *Observations) PlanRegistry() *metrics.Registry {
 }
 
 // SetLedger attaches the run journal. The runner writes lifecycle
-// records to it (pass LedgerSink as Options.Ledger), the cache hooks
-// write hit/miss traffic, and the plan registry gains the ledger's own
+// records and cache hit/miss traffic to it (pass the collector as
+// Options.Obs), and the plan registry gains the ledger's own
 // counters (runner_ledger_records_total counts canonical records only
 // — host record counts vary with cache state and so would break the
 // merged snapshot's byte-identity contract; runner_ledger_plans_total
@@ -228,25 +229,15 @@ func (o *Observations) SetLedger(l *ledger.Ledger) {
 	reg.CounterFunc(metrics.RunnerLedgerPlansTotal, func() uint64 { return l.PlanCount() })
 }
 
-// LedgerSink returns the attached ledger (nil when none is attached or
-// on a nil receiver — a nil *ledger.Ledger is the no-op sink, so the
-// result passes straight into Options.Ledger).
-func (o *Observations) LedgerSink() *ledger.Ledger {
+// ledgerSink returns the attached ledger (nil when none is attached or
+// on a nil receiver — a nil *ledger.Ledger is the no-op sink).
+func (o *Observations) ledgerSink() *ledger.Ledger {
 	if o == nil {
 		return nil
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.led
-}
-
-// ObserveCache wires the result cache's corruption tally into the plan
-// registry as a pull source. Safe on a nil receiver or nil cache.
-func (o *Observations) ObserveCache(c *Cache) {
-	if o == nil || c == nil {
-		return
-	}
-	o.PlanRegistry().CounterFunc(metrics.RunnerCacheCorruptTotal, func() uint64 { return c.CorruptCount() })
 }
 
 // indexes returns the collected cell indexes in ascending order. Callers

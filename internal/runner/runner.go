@@ -25,10 +25,11 @@
 //     while every other cell still runs. Options.CellTimeout bounds a
 //     cell's wall clock; Options.Retries re-runs host-transient
 //     failures (marked via Transient).
-//   - Per-cell results can be memoized on disk (Cache) and instrumented
-//     (Observations hands each cell a private metrics registry and
-//     Chrome tracer, then merges them in cell-index order — see
-//     OBSERVABILITY.md at the repository root).
+//   - Per-cell results can be memoized on disk (Options.Cache) and
+//     instrumented (Options.Obs: Observations hands each cell a private
+//     metrics registry and Chrome tracer, then merges them in cell-index
+//     order — see OBSERVABILITY.md at the repository root). Run owns the
+//     whole cache protocol, so a cell function only simulates.
 package runner
 
 import (
@@ -87,9 +88,15 @@ func (c Cell) String() string {
 
 // Plan is a named experiment: a base seed and a grid of independent cells.
 type Plan struct {
-	Name  string
-	Seed  uint64
-	Cells []Cell
+	Name string
+	Seed uint64
+	// Inputs renders the plan-wide inputs that change a cell's result
+	// but not its seed: the problem scale, plus any study option that is
+	// not a cell coordinate (the auditor, a fixed churn rate, ...). The
+	// result-cache key hashes it, so runs that differ in such an input
+	// never share entries.
+	Inputs string
+	Cells  []Cell
 }
 
 // Event is one progress notification. Events are delivered in completion
@@ -160,15 +167,16 @@ type Options struct {
 	CellTimeout time.Duration
 
 	// Retries re-runs a failed cell up to this many additional times —
-	// but only for errors marked host-transient via Transient (cache
-	// I/O, filesystem hiccups). Simulation errors are deterministic:
-	// re-running them reproduces the identical failure, so they are
-	// never retried. Retried cells reuse the same coordinate-derived
-	// seed, preserving the determinism contract. Attempts are separated
-	// by a deterministic exponential host-side backoff
-	// (RetryBackoffBase·2^attempt, capped at RetryBackoffCap) so a
-	// congested filesystem gets room to recover; the wait is wall-clock
-	// only and never touches simulated state, so results stay
+	// but only for errors marked host-transient via Transient. No
+	// simulator code marks an error transient (cache I/O never fails a
+	// cell), so today only test cell functions are retried. Simulation
+	// errors are deterministic: re-running them reproduces the identical
+	// failure, so they are never retried. Retried cells reuse the same
+	// coordinate-derived seed, preserving the determinism contract.
+	// Attempts are separated by a deterministic exponential host-side
+	// backoff (RetryBackoffBase·2^attempt, capped at RetryBackoffCap) so
+	// a congested filesystem gets room to recover; the wait is
+	// wall-clock only and never touches simulated state, so results stay
 	// byte-identical with or without it. Cancelling the context cuts the
 	// wait short.
 	Retries int
@@ -191,16 +199,28 @@ type Options struct {
 	ContinueOnError bool
 
 	// Metrics, when non-nil, receives the runner's own plan-level
-	// counters (runner_cells_failed_total, runner_cell_retries_total)
-	// as pull sources — typically Observations.PlanRegistry().
+	// counters (runner_cells_failed_total, runner_cell_retries_total,
+	// and runner_cache_corrupt_total when Cache is set) as pull sources
+	// — typically Observations.PlanRegistry().
 	Metrics *metrics.Registry
 
-	// Ledger, when non-nil, receives the run journal: a canonical
-	// manifest + cell-lifecycle stream (byte-identical at any worker
-	// count; see internal/ledger) plus a host annex of wall-times,
-	// worker IDs, allocation deltas, retries and timeouts. Typically
-	// Observations.LedgerSink().
-	Ledger *ledger.Ledger
+	// Cache, when non-nil, memoizes successful cells under a key of the
+	// cache's version, the plan name, the cell's coordinates and seed,
+	// and Plan.Inputs. A hit returns the stored result without calling
+	// the cell function and replays its metric snapshot into Obs. While
+	// observing, an entry without a snapshot (written by an unobserved
+	// run) is a miss. Failed cells are never stored, and a run with Obs
+	// series sampling enabled neither reads nor writes the cache.
+	Cache *Cache
+
+	// Obs, when non-nil, observes the run: the runner snapshots each
+	// successful cell's registry (Observations.Snap), replays cached
+	// snapshots, and writes the run journal to the collector's ledger
+	// (SetLedger) — a canonical manifest + cell-lifecycle stream
+	// (byte-identical at any worker count; see internal/ledger) plus a
+	// host annex of wall-times, worker IDs, allocation deltas, retries,
+	// timeouts and cache traffic.
+	Obs *Observations
 }
 
 // CellFunc computes one cell. idx is the cell's position in Plan.Cells;
@@ -233,7 +253,8 @@ func Run[T any](opts Options, plan Plan, fn CellFunc[T]) ([]T, error) {
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 
-	led := opts.Ledger // nil is the no-op sink, but host probes are gated on it
+	obs := opts.Obs
+	led := obs.ledgerSink() // nil is the no-op sink, but host probes are gated on it
 	led.BeginPlan(plan.Name, plan.Seed, len(plan.Cells), workers)
 
 	var (
@@ -248,6 +269,9 @@ func Run[T any](opts Options, plan Plan, fn CellFunc[T]) ([]T, error) {
 	if opts.Metrics != nil {
 		opts.Metrics.CounterFunc(metrics.RunnerCellsFailedTotal, func() uint64 { return cellsFailed.Load() })
 		opts.Metrics.CounterFunc(metrics.RunnerCellRetriesTotal, func() uint64 { return cellRetries.Load() })
+		if opts.Cache != nil {
+			opts.Metrics.CounterFunc(metrics.RunnerCacheCorruptTotal, opts.Cache.CorruptCount)
+		}
 	}
 	fail := func(idx int, err error) {
 		cellsFailed.Add(1)
@@ -363,6 +387,41 @@ func Run[T any](opts Options, plan Plan, fn CellFunc[T]) ([]T, error) {
 		}
 	}
 
+	// execute puts the result cache in front of runCell. Series sampling
+	// bypasses the cache both ways: a hit would replay no samples, and a
+	// sampled cell's snapshot (which carries timeline_samples_total)
+	// must never overwrite an unsampled entry.
+	cache := opts.Cache
+	if obs.seriesEnabled() {
+		cache = nil
+	}
+	execute := func(idx int) (T, error) {
+		var key string
+		if cache != nil {
+			cell := plan.Cells[idx]
+			key = cache.key(plan.Name, cell, cell.Seed(plan.Seed), plan.Inputs)
+			var e entry[T]
+			// An entry without a snapshot (written by an unobserved run)
+			// cannot replay metrics, so it is a miss while observing.
+			if cache.get(key, &e) && (obs == nil || len(e.Metrics.Metrics) > 0) {
+				led.CacheHit(idx)
+				obs.record(idx, e.Metrics)
+				return e.Result, nil
+			}
+			led.CacheMiss(idx)
+		}
+		out, err := runCell(idx)
+		if err != nil {
+			return out, err
+		}
+		snap := obs.Snap(idx)
+		if cache != nil {
+			// A failed put only costs a future re-simulation.
+			_ = cache.put(key, entry[T]{Result: out, Metrics: snap})
+		}
+		return out, nil
+	}
+
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -382,7 +441,7 @@ func Run[T any](opts Options, plan Plan, fn CellFunc[T]) ([]T, error) {
 					alloc0 = totalAlloc()
 					cellStart = time.Now()
 				}
-				out, err := runCell(idx)
+				out, err := execute(idx)
 				if led != nil {
 					led.CellHost(idx, worker, time.Since(cellStart), totalAlloc()-alloc0)
 					status, errText := ledger.StatusOK, ""
