@@ -119,14 +119,22 @@ bench-check:
 	    { echo "bench-check: $$w is not correct or has failed cells"; exit 1; }; \
 	done
 
-# Differential fuzzing of the zone's bulk run operations (AllocRun,
-# FreeRun) against block-at-a-time allocation and freeing. Plain
-# `go test` replays the committed seed corpus
-# (internal/mem/testdata/fuzz/FuzzZoneRuns); this explores further for
-# FUZZTIME. A failing input is written back under that directory.
+# Differential fuzzing, FUZZTIME per target (`go test -fuzz` takes one
+# target per run). Each target is package/Fuzz function:
+#  - mem/FuzzZoneRuns: the zone's bulk run operations (AllocRun,
+#    FreeRun) against block-at-a-time allocation and freeing;
+#  - pgtable/FuzzTable: the page table, UnmapRange above all, against a
+#    leaf-by-leaf teardown twin and a flat model of the live leaves.
+# Plain `go test` replays each committed seed corpus
+# (internal/<pkg>/testdata/fuzz/<target>); this explores further. A
+# failing input is written back under that directory.
 FUZZTIME ?= 30s
+FUZZ_TARGETS = mem/FuzzZoneRuns pgtable/FuzzTable
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzZoneRuns$$' -fuzztime $(FUZZTIME) ./internal/mem
+	@for t in $(FUZZ_TARGETS); do \
+	  echo "fuzz: $$t for $(FUZZTIME)"; \
+	  $(GO) test -run '^$$' -fuzz "^$${t#*/}\$$" -fuzztime $(FUZZTIME) ./internal/$${t%/*} || exit 1; \
+	done
 
 # Quick contention-storm study (see DESIGN.md §8): chaos intensity x
 # manager with the invariant auditor attached, small scale for speed.

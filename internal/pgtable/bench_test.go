@@ -62,3 +62,34 @@ func BenchmarkSplit2M(b *testing.B) {
 		}
 	}
 }
+
+// unrelatedLeaves is the number of 4KB leaves BenchmarkUnmapRange and
+// TestUnmapRangeAllocationFree keep mapped below the range they unmap.
+const unrelatedLeaves = 32 << 10
+
+// tableWithUnrelatedLeaves returns a table holding unrelatedLeaves 4KB
+// leaves from address 0 (64 PTs under one PD) and the address of a free
+// 2MB slot in that same PD.
+func tableWithUnrelatedLeaves(tb testing.TB) (*Table, VirtAddr) {
+	t := New()
+	for i := uint64(0); i < unrelatedLeaves; i++ {
+		if err := t.Map(VirtAddr(i*mem.PageSize), mem.PFN(i), Page4K, ProtRead); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return t, VirtAddr(256 * mem.LargePageSize)
+}
+
+// BenchmarkUnmapRange maps one 2MB leaf and unmaps its range with
+// UnmapRange, in a table of 32Ki other leaves.
+func BenchmarkUnmapRange(b *testing.B) {
+	t, va := tableWithUnrelatedLeaves(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := t.Map(va, mem.PFN(i), Page2M, ProtRead|ProtWrite); err != nil {
+			b.Fatal(err)
+		}
+		t.UnmapRange(va, mem.LargePageSize)
+	}
+}

@@ -96,13 +96,14 @@ func levelFor(ps PageSize) int {
 	panic(fmt.Sprintf("pgtable: level lookup with invalid PageSize %d (valid: Page4K, Page2M, Page1G)", ps))
 }
 
-// entry is one slot of a table node.
+// entry is one slot of a table node. The word-sized fields come first so
+// the three byte-sized ones share one padded word: 24 bytes, not 32.
 type entry struct {
+	pfn     mem.PFN
+	child   *node
+	prot    Prot
 	present bool
 	leaf    bool // terminal mapping (possibly large) rather than a child table
-	pfn     mem.PFN
-	prot    Prot
-	child   *node
 }
 
 // node is one 4KB table page holding 512 entries.
@@ -132,7 +133,7 @@ type Table struct {
 }
 
 // New returns an empty address space. The root node is materialized on
-// first Map: a node is 512 entries (~16KB), and aggregate-fidelity runs
+// first Map: a node is 512 entries (~12KB), and aggregate-fidelity runs
 // create page tables for every process and fork without ever mapping a
 // page — eager roots were 70% of all simulator allocation (ISSUE 6).
 // TablePages still counts the root from birth so accounting is unchanged.
@@ -461,40 +462,74 @@ func (t *Table) Range(fn func(va VirtAddr, m Mapping) bool) {
 }
 
 // UnmapRange removes every leaf mapping that starts inside
-// [start, start+length) and returns the released frames with their sizes.
-// Mappings straddling the range boundary are not supported (callers align
-// ranges to mapping boundaries, as the VMA layer guarantees).
-func (t *Table) UnmapRange(start VirtAddr, length uint64) []ReleasedPage {
-	var released []ReleasedPage
-	type target struct {
-		va VirtAddr
-		ps PageSize
+// [start, start+length), in ascending address order, and prunes every
+// table it empties, leaving the tree and counters exactly as calling
+// Unmap on each of those leaves would. Mappings straddling the range
+// boundary are not supported (callers align ranges to mapping
+// boundaries, as the VMA layer guarantees): a large leaf that starts
+// before start stays mapped.
+//
+//detsim:hotpath
+func (t *Table) UnmapRange(start VirtAddr, length uint64) {
+	first, end := uint64(start), uint64(start)+length
+	if t.root == nil || end <= first { // empty, or wraps past 2^64
+		return
 	}
-	var targets []target
-	t.Range(func(va VirtAddr, m Mapping) bool {
-		if uint64(va) >= uint64(start) && uint64(va) < uint64(start)+length {
-			targets = append(targets, target{va, m.Size})
-		}
-		return true
-	})
-	for _, tg := range targets {
-		pfn, err := t.Unmap(tg.va, tg.ps)
-		if err != nil {
-			// Simulated-state violation: a mapping Range just enumerated
-			// disappeared before Unmap reached it — the table mutated
-			// underneath its own teardown.
-			invariant.Failf("unmap_lost_mapping", "pgtable",
-				"UnmapRange[%#x,+%#x): mapping at %#x (size %s) vanished mid-teardown: %v",
-				uint64(start), length, uint64(tg.va), tg.ps, err)
-		}
-		released = append(released, ReleasedPage{VA: tg.va, PFN: pfn, Size: tg.ps})
-	}
-	return released
+	t.unmapRange(t.root, levelPML4, 0, first, end-1)
 }
 
-// ReleasedPage reports one unmapped leaf.
-type ReleasedPage struct {
-	VA   VirtAddr
-	PFN  mem.PFN
-	Size PageSize
+// unmapRange is UnmapRange's pass over n, the table at level whose first
+// slot maps base. It visits only the slots from the one holding first to
+// the one holding last, clears each leaf that starts in [first, last],
+// and, on the way back up, prunes each child table it emptied. Past the
+// 48-bit space the root indexes, a first leaves lo above 511 and a last
+// leaves hi at 511.
+//
+//detsim:hotpath
+func (t *Table) unmapRange(n *node, level int, base, first, last uint64) {
+	shift := shiftFor(level)
+	lo, hi := 0, 511
+	if first > base {
+		lo = int((first - base) >> shift)
+	}
+	if last < base+(512<<shift)-1 {
+		hi = int((last - base) >> shift)
+	}
+	for i := lo; i <= hi; i++ {
+		e := &n.slots[i]
+		if !e.present {
+			continue
+		}
+		va := base + uint64(i)<<shift
+		if e.leaf && level == levelPML4 || !e.leaf && level == levelPT {
+			// Simulated-state violation: a shape Map never builds, a leaf
+			// in the PML4 or a table below the PT.
+			invariant.Failf("unmap_lost_mapping", "pgtable",
+				"UnmapRange over [%#x, %#x]: level-%d slot at %#x (leaf %v) cannot exist on x86-64",
+				first, last, level, va, e.leaf)
+		}
+		if !e.leaf {
+			t.unmapRange(e.child, level+1, va, first, last)
+			if e.child.live == 0 {
+				*e = entry{}
+				n.live--
+				t.TablePages--
+			}
+			continue
+		}
+		if va < first {
+			continue // a large leaf that starts before the range
+		}
+		switch level {
+		case levelPT:
+			t.Mapped4K--
+		case levelPD:
+			t.Mapped2M--
+		default:
+			t.Mapped1G--
+		}
+		*e = entry{}
+		n.live--
+		t.UnmapOps++
+	}
 }

@@ -1,9 +1,11 @@
 package pgtable
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
+	"hpmmap/internal/invariant"
 	"hpmmap/internal/mem"
 	"hpmmap/internal/sim"
 )
@@ -269,23 +271,82 @@ func TestUnmapRange(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	released := pt.UnmapRange(base+VirtAddr(2*mem.LargePageSize), 3*mem.LargePageSize)
-	if len(released) != 3 {
-		t.Fatalf("released %d pages, want 3", len(released))
+	pt.UnmapRange(base+VirtAddr(2*mem.LargePageSize), 3*mem.LargePageSize)
+	if pt.Mapped2M != 5 || pt.UnmapOps != 3 {
+		t.Fatalf("remaining 2M mappings %d, unmap ops %d; want 5, 3", pt.Mapped2M, pt.UnmapOps)
 	}
-	for _, r := range released {
-		if r.Size != Page2M {
-			t.Fatalf("released %v", r)
+	if pt.TablePages != 3 {
+		t.Fatalf("table pages %d, want 3 (the PD still holds 5 leaves)", pt.TablePages)
+	}
+	for i := uint64(0); i < 8; i++ {
+		m, ok := pt.Walk(base + VirtAddr(i*mem.LargePageSize))
+		if unmapped := i >= 2 && i < 5; ok == unmapped || ok && (m.PFN != mem.PFN(i*512) || m.Size != Page2M) {
+			t.Fatalf("leaf %d after UnmapRange: %+v, %v", i, m, ok)
 		}
 	}
-	if pt.Mapped2M != 5 {
-		t.Fatalf("remaining 2M mappings %d", pt.Mapped2M)
+	// A leaf that starts before the range stays; one that starts in it goes.
+	pt.UnmapRange(base+mem.PageSize, mem.LargePageSize)
+	if _, ok := pt.Walk(base); !ok || pt.Mapped2M != 4 {
+		t.Fatalf("after unmapping from inside leaf 0: leaf 0 mapped %v, 2M mappings %d; want true, 4", ok, pt.Mapped2M)
 	}
-	if _, ok := pt.Walk(base + VirtAddr(2*mem.LargePageSize)); ok {
-		t.Fatal("unmapped address still walks")
+	pt.UnmapRange(base, 8*mem.LargePageSize)
+	if pt.Mapped2M != 0 || pt.TablePages != 1 {
+		t.Fatalf("after unmapping all: 2M mappings %d, table pages %d; want 0, 1 (root only)", pt.Mapped2M, pt.TablePages)
 	}
-	if _, ok := pt.Walk(base); !ok {
-		t.Fatal("surviving mapping lost")
+}
+
+// TestUnmapRangeAllocationFree checks that tearing down one 2MB range
+// allocates nothing, however many other leaves the table holds.
+func TestUnmapRangeAllocationFree(t *testing.T) {
+	pt, va := tableWithUnrelatedLeaves(t)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := pt.Map(va, 1, Page2M, ProtRead); err != nil {
+			t.Fatal(err)
+		}
+		pt.UnmapRange(va, mem.LargePageSize)
+	})
+	if allocs != 0 {
+		t.Fatalf("Map+UnmapRange of one 2MB range: %v allocations, want 0", allocs)
+	}
+	if pt.Mapped4K != unrelatedLeaves || pt.Mapped2M != 0 {
+		t.Fatalf("4K mappings %d, 2M mappings %d after the runs", pt.Mapped4K, pt.Mapped2M)
+	}
+}
+
+// TestUnmapRangeMalformedTreeViolates pins the check UnmapRange keeps for
+// the tree shapes Map cannot build: a leaf in the PML4 and a table below
+// the PT each raise a contained *invariant.Violation.
+func TestUnmapRangeMalformedTreeViolates(t *testing.T) {
+	pml4Leaf := New()
+	pml4Leaf.rootNode().slots[1] = entry{present: true, leaf: true, pfn: 7, prot: ProtRead}
+	pml4Leaf.root.live = 1
+
+	belowPT := New()
+	if err := belowPT.Map(0x4000_0000, 1, Page4K, ProtRead); err != nil {
+		t.Fatal(err)
+	}
+	pte := &belowPT.root.slots[0].child.slots[1].child.slots[0].child.slots[0]
+	extra := &node{live: 1}
+	extra.slots[0] = entry{present: true, leaf: true, pfn: 1, prot: ProtRead}
+	*pte = entry{present: true, child: extra}
+
+	for _, tc := range []struct {
+		name  string
+		pt    *Table
+		start VirtAddr
+	}{
+		{"leaf in the PML4", pml4Leaf, 1 << 39},
+		{"table below the PT", belowPT, 0x4000_0000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				var v *invariant.Violation
+				if err, _ := recover().(error); !errors.As(err, &v) || v.Check != "unmap_lost_mapping" {
+					t.Fatalf("recovered %v, want an unmap_lost_mapping *invariant.Violation", err)
+				}
+			}()
+			tc.pt.UnmapRange(tc.start, mem.LargePageSize)
+		})
 	}
 }
 
