@@ -50,7 +50,7 @@ var poolHolderRegistry = map[string]string{
 	// -- kernel: the pools themselves and the live-process tables ------
 	modulePath + "/internal/kernel.lifecyclePools.procs": "the Process pool itself; entries are dead by definition (pushed only from reap after teardown)",
 	modulePath + "/internal/kernel.lifecyclePools.tasks": "the Task pool itself; entries are dead by definition",
-	modulePath + "/internal/kernel.Node.procs":           "the live-process table; reap deletes the PID entry before pooling the Process",
+	modulePath + "/internal/kernel.Node.procs":           "the PID-ordered live-process table; Exit and ExitReap remove the Process (slices.Delete nils the vacated tail slot) before reap pools it",
 	modulePath + "/internal/kernel.Process.tasks":        "intra-aggregate: tasks die with their process; reap pools tasks and truncates this slice together",
 	modulePath + "/internal/kernel.Task.Proc":            "intra-aggregate back-pointer; cleared by taskStruct reinitialisation on reuse",
 

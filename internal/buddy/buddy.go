@@ -285,34 +285,31 @@ func (a *Allocator) LargestFreeBlock() uint64 {
 	return best
 }
 
-// CheckInvariants validates the allocator's internal consistency. Exported
-// for tests and debugging assertions.
+// CheckInvariants validates the allocator's internal consistency: each
+// order's count matches its free bits, the free bytes match the bits,
+// and no unit is free twice. Aligned buddy blocks either nest or are
+// disjoint, so a unit is free twice exactly when an aligned ancestor of
+// a free block is itself free: one bit lookup per higher order, with no
+// allocation. Exported for tests and the invariant auditor.
 func (a *Allocator) CheckInvariants() error {
 	var free uint64
 	for _, r := range a.regions {
-		covered := make(map[uint64]int)
 		for o := 0; o <= r.maxOrder; o++ {
-			bs := a.MinBlock() << uint(o)
 			n := 0
 			for slot, set := range r.freeBit[o] {
 				if !set {
 					continue
 				}
 				n++
-				off := uint64(slot) << (r.shift + uint(o))
-				if off%bs != 0 {
-					return fmt.Errorf("buddy: free block %#x misaligned for order %d", off, o)
-				}
-				if off+bs > r.size {
-					return fmt.Errorf("buddy: free block %#x order %d exceeds region", off, o)
-				}
-				for b := uint64(0); b < bs; b += a.MinBlock() {
-					if prev, dup := covered[off+b]; dup {
-						return fmt.Errorf("buddy: unit %#x free twice (orders %d, %d)", off+b, prev, o)
+				free += a.MinBlock() << uint(o)
+				for up := o + 1; up <= r.maxOrder; up++ {
+					// A region whose size is not a power of two has no
+					// slot at high orders for its tail blocks.
+					if s := slot >> uint(up-o); s < len(r.freeBit[up]) && r.freeBit[up][s] {
+						return fmt.Errorf("buddy: unit %#x free twice (orders %d, %d)",
+							uint64(slot)<<(r.shift+uint(o)), o, up)
 					}
-					covered[off+b] = o
 				}
-				free += bs
 			}
 			if n != r.count[o] {
 				return fmt.Errorf("buddy: order %d count %d != set bits %d", o, r.count[o], n)

@@ -16,10 +16,10 @@ import (
 // opt-in: it schedules extra engine events (legitimately changing
 // sim_events_total), so baseline figure runs never attach one.
 
-// zoneDeepAuditStride is how many audit ticks separate two full
-// (per-frame) zone scans; ticks in between run the cheap per-block
-// accounting check. The first tick is always deep, so even short cells
-// get one exhaustive pass.
+// zoneDeepAuditStride is how many audit ticks separate two full zone
+// checks (accounting plus the no-frame-free-twice pass); ticks in between
+// run the accounting check alone. The first tick is always deep, so even
+// short cells get one exhaustive pass.
 const zoneDeepAuditStride = 64
 
 // auditPeriod returns the audit cadence: the scheduler-tick boundary,
@@ -42,21 +42,22 @@ func auditPeriod(clockHz float64) sim.Cycles {
 //     non-overlapping and page-aligned (vma.Space.CheckInvariants)
 //   - hpmmap_pool: HPMMAP's per-zone buddy pools conserve their bytes
 //     (buddy.Allocator.CheckInvariants), when HPMMAP is installed
-//   - pgtable_roundtrip: a scratch page table still round-trips
-//     map→walk→unmap at every granularity (a self-contained probe — it
-//     never mutates simulated state)
+//   - pgtable_roundtrip: the auditor's scratch page table still
+//     round-trips map→walk→unmap at every granularity (a self-contained
+//     probe — it never touches simulated state)
 //
 // The auditor is returned un-started; callers Start it on the rig's
 // engine at the scheduler-tick cadence and Stop it when the run ends.
 func newNodeAuditor(r *rig, reg *metrics.Registry) *invariant.Auditor {
 	a := invariant.NewAuditor()
 	node := r.node
-	// Zone audits are two-speed: the O(free blocks) accounting check
-	// (conservation, bounds, alignment, coalescing) runs at every tick,
-	// while the O(free frames) duplicate-frame scan — millions of map
-	// inserts on a large zone — runs on a strided deep pass. Without the
-	// stride, a 1ms cadence on a 16GB zone turns a sub-second cell into
-	// minutes of wall clock.
+	// Zone audits are two-speed: the accounting check (conservation,
+	// bounds, alignment, coalescing) runs at every tick, while the
+	// no-frame-free-twice pass runs on a strided deep pass. Both are
+	// O(free blocks) and allocate nothing, but the pass costs up to 12
+	// index lookups per free block where the accounting check costs
+	// one, and the accounting check alone is already a large share of
+	// an audited cell's CPU.
 	zoneTick := 0
 	a.AddCheck("zone_accounting", func() error {
 		zoneTick++
@@ -115,28 +116,33 @@ func newNodeAuditor(r *rig, reg *metrics.Registry) *invariant.Auditor {
 			return nil
 		})
 	}
-	a.AddCheck("pgtable_roundtrip", pgtableRoundTrip)
+	scratch := pgtable.New()
+	a.AddCheck("pgtable_roundtrip", func() error { return pgtableRoundTrip(scratch) })
 	a.Observe(reg)
 	return a
 }
 
-// pgtableRoundTrip probes the page-table implementation with a scratch
-// table: map, walk and unmap one page at each granularity and verify
-// the walker sees exactly what was mapped. The probe is self-contained
-// (its table is discarded), so it can run at every audit tick without
-// perturbing simulated state.
-func pgtableRoundTrip() error {
-	t := pgtable.New()
-	probes := []struct {
-		va  pgtable.VirtAddr
-		pfn mem.PFN
-		ps  pgtable.PageSize
-	}{
-		{0x7f00_0000_0000, 0x1000, pgtable.Page4K},
-		{0x7f00_4000_0000, 0x2000, pgtable.Page2M},
-		{0x7f40_0000_0000, 0x4000, pgtable.Page1G},
-	}
-	for _, pr := range probes {
+// roundTripProbes are pgtableRoundTrip's mappings, one per granularity.
+// Each is unmapped before the next is mapped, so every unmap prunes the
+// table back to its root.
+var roundTripProbes = [...]struct {
+	va  pgtable.VirtAddr
+	pfn mem.PFN
+	ps  pgtable.PageSize
+}{
+	{0x7f00_0000_0000, 0x1000, pgtable.Page4K},
+	{0x7f00_4000_0000, 0x2000, pgtable.Page2M},
+	{0x7f40_0000_0000, 0x4000, pgtable.Page1G},
+}
+
+// pgtableRoundTrip probes the page-table implementation with the
+// auditor's scratch table t: map, walk and unmap one page at each
+// granularity and verify the walker sees exactly what was mapped. The
+// table is the auditor's own, so the probe never perturbs simulated
+// state; each unmap prunes the tables its map grew, and the next tick's
+// maps reuse them rather than allocating.
+func pgtableRoundTrip(t *pgtable.Table) error {
+	for _, pr := range roundTripProbes {
 		if err := t.Map(pr.va, pr.pfn, pr.ps, pgtable.ProtRead|pgtable.ProtWrite); err != nil {
 			return invariant.Errorf("pgtable_roundtrip", "pgtable",
 				"map %s at %#x failed: %v", pr.ps, pr.va, err)

@@ -61,7 +61,7 @@ func (n *Node) ExitReap(p *Process) {
 	} else {
 		mm.Detach(p)
 	}
-	delete(n.procs, p.PID)
+	n.unlist(p)
 	n.reap(p)
 	n.LifecycleReaps++
 }

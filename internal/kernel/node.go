@@ -1,7 +1,9 @@
 package kernel
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"hpmmap/internal/fault"
 	"hpmmap/internal/mem"
@@ -25,7 +27,9 @@ type Node struct {
 	defaultMM MemoryManager
 	interpose Interposer
 
-	procs   map[int]*Process
+	// procs holds the live processes in ascending PID order. PIDs are
+	// allocated in increasing order, so creation appends; exit removes.
+	procs   []*Process
 	nextPID int
 	nextTID int
 
@@ -124,7 +128,6 @@ func NewNode(cfg MachineConfig, eng *sim.Engine, rnd *sim.Rand) *Node {
 		eng:       eng,
 		rand:      rnd,
 		Mem:       mem.NewNodeMemory(cfg.NumaZones, cfg.MemoryBytes),
-		procs:     make(map[int]*Process),
 		nextPID:   100,
 		pageCache: make([]pcQueue, cfg.NumaZones),
 
@@ -220,9 +223,9 @@ func (n *Node) NewProcess(name string, commodity bool, preferredZone int) (*Proc
 		p.PT.Instrument(n.obs.ptWalks, n.obs.ptDepth)
 	}
 	n.nextPID++
-	n.procs[p.PID] = p
+	n.procs = append(n.procs, p)
 	if err := n.mmFor(p).Attach(p); err != nil {
-		delete(n.procs, p.PID)
+		n.unlist(p)
 		return nil, err
 	}
 	return p, nil
@@ -235,19 +238,37 @@ func (n *Node) Exit(p *Process) {
 	}
 	p.Exited = true
 	n.mmFor(p).Detach(p)
-	delete(n.procs, p.PID)
+	n.unlist(p)
+}
+
+// procIndex returns the position of pid in the live-process table and
+// whether it is there.
+func (n *Node) procIndex(pid int) (int, bool) {
+	return slices.BinarySearchFunc(n.procs, pid, func(p *Process, pid int) int { return cmp.Compare(p.PID, pid) })
+}
+
+// unlist removes p from the live-process table, if it is there.
+//
+//detsim:hotpath
+func (n *Node) unlist(p *Process) {
+	if i, ok := n.procIndex(p.PID); ok {
+		n.procs = slices.Delete(n.procs, i, i+1)
+	}
 }
 
 // Process returns a live process by PID, or nil.
-func (n *Node) Process(pid int) *Process { return n.procs[pid] }
+func (n *Node) Process(pid int) *Process {
+	if i, ok := n.procIndex(pid); ok {
+		return n.procs[i]
+	}
+	return nil
+}
 
-// Processes calls fn for each live process in PID order.
+// Processes calls fn for each live process in PID order. fn must not
+// create or exit processes.
 func (n *Node) Processes(fn func(*Process)) {
-	// PIDs are allocated sequentially; iterate deterministically.
-	for pid := 100; pid < n.nextPID; pid++ {
-		if p, ok := n.procs[pid]; ok {
-			fn(p)
-		}
+	for _, p := range n.procs {
+		fn(p)
 	}
 }
 
@@ -291,10 +312,10 @@ func (n *Node) Fork(parent *Process, name string) (*Process, sim.Cycles, error) 
 		child.PT.Instrument(n.obs.ptWalks, n.obs.ptDepth)
 	}
 	n.nextPID++
-	n.procs[child.PID] = child
+	n.procs = append(n.procs, child)
 	cost, err := f.Fork(parent, child)
 	if err != nil {
-		delete(n.procs, child.PID)
+		n.unlist(child)
 		return nil, 0, err
 	}
 	return child, cost + sim.Cycles(n.cfg.SyscallCost), nil

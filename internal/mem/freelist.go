@@ -43,6 +43,19 @@ func (f *freeList) contains(p PFN) bool {
 	return s < uint64(len(f.idx)) && f.idx[s] != 0
 }
 
+// owns reports whether p is on the list with its index slot pointing at
+// it. Unlike contains it reads items, so a stale idx entry (a slot left
+// set by a buggy removal, possibly past the end of items) is not
+// mistaken for a free block.
+func (f *freeList) owns(p PFN) bool {
+	s := f.slot(p)
+	if s >= uint64(len(f.idx)) {
+		return false
+	}
+	k := f.idx[s]
+	return k > 0 && int(k) <= len(f.items) && f.items[k-1] == p
+}
+
 //detsim:hotpath
 func (f *freeList) push(p PFN) {
 	s := f.slot(p)

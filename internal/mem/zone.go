@@ -86,6 +86,11 @@ func (z *Zone) buddyOf(p PFN, order int) PFN {
 	return z.Base + PFN(rel^PagesPerOrder(order))
 }
 
+// ancestorOf returns the block of the given order that contains p.
+func (z *Zone) ancestorOf(p PFN, order int) PFN {
+	return z.Base + (p-z.Base)&^PFN(PagesPerOrder(order)-1)
+}
+
 // AllocPages allocates a block of 2^order base pages. It returns the first
 // frame of the block. Allocation fails (ok=false) when no block of the
 // requested or any higher order is free — exactly the condition under
@@ -337,119 +342,71 @@ func (z *Zone) Offline(bytes uint64) ([]Extent, error) {
 // Offlined returns the extents removed from this zone so far.
 func (z *Zone) Offlined() []Extent { return z.offlined }
 
-// CheckInvariants validates the zone's full internal consistency — free-
-// list conservation (every free frame appears exactly once and the
-// per-order totals sum to freePages), block alignment and bounds, and
-// buddy coalescing (no two buddy blocks sit free at the same order below
-// MaxOrder, which FreeBlock's eager coalescing must never allow). Used
-// by tests and by the opt-in invariant auditor (internal/invariant) at
-// scheduler-tick boundaries.
+// CheckInvariants validates the zone's full internal consistency:
+// everything CheckAccounting checks, plus that no frame is free twice.
+// Aligned buddy blocks either nest or are disjoint, so two free blocks
+// share a frame exactly when one block is listed twice at its order or
+// an aligned ancestor of a free block is itself free at a higher order.
+// The first shows as a list item that does not own its index slot (idx
+// can point at only one copy), the second as one membership lookup per
+// higher order: at most MaxOrder+1 O(1) probes per free block, no
+// allocation. Used by tests and by the opt-in invariant auditor
+// (internal/invariant) on its strided deep pass.
 func (z *Zone) CheckInvariants() error {
-	if err := z.checkInvariants(); err != nil {
-		return invariant.Errorf("zone_conservation", "mem", "zone %d: %v", z.ID, err)
+	if err := z.CheckAccounting(); err != nil {
+		return err
 	}
-	// Coalescing: a free block whose buddy is also free at the same
-	// order (below MaxOrder) should have been merged by FreeBlock.
-	for o := 0; o < MaxOrder; o++ {
-		var bad PFN
-		found := false
-		z.free[o].each(func(p PFN) {
-			if found {
-				return
+	for o := 0; o <= MaxOrder; o++ {
+		f := z.free[o]
+		for i, p := range f.items {
+			if f.idx[f.slot(p)] != int32(i+1) {
+				return invariant.Errorf("zone_conservation", "mem",
+					"zone %d: block %d on the order-%d free list twice", z.ID, p, o)
 			}
-			buddy := z.buddyOf(p, o)
-			if buddy > p && z.free[o].contains(buddy) {
-				bad, found = p, true
+			for a := o + 1; a <= MaxOrder; a++ {
+				if z.free[a].owns(z.ancestorOf(p, a)) {
+					return invariant.Errorf("zone_conservation", "mem",
+						"zone %d: frame %d on free lists twice (orders %d and %d)", z.ID, p, o, a)
+				}
 			}
-		})
-		if found {
-			return invariant.Errorf("zone_coalescing", "mem",
-				"zone %d: blocks %d and %d are free buddies at order %d but unmerged",
-				z.ID, bad, z.buddyOf(bad, o), o)
 		}
 	}
 	return nil
 }
 
-// CheckAccounting is the cheap sibling of CheckInvariants: free-page
+// CheckAccounting is the cheap part of CheckInvariants: free-page
 // conservation (per-order list lengths sum to freePages), block bounds,
-// alignment and buddy coalescing — everything O(free blocks), skipping
-// only the O(free frames) duplicate-frame scan. The invariant auditor
-// runs this at every tick and reserves the full CheckInvariants for a
-// strided deep pass, keeping audit overhead bounded on large zones.
+// alignment and buddy coalescing (no two buddy blocks sit free at the
+// same order below MaxOrder, which FreeBlock's eager coalescing must
+// never allow), one pass over the free blocks. The invariant auditor
+// runs it at every tick and the full CheckInvariants on a strided deep
+// pass.
 func (z *Zone) CheckAccounting() error {
 	limit := z.Base + PFN(z.Pages) + PFN(offlinedPages(z))
 	var total uint64
 	for o := 0; o <= MaxOrder; o++ {
 		total += uint64(z.free[o].len()) * PagesPerOrder(o)
-		var err error
-		z.free[o].each(func(p PFN) {
-			if err != nil {
-				return
-			}
+		for _, p := range z.free[o].items {
 			if p < z.Base || p+PFN(PagesPerOrder(o)) > limit {
-				err = invariant.Errorf("zone_conservation", "mem",
+				return invariant.Errorf("zone_conservation", "mem",
 					"zone %d: free block %d order %d outside zone", z.ID, p, o)
-				return
 			}
 			if uint64(p-z.Base)%PagesPerOrder(o) != 0 {
-				err = invariant.Errorf("zone_conservation", "mem",
+				return invariant.Errorf("zone_conservation", "mem",
 					"zone %d: free block %d misaligned for order %d", z.ID, p, o)
-				return
 			}
 			if o < MaxOrder {
 				if buddy := z.buddyOf(p, o); buddy > p && z.free[o].contains(buddy) {
-					err = invariant.Errorf("zone_coalescing", "mem",
+					return invariant.Errorf("zone_coalescing", "mem",
 						"zone %d: blocks %d and %d are free buddies at order %d but unmerged",
 						z.ID, p, buddy, o)
 				}
 			}
-		})
-		if err != nil {
-			return err
 		}
 	}
 	if total != z.freePages {
 		return invariant.Errorf("zone_conservation", "mem",
 			"zone %d: free list total %d != freePages %d", z.ID, total, z.freePages)
-	}
-	return nil
-}
-
-// checkInvariants validates free-list conservation; used by tests and
-// wrapped (with the coalescing check) by the exported CheckInvariants.
-func (z *Zone) checkInvariants() error {
-	var total uint64
-	seen := make(map[PFN]int)
-	for o := 0; o <= MaxOrder; o++ {
-		var err error
-		z.free[o].each(func(p PFN) {
-			if err != nil {
-				return
-			}
-			if p < z.Base || p+PFN(PagesPerOrder(o)) > z.Base+PFN(z.Pages)+PFN(offlinedPages(z)) {
-				err = fmt.Errorf("free block %d order %d outside zone", p, o)
-				return
-			}
-			if uint64(p-z.Base)%PagesPerOrder(o) != 0 {
-				err = fmt.Errorf("free block %d misaligned for order %d", p, o)
-				return
-			}
-			for i := uint64(0); i < PagesPerOrder(o); i++ {
-				if prev, dup := seen[p+PFN(i)]; dup {
-					err = fmt.Errorf("frame %d on free lists twice (orders %d and %d)", p+PFN(i), prev, o)
-					return
-				}
-				seen[p+PFN(i)] = o
-			}
-			total += PagesPerOrder(o)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	if total != z.freePages {
-		return fmt.Errorf("free list total %d != freePages %d", total, z.freePages)
 	}
 	return nil
 }

@@ -43,7 +43,7 @@ func TestZoneAllocFreeRoundTrip(t *testing.T) {
 	if z.LargestFreeOrder() != MaxOrder {
 		t.Fatal("zone did not re-coalesce to max order")
 	}
-	if err := z.checkInvariants(); err != nil {
+	if err := z.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -119,7 +119,7 @@ func TestZoneFragmentationBlocksLargeAllocs(t *testing.T) {
 	if fi < 0.9 {
 		t.Fatalf("fragmentation index %v, want near 1 for checkerboard", fi)
 	}
-	if err := z.checkInvariants(); err != nil {
+	if err := z.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -204,7 +204,7 @@ func TestZoneOfflineTakesTopSections(t *testing.T) {
 	if z.Pages != before-(256<<20)/PageSize {
 		t.Fatalf("zone pages %d after offline", z.Pages)
 	}
-	if err := z.checkInvariants(); err != nil {
+	if err := z.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	// The offlined frames must be unreachable via allocation.
@@ -274,7 +274,7 @@ func TestZoneRandomOpsInvariant(t *testing.T) {
 				return false
 			}
 		}
-		if err := z.checkInvariants(); err != nil {
+		if err := z.CheckInvariants(); err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
@@ -285,7 +285,7 @@ func TestZoneRandomOpsInvariant(t *testing.T) {
 			t.Logf("seed %d: zone did not re-coalesce (largest=%d free=%d)", seed, z.LargestFreeOrder(), z.FreePages())
 			return false
 		}
-		return z.checkInvariants() == nil
+		return z.CheckInvariants() == nil
 	}
 	cfg := &quick.Config{MaxCount: 20}
 	if err := quick.Check(check, cfg); err != nil {
@@ -378,7 +378,7 @@ func TestZoneOfflineThenAllocStress(t *testing.T) {
 	for _, b := range live {
 		z.FreeBlock(b.p, b.o)
 	}
-	if err := z.checkInvariants(); err != nil {
+	if err := z.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	if z.FreePages() != z.Pages {

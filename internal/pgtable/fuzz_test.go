@@ -139,13 +139,16 @@ func checkWalk(t *testing.T, step int, pt, twin *Table, flat map[VirtAddr]leaf, 
 }
 
 // checkTree fails unless every node's live count is its number of
-// present slots, no table below the root is empty, and TablePages counts
-// the nodes.
+// present slots, no table below the root is empty, TablePages counts the
+// tree's nodes, and every node on the spare stack is outside the tree
+// and empty: no slot present and every slot zero, but for slot 0's link.
 func checkTree(t *testing.T, step int, pt *Table) {
 	t.Helper()
 	nodes := uint64(1)
+	seen := map[*node]bool{}
 	var visit func(n *node, level int)
 	visit = func(n *node, level int) {
+		seen[n] = true
 		present := 0
 		for i := range n.slots {
 			e := &n.slots[i]
@@ -170,6 +173,22 @@ func checkTree(t *testing.T, step int, pt *Table) {
 	}
 	if nodes != pt.TablePages {
 		t.Fatalf("step %d: %d table nodes, TablePages %d", step, nodes, pt.TablePages)
+	}
+	for n, i := pt.spare, 0; n != nil; n, i = n.slots[0].child, i+1 {
+		if seen[n] {
+			t.Fatalf("step %d: spare %d is in the tree or on the stack twice", step, i)
+		}
+		seen[n] = true
+		link := n.slots[0]
+		link.child = nil
+		if n.live != 0 || link != (entry{}) {
+			t.Fatalf("step %d: spare %d has live %d, slot 0 %+v", step, i, n.live, n.slots[0])
+		}
+		for j := 1; j < len(n.slots); j++ {
+			if n.slots[j] != (entry{}) {
+				t.Fatalf("step %d: spare %d slot %d is %+v", step, i, j, n.slots[j])
+			}
+		}
 	}
 }
 

@@ -115,6 +115,12 @@ type node struct {
 // Table is one process address space's page-table tree.
 type Table struct {
 	root *node
+	// spare is a stack of the nodes this table pruned, linked through
+	// slot 0's child pointer; Map and Split2M pop from it before
+	// allocating. A pruned node has no present slot, and every slot
+	// stops being present only by being overwritten with entry{}, so a
+	// spare is all-zero apart from its link.
+	spare *node
 
 	// Accounting, visible to cost models and tests.
 	Mapped4K    uint64
@@ -142,11 +148,12 @@ func New() *Table {
 }
 
 // Reset returns the table to its New() state so the struct can be
-// recycled across process lifecycles (kernel.ExitReap). The node tree is
-// dropped for the collector rather than scrubbed: roots are lazy, so a
-// reset table is indistinguishable from a fresh one — the next Map
-// materializes a clean root. Instrument handles are cleared too; owners
-// re-instrument on reuse exactly as they do on creation.
+// recycled across process lifecycles (kernel.ExitReap). The node tree
+// and the spare stack are dropped for the collector rather than
+// scrubbed: roots are lazy, so a reset table is indistinguishable from a
+// fresh one — the next Map materializes a clean root. Instrument handles
+// are cleared too; owners re-instrument on reuse exactly as they do on
+// creation.
 func (t *Table) Reset() {
 	*t = Table{TablePages: 1}
 }
@@ -157,6 +164,24 @@ func (t *Table) rootNode() *node {
 		t.root = &node{}
 	}
 	return t.root
+}
+
+// newNode returns an empty table node, reusing a pruned one when the
+// spare stack has any.
+func (t *Table) newNode() *node {
+	n := t.spare
+	if n == nil {
+		return &node{}
+	}
+	t.spare = n.slots[0].child
+	n.slots[0].child = nil
+	return n
+}
+
+// freeNode pushes a node just pruned from the tree onto the spare stack.
+func (t *Table) freeNode(n *node) {
+	n.slots[0].child = t.spare
+	t.spare = n
 }
 
 // MappedBytes returns the total bytes currently mapped.
@@ -200,7 +225,7 @@ func (t *Table) Map(va VirtAddr, pfn mem.PFN, ps PageSize, prot Prot) error {
 		if !e.present {
 			e.present = true
 			e.leaf = false
-			e.child = &node{}
+			e.child = t.newNode()
 			n.live++
 			t.TablePages++
 		}
@@ -361,6 +386,7 @@ func (t *Table) Unmap(va VirtAddr, ps PageSize) (mem.PFN, error) {
 		if e.child.live > 0 {
 			break
 		}
+		t.freeNode(e.child)
 		*e = entry{}
 		parent.live--
 		t.TablePages--
@@ -416,7 +442,7 @@ func (t *Table) Split2M(va VirtAddr) error {
 	if !e.present || !e.leaf {
 		return fmt.Errorf("pgtable: %#x not mapped as 2MB", uint64(va))
 	}
-	pt := &node{}
+	pt := t.newNode()
 	for i := 0; i < 512; i++ {
 		pt.slots[i] = entry{present: true, leaf: true, pfn: e.pfn + mem.PFN(i), prot: e.prot}
 	}
@@ -481,9 +507,9 @@ func (t *Table) UnmapRange(start VirtAddr, length uint64) {
 // unmapRange is UnmapRange's pass over n, the table at level whose first
 // slot maps base. It visits only the slots from the one holding first to
 // the one holding last, clears each leaf that starts in [first, last],
-// and, on the way back up, prunes each child table it emptied. Past the
-// 48-bit space the root indexes, a first leaves lo above 511 and a last
-// leaves hi at 511.
+// and, on the way back up, prunes each child table it emptied onto the
+// spare stack. Past the 48-bit space the root indexes, a first leaves lo
+// above 511 and a last leaves hi at 511.
 //
 //detsim:hotpath
 func (t *Table) unmapRange(n *node, level int, base, first, last uint64) {
@@ -511,6 +537,7 @@ func (t *Table) unmapRange(n *node, level int, base, first, last uint64) {
 		if !e.leaf {
 			t.unmapRange(e.child, level+1, va, first, last)
 			if e.child.live == 0 {
+				t.freeNode(e.child)
 				*e = entry{}
 				n.live--
 				t.TablePages--

@@ -313,6 +313,30 @@ func TestUnmapRangeAllocationFree(t *testing.T) {
 	}
 }
 
+// TestMapAfterPruneAllocationFree checks that Map reuses the tables Unmap
+// pruned: in a warmed table, mapping and unmapping a 4KB page, or a 2MB
+// page, in an otherwise empty subtree allocates nothing.
+func TestMapAfterPruneAllocationFree(t *testing.T) {
+	pt := New()
+	for _, ps := range []PageSize{Page4K, Page2M} {
+		va := VirtAddr(0x7f00_0000_0000)
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := pt.Map(va, 1, ps, ProtRead); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pt.Unmap(va, ps); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("Map+Unmap of one %s page after a prune: %v allocations, want 0", ps, allocs)
+		}
+		if pt.TablePages != 1 || pt.MappedBytes() != 0 {
+			t.Fatalf("%d table pages, %d mapped bytes after the runs", pt.TablePages, pt.MappedBytes())
+		}
+	}
+}
+
 // TestUnmapRangeMalformedTreeViolates pins the check UnmapRange keeps for
 // the tree shapes Map cannot build: a leaf in the PML4 and a table below
 // the PT each raise a contained *invariant.Violation.
