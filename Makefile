@@ -124,12 +124,14 @@ bench-check:
 #  - mem/FuzzZoneRuns: the zone's bulk run operations (AllocRun,
 #    FreeRun) against block-at-a-time allocation and freeing;
 #  - pgtable/FuzzTable: the page table, UnmapRange above all, against a
-#    leaf-by-leaf teardown twin and a flat model of the live leaves.
+#    leaf-by-leaf teardown twin and a flat model of the live leaves;
+#  - sim/FuzzEngine: the pooled event queue against the container/heap
+#    engine it replaced.
 # Plain `go test` replays each committed seed corpus
 # (internal/<pkg>/testdata/fuzz/<target>); this explores further. A
 # failing input is written back under that directory.
 FUZZTIME ?= 30s
-FUZZ_TARGETS = mem/FuzzZoneRuns pgtable/FuzzTable
+FUZZ_TARGETS = mem/FuzzZoneRuns pgtable/FuzzTable sim/FuzzEngine
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 	  echo "fuzz: $$t for $(FUZZTIME)"; \

@@ -53,6 +53,9 @@ func main() {
 	var obs *runner.Observations
 	if *metricsOut != "" || *traceOut != "" || *seriesOut != "" {
 		obs = runner.NewObservations(0)
+		if *traceOut != "" {
+			obs.EnableTrace()
+		}
 		if *seriesOut != "" {
 			obs.EnableSeries()
 		}

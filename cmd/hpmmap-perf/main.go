@@ -191,12 +191,18 @@ func main() {
 		os.Exit(1)
 	}
 	defer os.RemoveAll(ledgerDir)
+	// newObs is the observed layer: metrics plus a recorded trace.
+	newObs := func() *runner.Observations {
+		obs := runner.NewObservations(0)
+		obs.EnableTrace()
+		return obs
+	}
 	var bare, observed, sampled, ledgered []float64
 	var samples float64
 	for r := 0; r < *reps; r++ {
 		bare = append(bare, measure(nil))
-		observed = append(observed, measure(runner.NewObservations(0)))
-		obs := runner.NewObservations(0)
+		observed = append(observed, measure(newObs()))
+		obs := newObs()
 		obs.EnableSeries()
 		sampled = append(sampled, measure(obs))
 		if r == 0 {
@@ -209,7 +215,7 @@ func main() {
 		// Ledgered: observed plus a run ledger journaling every cell to a
 		// throwaway file, isolating the journal's cost from the rest of
 		// the instrumentation (compare against observed, like sampler).
-		lobs := runner.NewObservations(0)
+		lobs := newObs()
 		l, err := ledger.Open(filepath.Join(ledgerDir, fmt.Sprintf("rep%d.jsonl", r)),
 			ledger.Meta{Model: *bench, Scale: *scale})
 		if err != nil {

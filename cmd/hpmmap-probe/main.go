@@ -47,7 +47,9 @@ func main() {
 	var series *timeline.Series
 	if *metricsOut != "" || *traceOut != "" || *seriesOut != "" {
 		reg = metrics.NewRegistry()
-		tracer = metrics.NewChromeTracer(0)
+		if *traceOut != "" {
+			tracer = metrics.NewChromeTracer(0)
+		}
 		if *seriesOut != "" {
 			series = timeline.NewSeries()
 		}

@@ -118,6 +118,9 @@ func main() {
 			return nil
 		}
 		obs := runner.NewObservations(0)
+		if *traceOut != "" {
+			obs.EnableTrace()
+		}
 		if *seriesOut != "" {
 			obs.EnableSeries()
 		}

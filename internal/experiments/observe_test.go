@@ -115,6 +115,7 @@ func TestObservedFig7IdenticalAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) (metrics.Snapshot, []byte) {
 		o := fig7Tiny(workers)
 		obs := runner.NewObservations(0)
+		obs.EnableTrace()
 		o.Obs = obs
 		if _, err := Fig7(o); err != nil {
 			t.Fatal(err)
@@ -138,6 +139,26 @@ func TestObservedFig7IdenticalAcrossWorkerCounts(t *testing.T) {
 	if len(serialSnap.Metrics) == 0 || len(serialTrace) < 100 {
 		t.Fatalf("observed run produced no artifacts (metrics=%d, trace=%dB)",
 			len(serialSnap.Metrics), len(serialTrace))
+	}
+}
+
+// TestTraceDoesNotPerturbSnapshot: recording a trace (EnableTrace,
+// i.e. -trace-out) leaves the merged metric snapshot byte-identical.
+func TestTraceDoesNotPerturbSnapshot(t *testing.T) {
+	snap := func(trace bool) []byte {
+		obs := runner.NewObservations(0)
+		if trace {
+			obs.EnableTrace()
+		}
+		o := fig7Tiny(2)
+		o.Obs = obs
+		if _, err := Fig7(o); err != nil {
+			t.Fatal(err)
+		}
+		return asJSON(t, obs.Merged())
+	}
+	if !bytes.Equal(snap(false), snap(true)) {
+		t.Error("merged snapshot differs with and without EnableTrace")
 	}
 }
 

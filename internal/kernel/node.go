@@ -148,6 +148,11 @@ func NewNode(cfg MachineConfig, eng *sim.Engine, rnd *sim.Rand) *Node {
 // Config returns the machine configuration.
 func (n *Node) Config() MachineConfig { return n.cfg }
 
+// Costs returns the node's fault cost model, which the fault paths read
+// on every fault. It points into the node's configuration, so callers
+// must not modify it.
+func (n *Node) Costs() *fault.CostParams { return &n.cfg.Costs }
+
 // Engine returns the simulation engine.
 func (n *Node) Engine() *sim.Engine { return n.eng }
 

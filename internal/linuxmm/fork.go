@@ -106,7 +106,7 @@ func (m *Manager) cowTouch(tc *touchCtx, from, to uint64) {
 	m.touchSmall(tc, bytes, r.start+pgtable.VirtAddr(from))
 	// Copy cost: read + write of every touched byte, at bandwidth —
 	// charged on top of the fault service time.
-	copyCost := sim.Cycles(2 * float64(bytes) / (2 << 20) * m.costs().Clear2MCycles(tc.load))
+	copyCost := sim.Cycles(2 * float64(bytes) / (2 << 20) * m.node.Costs().Clear2MCycles(tc.load))
 	tc.cum += copyCost
 	tc.stats.Cycles[fault.KindSmall] += copyCost
 	tc.p.Faults.Cycles[fault.KindSmall] += copyCost

@@ -100,7 +100,7 @@ func (m *Manager) consumeMergeStalls(tc *touchCtx) {
 	p := tc.p
 	for _, d := range p.PendingMergeCosts {
 		// The blocked fault pays the merge wait plus its own service.
-		cost := d + m.costs().SmallFault(m.rand, tc.load)
+		cost := d + m.node.Costs().SmallFault(m.rand, tc.load)
 		tc.charge(m, fault.KindMergeBlocked, cost, tc.r.start, true)
 	}
 	p.PendingMergeCosts = p.PendingMergeCosts[:0]
@@ -109,14 +109,12 @@ func (m *Manager) consumeMergeStalls(tc *touchCtx) {
 		// does, but the deposited share is the evictor's doing: move it
 		// from the fault kind to the evict cause so barrier attribution
 		// names the kubelet, not khugepaged.
-		cost := d + m.costs().SmallFault(m.rand, tc.load)
+		cost := d + m.node.Costs().SmallFault(m.rand, tc.load)
 		tc.charge(m, fault.KindMergeBlocked, cost, tc.r.start, true)
 		p.Account.Reattribute(timeline.CauseMergeFault, timeline.CauseEvict, d)
 	}
 	p.PendingEvictCosts = p.PendingEvictCosts[:0]
 }
-
-func (m *Manager) costs() fault.CostParams { return m.node.Config().Costs }
 
 // touchDemand materializes [from, to) of a demand-paged region: THP large
 // chunks inside the eligible span, 4KB everywhere else.
@@ -250,7 +248,7 @@ func (m *Manager) touchLargeChunk(tc *touchCtx, off uint64) {
 		r.remoteBytes += mem.LargePageSize
 		p.ResidentRemote += mem.LargePageSize
 	}
-	cost := m.costs().LargeFault(m.rand, tc.load, compacted)
+	cost := m.node.Costs().LargeFault(m.rand, tc.load, compacted)
 	tc.charge(m, fault.KindLarge, cost, va, compacted)
 	if m.node.Detail && !p.Commodity {
 		if err := p.PT.Map(va, pfn, pgtable.Page2M, r.prot); err != nil {
@@ -406,12 +404,12 @@ func (m *Manager) touchSmall(tc *touchCtx, bytes uint64, va pgtable.VirtAddr) {
 			m.StormsHPC++
 		}
 		m.node.DirectReclaim(p.PreferredZone, order)
-		storm := m.costs().DirectReclaim(m.rand, tc.load)
+		storm := m.node.Costs().DirectReclaim(m.rand, tc.load)
 		kind := fault.KindSmall
 		if state(p).mode == ModeHugeTLB {
 			kind = fault.KindHugeTLBSmall
 		}
-		tc.charge(m, kind, storm+m.costs().SmallFault(m.rand, tc.load), va, true)
+		tc.charge(m, kind, storm+m.node.Costs().SmallFault(m.rand, tc.load), va, true)
 		// The fault-kind charge above includes the reclaim stall; move
 		// that share to the reclaim-storm cause so attribution separates
 		// "slow fault path" from "stalled behind reclaim".
@@ -476,10 +474,10 @@ func (m *Manager) touchSmall(tc *touchCtx, bytes uint64, va pgtable.VirtAddr) {
 			stalled := false
 			if kind == fault.KindHugeTLBSmall {
 				var svc sim.Cycles
-				svc, stall, stalled = m.costs().HugeTLBSmallFaultParts(m.rand, tc.load)
+				svc, stall, stalled = m.node.Costs().HugeTLBSmallFaultParts(m.rand, tc.load)
 				cost = svc + stall
 			} else {
-				cost = m.costs().SmallFault(m.rand, tc.load)
+				cost = m.node.Costs().SmallFault(m.rand, tc.load)
 			}
 			tc.charge(m, kind, cost, pva, stalled)
 			p.Account.Reattribute(timeline.FaultCause(kind), timeline.CauseReclaimStorm, stall)
@@ -493,15 +491,15 @@ func (m *Manager) touchSmall(tc *touchCtx, bytes uint64, va pgtable.VirtAddr) {
 	// watermarks, entering direct reclaim probabilistically (the paper's
 	// Figure 3: mean ~475K cycles with an enormous standard deviation).
 	if kind == fault.KindHugeTLBSmall {
-		p := m.costs().ReclaimProb(tc.load.MemPressure)
+		p := m.node.Costs().ReclaimProb(tc.load.MemPressure)
 		if nStorm := m.sampleBinomial(pages, p); nStorm > 0 {
 			if nStorm > pages {
 				nStorm = pages
 			}
 			for i := uint64(0); i < nStorm; i++ {
 				m.node.DirectReclaim(tc.p.PreferredZone, smallBatchOrder)
-				storm := m.costs().DirectReclaim(m.rand, tc.load)
-				tc.charge(m, kind, storm+m.costs().SmallFault(m.rand, tc.load), va, true)
+				storm := m.node.Costs().DirectReclaim(m.rand, tc.load)
+				tc.charge(m, kind, storm+m.node.Costs().SmallFault(m.rand, tc.load), va, true)
 				tc.p.Account.Reattribute(timeline.FaultCause(kind), timeline.CauseReclaimStorm, storm)
 				m.ReclaimStorms++
 				if !tc.p.Commodity {
@@ -514,7 +512,7 @@ func (m *Manager) touchSmall(tc *touchCtx, bytes uint64, va pgtable.VirtAddr) {
 			}
 		}
 	}
-	total := m.costs().AggregateSmallFaults(m.rand, tc.load, pages)
+	total := m.node.Costs().AggregateSmallFaults(m.rand, tc.load, pages)
 	tc.chargeBulk(kind, pages, total)
 }
 
@@ -621,9 +619,9 @@ func (m *Manager) touchHugetlb(tc *touchCtx, from, to uint64) {
 		m.LargeFaults++
 		// One fault is recorded per slab extension, but every page in the
 		// slab is cleared on allocation.
-		cost := m.costs().HugeTLBLargeFault(m.rand, tc.load)
+		cost := m.node.Costs().HugeTLBLargeFault(m.rand, tc.load)
 		if allocated > 1 {
-			cost += sim.Cycles(float64(allocated-1) * m.costs().Clear2MCycles(tc.load))
+			cost += sim.Cycles(float64(allocated-1) * m.node.Costs().Clear2MCycles(tc.load))
 		}
 		tc.charge(m, fault.KindHugeTLBLarge, cost, va, false)
 		r.slabs++

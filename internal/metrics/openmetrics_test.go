@@ -170,6 +170,11 @@ func TestParseExpositionRejectsMalformed(t *testing.T) {
 		"bucket sans le":  "# TYPE a histogram\na_bucket{ge=\"1\"} 1\n# EOF\n",
 		"non-monotonic":   "# TYPE a histogram\na_bucket{le=\"1\"} 5\na_bucket{le=\"2\"} 3\n# EOF\n",
 		"unclosed labels": "# TYPE a gauge\na{x=\"1\" 2\n# EOF\n",
+		// Once accepted as a gauge named " ", which WriteOpenMetrics
+		// then wrote as an exposition this parser rejects.
+		"blank name":   "  0\n# EOF",
+		"invalid name": "# TYPE A gauge\nA-1 1\n# EOF\n",
+		"labels only":  "{le=\"1\"} 1\n# EOF\n",
 	}
 	for name, in := range cases {
 		if _, err := ParseExposition(strings.NewReader(in)); err == nil {

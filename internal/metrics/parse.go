@@ -76,6 +76,9 @@ func ParseExposition(r io.Reader) (Snapshot, error) {
 			labels = name[br+1 : len(name)-1]
 			name = name[:br]
 		}
+		if err := ValidateName(name); err != nil {
+			return Snapshot{}, fmt.Errorf("metrics: line %d: %v", line, err)
+		}
 		val, err := strconv.ParseFloat(valText, 64)
 		if err != nil {
 			return Snapshot{}, fmt.Errorf("metrics: line %d: bad value %q", line, valText)

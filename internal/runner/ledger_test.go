@@ -18,6 +18,7 @@ import (
 func holesArtifacts(t *testing.T, workers int) (snap, trace, series, canon []byte) {
 	t.Helper()
 	obs := NewObservations(0)
+	obs.EnableTrace()
 	obs.EnableSeries()
 	var raw bytes.Buffer
 	led := ledger.New(&raw, ledger.Meta{

@@ -18,7 +18,9 @@ import (
 // so the per-cell hot paths stay lock-free), and the collector merges
 // them in cell-index order afterwards — so the merged snapshot and trace
 // are byte-identical at any worker count, mirroring the runner's seeding
-// contract.
+// contract. Tracers exist only after EnableTrace: a trace records an
+// event per fault and per reclaim pass, which nothing reads unless it
+// is written.
 //
 // A nil *Observations is a valid no-op collector: Cell returns (nil,
 // nil) handles, which every instrumentation hook treats as "off".
@@ -30,6 +32,10 @@ type Observations struct {
 	// seriesOn marks that per-cell time-series samplers were requested
 	// (EnableSeries); Series then returns a live sampler per cell.
 	seriesOn bool
+
+	// traceOn marks that per-cell Chrome tracers were requested
+	// (EnableTrace); Cell then returns a live tracer per cell.
+	traceOn bool
 
 	// plan holds plan-level (not per-cell) metric sources: the runner's
 	// own failure/retry counters and the result cache's corruption
@@ -60,7 +66,8 @@ func NewObservations(clockHz float64) *Observations {
 
 // Cell returns the registry and tracer for the cell at the given plan
 // index, creating them on first use. label names the trace process
-// (typically Cell.String()). Safe for concurrent use by worker
+// (typically Cell.String()). The tracer is nil, the no-op tracer,
+// unless EnableTrace was called. Safe for concurrent use by worker
 // goroutines; safe on a nil receiver (returns nil handles, the
 // uninstrumented path).
 func (o *Observations) Cell(idx int, label string) (*metrics.Registry, *metrics.ChromeTracer) {
@@ -71,17 +78,33 @@ func (o *Observations) Cell(idx int, label string) (*metrics.Registry, *metrics.
 	defer o.mu.Unlock()
 	c := o.cells[idx]
 	if c == nil {
-		c = &cellObs{reg: metrics.NewRegistry(), tracer: metrics.NewChromeTracer(idx), label: label}
-		if o.clockHz > 0 {
-			c.tracer.SetClock(o.clockHz)
+		c = &cellObs{reg: metrics.NewRegistry(), label: label}
+		if o.traceOn {
+			c.tracer = metrics.NewChromeTracer(idx)
+			if o.clockHz > 0 {
+				c.tracer.SetClock(o.clockHz)
+			}
+			c.tracer.SetProcessName(label)
 		}
-		c.tracer.SetProcessName(label)
 		if o.seriesOn {
 			c.series = timeline.NewSeries()
 		}
 		o.cells[idx] = c
 	}
 	return c.reg, c.tracer
+}
+
+// EnableTrace requests a per-cell Chrome tracer: every cell created by
+// Cell afterwards records trace events, which WriteTrace renders. Call
+// before the plan runs, and only when the trace will be written. Safe
+// on a nil receiver.
+func (o *Observations) EnableTrace() {
+	if o == nil {
+		return
+	}
+	o.mu.Lock()
+	o.traceOn = true
+	o.mu.Unlock()
 }
 
 // EnableSeries requests a per-cell time-series sampler: every cell
@@ -279,12 +302,17 @@ func (o *Observations) Merged() metrics.Snapshot {
 // WriteTrace writes every cell's trace events as one Chrome trace-event
 // JSON document (cells become trace processes, in ascending cell-index
 // order — deterministic at any worker count). Cells that never created
-// a tracer (cache hits) are skipped. Safe on a nil receiver (writes an
-// empty trace).
+// a tracer (cache hits) are skipped. It is an error on a collector
+// without EnableTrace, which recorded nothing. Safe on a nil receiver
+// (writes an empty trace).
 func (o *Observations) WriteTrace(w io.Writer) error {
 	var tracers []*metrics.ChromeTracer
 	if o != nil {
 		o.mu.Lock()
+		if !o.traceOn {
+			o.mu.Unlock()
+			return fmt.Errorf("runner: WriteTrace without EnableTrace: no trace was recorded")
+		}
 		for _, i := range o.indexes() {
 			if c := o.cells[i]; c.tracer != nil {
 				tracers = append(tracers, c.tracer)

@@ -1,6 +1,6 @@
 // Package sim provides the deterministic discrete-event simulation core
 // used by every other subsystem in the HPMMAP reproduction: a 64-bit cycle
-// clock, a binary-heap event queue, and seedable pseudo-random number
+// clock, a pooled binary-heap event queue, and seedable pseudo-random number
 // generation with the distributions the cost models need.
 //
 // All simulated time is measured in CPU cycles. Converting to seconds is
@@ -8,7 +8,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -21,57 +20,44 @@ func (c Cycles) Seconds(hz float64) float64 {
 	return float64(c) / hz
 }
 
-// event is a scheduled callback.
+// event is one slot of the engine's event slab. A live slot holds a
+// scheduled callback and its position in the heap; a free slot has a
+// nil fn and pos -1, and waits on the free list for the next At.
 type event struct {
-	at   Cycles
-	seq  uint64 // tie-breaker: FIFO among events at the same cycle
-	fn   func()
-	heap *eventHeap
-	idx  int // index in the heap, -1 when popped or cancelled
+	at  Cycles
+	seq uint64 // tie-breaker (FIFO among events at the same cycle) and the slot's generation
+	fn  func()
+	pos int32 // index in Engine.heap, -1 while the slot is free
 }
 
-// EventID identifies a scheduled event so it can be cancelled.
-type EventID struct{ ev *event }
+// EventID identifies a scheduled event so it can be cancelled. It names
+// the event's slot and the event's sequence number, which serves as the
+// slot's generation: a slot is freed when its event fires or is
+// cancelled and may then hold a later event, whose sequence number is
+// larger, so a stale ID never matches the slot's new occupant.
+type EventID struct {
+	eng  *Engine
+	seq  uint64
+	slot int32
+}
 
 // Cancelled reports whether the event was cancelled or already fired.
-func (id EventID) Cancelled() bool { return id.ev == nil || id.ev.idx < 0 }
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.idx = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.idx = -1
-	*h = old[:n-1]
-	return ev
-}
+func (id EventID) Cancelled() bool { return id.eng == nil || !id.eng.live(id) }
 
 // Engine is a single-threaded discrete-event simulator. It is not safe for
 // concurrent use; parallelism in the simulated system is expressed as
 // interleaved events, which keeps runs bit-for-bit deterministic for a
 // given seed.
+//
+// Events live in a slab of slots recycled through a free list, and a
+// binary min-heap of slot indexes orders the live ones by (at, seq).
+// seq is unique, so that order is total and any correct heap pops the
+// same sequence; steady-state scheduling allocates nothing.
 type Engine struct {
 	now    Cycles
-	queue  eventHeap
+	events []event // slab of slots
+	free   []int32 // free slot indexes, reused last-freed first
+	heap   []int32 // live slot indexes, a binary min-heap by (at, seq)
 	seq    uint64
 	nexec  uint64
 	halted bool
@@ -89,7 +75,7 @@ func (e *Engine) Now() Cycles { return e.now }
 func (e *Engine) Executed() uint64 { return e.nexec }
 
 // Pending returns the number of events currently scheduled.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return len(e.heap) }
 
 // Schedule runs fn after delay cycles. fn runs with the engine clock set to
 // the scheduled time. Scheduling at delay 0 runs fn after all other work
@@ -107,37 +93,131 @@ func (e *Engine) At(t Cycles, fn func()) EventID {
 	if t < e.now {
 		t = e.now
 	}
-	ev := &event{at: t, seq: e.seq, fn: fn, heap: &e.queue}
+	var slot int32
+	if n := len(e.free); n > 0 {
+		slot = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		slot = int32(len(e.events))
+		e.events = append(e.events, event{})
+	}
+	e.events[slot] = event{at: t, seq: e.seq, fn: fn, pos: int32(len(e.heap))}
+	e.heap = append(e.heap, slot)
+	e.up(len(e.heap) - 1)
+	id := EventID{eng: e, seq: e.seq, slot: slot}
 	e.seq++
-	heap.Push(&e.queue, ev)
-	return EventID{ev: ev}
+	return id
 }
 
 // Cancel removes a scheduled event. Cancelling an already-fired or
-// already-cancelled event is a no-op. Reports whether the event was
-// actually removed.
+// already-cancelled event, or an event of another engine, is a no-op.
+// Reports whether the event was actually removed.
 func (e *Engine) Cancel(id EventID) bool {
-	ev := id.ev
-	if ev == nil || ev.idx < 0 || ev.heap != &e.queue {
+	if id.eng != e || !e.live(id) {
 		return false
 	}
-	heap.Remove(&e.queue, ev.idx)
+	e.remove(int(e.events[id.slot].pos))
+	e.release(id.slot)
 	return true
 }
 
 // Step executes the single next event. Reports false when the queue is
-// empty or the engine is halted.
+// empty or the engine is halted. The event's slot is freed before its
+// callback runs, so the callback sees its own ID as fired.
 func (e *Engine) Step() bool {
-	if e.halted || len(e.queue) == 0 {
+	if e.halted || len(e.heap) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.queue).(*event)
+	slot := e.heap[0]
+	e.remove(0)
+	ev := &e.events[slot]
 	if ev.at > e.now {
 		e.now = ev.at
 	}
+	fn := ev.fn
+	e.release(slot)
 	e.nexec++
-	ev.fn()
+	fn()
 	return true
+}
+
+// live reports whether id's slot still holds id's event.
+func (e *Engine) live(id EventID) bool {
+	ev := &e.events[id.slot]
+	return ev.pos >= 0 && ev.seq == id.seq
+}
+
+// release returns a slot to the free list, dropping its callback.
+func (e *Engine) release(slot int32) {
+	e.events[slot] = event{pos: -1}
+	e.free = append(e.free, slot)
+}
+
+// before orders slots by (at, seq).
+func (e *Engine) before(a, b int32) bool {
+	ea, eb := &e.events[a], &e.events[b]
+	if ea.at != eb.at {
+		return ea.at < eb.at
+	}
+	return ea.seq < eb.seq
+}
+
+// place puts slot at heap index i.
+func (e *Engine) place(i int, slot int32) {
+	e.heap[i] = slot
+	e.events[slot].pos = int32(i)
+}
+
+// remove deletes heap index i, refilling it from the heap's tail.
+func (e *Engine) remove(i int) {
+	n := len(e.heap) - 1
+	last := e.heap[n]
+	e.heap = e.heap[:n]
+	if i == n {
+		return
+	}
+	e.place(i, last)
+	if !e.down(i) {
+		e.up(i)
+	}
+}
+
+// up sifts heap index i towards the root.
+func (e *Engine) up(i int) {
+	slot := e.heap[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(slot, e.heap[p]) {
+			break
+		}
+		e.place(i, e.heap[p])
+		i = p
+	}
+	e.place(i, slot)
+}
+
+// down sifts heap index i towards the leaves and reports whether it
+// moved.
+func (e *Engine) down(i0 int) bool {
+	slot := e.heap[i0]
+	n := len(e.heap)
+	i := i0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && e.before(e.heap[r], e.heap[c]) {
+			c = r
+		}
+		if !e.before(e.heap[c], slot) {
+			break
+		}
+		e.place(i, e.heap[c])
+		i = c
+	}
+	e.place(i, slot)
+	return i > i0
 }
 
 // Run executes events until the queue drains or the engine halts.
@@ -151,10 +231,10 @@ func (e *Engine) Run() {
 // RunUntil the clock is deadline if any event beyond it remains, else the
 // time of the final event.
 func (e *Engine) RunUntil(deadline Cycles) {
-	for !e.halted && len(e.queue) > 0 && e.queue[0].at <= deadline {
+	for !e.halted && len(e.heap) > 0 && e.events[e.heap[0]].at <= deadline {
 		e.Step()
 	}
-	if e.now < deadline && (len(e.queue) > 0 || e.halted) {
+	if e.now < deadline && (len(e.heap) > 0 || e.halted) {
 		e.now = deadline
 	}
 }
@@ -168,7 +248,7 @@ func (e *Engine) Halted() bool { return e.halted }
 
 // String summarizes engine state for debugging.
 func (e *Engine) String() string {
-	return fmt.Sprintf("sim.Engine{now=%d pending=%d executed=%d}", e.now, len(e.queue), e.nexec)
+	return fmt.Sprintf("sim.Engine{now=%d pending=%d executed=%d}", e.now, len(e.heap), e.nexec)
 }
 
 // Ticker invokes fn every period cycles until Stop is called or the engine
@@ -177,6 +257,7 @@ type Ticker struct {
 	eng     *Engine
 	period  Cycles
 	fn      func()
+	tick    func() // t.fire, bound once so that re-arming allocates nothing
 	stopped bool
 	next    EventID
 }
@@ -187,20 +268,23 @@ func (e *Engine) NewTicker(period Cycles, fn func()) *Ticker {
 		panic("sim: NewTicker with zero period")
 	}
 	t := &Ticker{eng: e, period: period, fn: fn}
+	t.tick = t.fire
 	t.arm()
 	return t
 }
 
 func (t *Ticker) arm() {
-	t.next = t.eng.Schedule(t.period, func() {
-		if t.stopped {
-			return
-		}
-		t.fn()
-		if !t.stopped {
-			t.arm()
-		}
-	})
+	t.next = t.eng.Schedule(t.period, t.tick)
+}
+
+func (t *Ticker) fire() {
+	if t.stopped {
+		return
+	}
+	t.fn()
+	if !t.stopped {
+		t.arm()
+	}
 }
 
 // Stop halts the ticker. Safe to call multiple times.

@@ -144,7 +144,9 @@ func Start(eng *sim.Engine, opts Options, onDone func(Result)) (*App, error) {
 		// range; a nil Account makes every downstream charge a no-op.
 		p.Account = opts.Attribution.Rank(i)
 		r.t = pl.Node.NewTask(p, pl.Core, opts.Spec.BandwidthWeight)
-		opts.Tracer.SetThreadName(p.PID, fmt.Sprintf("rank%d", i))
+		if opts.Tracer != nil {
+			opts.Tracer.SetThreadName(p.PID, fmt.Sprintf("rank%d", i))
+		}
 		a.ranks = append(a.ranks, r)
 		a.result.Ranks = append(a.result.Ranks, RankResult{})
 	}
