@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: verify build test race vet lint lint-fast lint-audit lint-report bench bench-check fuzz chaos datacenter eviction
+.PHONY: verify build test race vet lint lint-fast lint-audit bench bench-check fuzz chaos datacenter eviction
 
 verify: build test race vet lint
 
@@ -31,15 +31,9 @@ vet:
 # vet harness. Manual invocation:
 #   go build -o bin/hpmmap-vet ./cmd/hpmmap-vet
 #   go vet -vettool=$(pwd)/bin/hpmmap-vet ./...
-# HPMMAP_VET_TIMING_FILE makes every analyzer execution append a
-# timing record; the summary (slowest analyzer first) covers exactly
-# the package units the vet cache re-analyzed this run.
 lint:
 	$(GO) build -o bin/hpmmap-vet ./cmd/hpmmap-vet
-	@rm -f bin/lint-timing.jsonl
-	HPMMAP_VET_TIMING_FILE=$(abspath bin/lint-timing.jsonl) \
-		$(GO) vet -vettool=$(abspath bin/hpmmap-vet) ./...
-	@bin/hpmmap-vet -timing-summary bin/lint-timing.jsonl
+	$(GO) vet -vettool=$(abspath bin/hpmmap-vet) ./...
 
 # Fast lint for the edit loop: vet only the packages with .go changes
 # in the working tree or the last commit. Deleted directories are
@@ -68,40 +62,14 @@ lint-audit:
 	bin/hpmmap-vet -list-allows
 	$(GO) vet -vettool=$(abspath bin/hpmmap-vet) -allowaudit.enable ./...
 
-# Machine-readable findings: the unitchecker JSON finding stream
-# (go vet -json prints it on stderr) and its SARIF 2.1.0 conversion
-# for code-scanning UIs. CI uploads both as the lint-report artifact.
-# go vet -json exits 0 even with findings — `make lint` is the gate,
-# this is the report.
-lint-report:
-	$(GO) build -o bin/hpmmap-vet ./cmd/hpmmap-vet
-	$(GO) vet -json -vettool=$(abspath bin/hpmmap-vet) ./... 2> lint-report.json
-	bin/hpmmap-vet -sarif < lint-report.json > lint-report.sarif
-
-# Performance gate (see DESIGN.md §10). Three layers:
-#  1. allocation benchmarks for the no-op instrumentation path (must
-#     report 0 B/op on BenchmarkUninstrumentedFault);
-#  2. hot-path microbenchmarks of the touch/allocation cycle (demand
-#     THP, HugeTLBfs, gated 4K backing, HPMMAP pool) with -benchmem so
-#     per-op allocation creep is visible in the log;
-#  3. the fork/exit lifecycle microbenchmark (DESIGN.md §11): the
-#     pooled variant must beat the unpooled baseline (>= 2x ns/op and
-#     0 B/op at steady state — pooled results are printed first);
-#  4. the simulator-throughput record: cmd/hpmmap-perf runs a reduced
-#     Fig. 7 grid bare / observed / series-sampled / ledgered, compares
-#     cells/sec against the committed BENCH_6.json (read before it is
-#     rewritten) and FAILS on a >10% regression, then refreshes the
-#     record. Each run also appends its record to bench-history.jsonl
-#     (gitignored), a run ledger queryable with
-#     `go run ./cmd/hpmmap-ledger summary bench-history.jsonl`.
+# The benchmark (BENCHMARK.json; see benchmark/README.md): every
+# workload interleaved, with end-to-end and per-layer numbers and their
+# noise bands. It measures and gates nothing. The two allocation claims
+# are tests: the uninstrumented fault path
+# (TestUninstrumentedPathAllocates0) and pooled fork/exit
+# (TestPooledForkExitAllocates0) allocate nothing.
 bench:
-	$(GO) test -bench 'Fault' -benchmem ./internal/metrics/
-	$(GO) test -run xxx -bench 'TouchDemand|TouchHugetlb|GatedAlloc' -benchmem ./internal/linuxmm/
-	$(GO) test -run xxx -bench 'HPMMAPTouchRange' -benchmem ./internal/core/
-	$(GO) test -run xxx -bench 'ForkExit' -benchmem ./internal/linuxmm/
-	$(GO) run ./cmd/hpmmap-perf -out BENCH_6.json -baseline BENCH_6.json -regress-pct 10 \
-		-ledger bench-history.jsonl \
-		-cpuprofile bench-cpu.pprof -memprofile bench-mem.pprof
+	bash benchmark/run.sh
 
 # The benchmark (BENCHMARK.json) against its committed digests.
 # benchmark/ is its own module, so `make verify` never builds it, yet it

@@ -8,8 +8,7 @@
 //	hpmmap-ledger diff [-regress-pct P] old new
 //	    Cross-run deltas with a regression gate (exit 1 when tripped).
 //	    Two ledgers (.jsonl): canonical status regressions always trip;
-//	    a bench cells/sec drop beyond -regress-pct trips; host wall
-//	    deltas are report-only. Two snapshots (.prom via OpenMetrics,
+//	    host wall deltas are report-only. Two snapshots (.prom via OpenMetrics,
 //	    .json via WriteJSON): any per-metric change beyond -regress-pct,
 //	    or a metric appearing/disappearing, trips — two runs of the
 //	    same deterministic workload must match exactly, so any delta is
@@ -114,9 +113,9 @@ type planStats struct {
 
 // fold groups records into per-plan rollups, in manifest order.
 // Records before the first manifest (there are none in well-formed
-// ledgers) are ignored. Returns the plans plus ledger-wide extras:
-// cache-corrupt tally and bench records.
-func fold(recs []ledger.Record) (plans []*planStats, corrupt uint64, benches []json.RawMessage) {
+// ledgers) are ignored. Also returns the ledger-wide cache-corrupt
+// tally.
+func fold(recs []ledger.Record) (plans []*planStats, corrupt uint64) {
 	var cur *planStats
 	for _, r := range recs {
 		switch r.T {
@@ -130,8 +129,6 @@ func fold(recs []ledger.Record) (plans []*planStats, corrupt uint64, benches []j
 			plans = append(plans, cur)
 		case ledger.TypeCacheCorrupt:
 			corrupt += r.Count
-		case ledger.TypeBench:
-			benches = append(benches, r.Bench)
 		}
 		if cur == nil {
 			continue
@@ -159,7 +156,7 @@ func fold(recs []ledger.Record) (plans []*planStats, corrupt uint64, benches []j
 			cur.cacheMisses++
 		}
 	}
-	return plans, corrupt, benches
+	return plans, corrupt
 }
 
 func summary(w io.Writer, path string, stragglers int) error {
@@ -167,8 +164,8 @@ func summary(w io.Writer, path string, stragglers int) error {
 	if err != nil {
 		return err
 	}
-	plans, corrupt, benches := fold(recs)
-	if len(plans) == 0 && len(benches) == 0 {
+	plans, corrupt := fold(recs)
+	if len(plans) == 0 {
 		fmt.Fprintln(w, "no plans journaled")
 		return nil
 	}
@@ -224,11 +221,6 @@ func summary(w io.Writer, path string, stragglers int) error {
 	if corrupt > 0 {
 		fmt.Fprintf(w, "cache corrupt entries: %d\n", corrupt)
 	}
-	for _, b := range benches {
-		if cps, ok := benchCellsPerSec(b); ok {
-			fmt.Fprintf(w, "bench record: %.3f cells/sec\n", cps)
-		}
-	}
 	return nil
 }
 
@@ -244,20 +236,8 @@ func formatBytes(b uint64) string {
 	return fmt.Sprintf("%d B", b)
 }
 
-// benchCellsPerSec extracts cells_per_sec from an embedded
-// hpmmap-perf record.
-func benchCellsPerSec(raw json.RawMessage) (float64, bool) {
-	var rec struct {
-		CellsPerSec float64 `json:"cells_per_sec"`
-	}
-	if err := json.Unmarshal(raw, &rec); err != nil || rec.CellsPerSec <= 0 {
-		return 0, false
-	}
-	return rec.CellsPerSec, true
-}
-
 // diffFiles dispatches on extension: .jsonl ledgers diff by canonical
-// outcome + bench throughput; .prom/.json snapshots diff per metric.
+// outcome; .prom/.json snapshots diff per metric.
 func diffFiles(w io.Writer, oldPath, newPath string, pct float64) (bool, error) {
 	oldKind, newKind := fileKind(oldPath), fileKind(newPath)
 	if oldKind != newKind {
@@ -273,7 +253,7 @@ func diffFiles(w io.Writer, oldPath, newPath string, pct float64) (bool, error) 
 		if err != nil {
 			return false, err
 		}
-		return diffLedgers(w, a, b, pct), nil
+		return diffLedgers(w, a, b), nil
 	case "snapshot":
 		a, err := readSnapshot(oldPath)
 		if err != nil {
@@ -386,13 +366,12 @@ func trimFloat(v float64) string {
 // diffLedgers compares two run journals plan-by-plan (matched by
 // name). Canonical outcome regressions — a cell that was ok and no
 // longer is, or a worsened quarantine/failure tally — always trip
-// regardless of pct. A bench cells/sec drop beyond pct trips. Host
-// wall-time deltas are printed but never gate: wall clocks vary
-// between hosts and runs.
-func diffLedgers(w io.Writer, oldRecs, newRecs []ledger.Record, pct float64) bool {
+// regardless of pct. Host wall-time deltas are printed but never
+// gate: wall clocks vary between hosts and runs.
+func diffLedgers(w io.Writer, oldRecs, newRecs []ledger.Record) bool {
 	tripped := false
-	oldPlans, _, oldBench := fold(oldRecs)
-	newPlans, _, newBench := fold(newRecs)
+	oldPlans, _ := fold(oldRecs)
+	newPlans, _ := fold(newRecs)
 	oldByName := map[string]*planStats{}
 	for _, p := range oldPlans {
 		oldByName[p.name] = p
@@ -446,19 +425,6 @@ func diffLedgers(w io.Writer, oldRecs, newRecs []ledger.Record, pct float64) boo
 	for _, name := range gone {
 		fmt.Fprintf(w, "plan %s: disappeared\n", name)
 		tripped = true
-	}
-	// Bench throughput gate: compare the last bench record of each.
-	if len(oldBench) > 0 && len(newBench) > 0 {
-		oldCPS, okA := benchCellsPerSec(oldBench[len(oldBench)-1])
-		newCPS, okB := benchCellsPerSec(newBench[len(newBench)-1])
-		if okA && okB {
-			change := 100 * (newCPS - oldCPS) / oldCPS
-			fmt.Fprintf(w, "bench: %.3f -> %.3f cells/sec (%+.1f%%)\n", oldCPS, newCPS, change)
-			if change < -pct {
-				fmt.Fprintf(w, "bench: cells/sec regressed beyond -%g%%\n", pct)
-				tripped = true
-			}
-		}
 	}
 	return tripped
 }
@@ -538,11 +504,6 @@ func formatRecord(r ledger.Record) string {
 		return fmt.Sprintf("    #%-4d cache miss", r.I)
 	case ledger.TypeCacheCorrupt:
 		return fmt.Sprintf("  ! %d corrupt cache entries", r.Count)
-	case ledger.TypeBench:
-		if cps, ok := benchCellsPerSec(r.Bench); ok {
-			return fmt.Sprintf("    bench: %.3f cells/sec", cps)
-		}
-		return "    bench record"
 	}
 	return fmt.Sprintf("?? %+v", r)
 }

@@ -1,13 +1,14 @@
 // Command hpmmap-probe runs one experiment cell and dumps internal
 // diagnostics (residency mix, fault breakdown, manager counters) — a
-// calibration and debugging aid. The observability flags attach the
-// same instrumentation the figure pipelines use: -metrics snapshots the
-// cell's registry, -trace-out writes a Chrome trace, -series samples
-// the memory-state time series.
+// calibration and debugging aid. The artifact flags every experiment
+// CLI shares (internal/cli) attach the same instrumentation the figure
+// pipelines use: -metrics snapshots the cell's registry, -trace-out
+// writes a Chrome trace, -series samples the memory-state time series,
+// and -ledger journals the cell.
 //
 // A SIGINT/SIGTERM cancels the cell: whatever it observed up to the
-// cancellation point is flushed to the -metrics/-trace-out/-series
-// artifacts and the process exits non-zero (the hpmmap-bench contract).
+// cancellation point is flushed to the artifacts and the process exits
+// non-zero.
 package main
 
 import (
@@ -15,26 +16,22 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"strings"
-	"syscall"
 
+	"hpmmap/internal/cli"
 	"hpmmap/internal/experiments"
 	"hpmmap/internal/fault"
-	"hpmmap/internal/metrics"
-	"hpmmap/internal/timeline"
+	"hpmmap/internal/ledger"
+	"hpmmap/internal/runner"
 	"hpmmap/internal/workload"
 )
 
 func main() {
+	art := cli.Register("hpmmap-probe")
 	bench := flag.String("bench", "HPCCG", "benchmark")
 	kind := flag.Int("kind", 0, "0=THP 1=HugeTLBfs 2=HPMMAP")
 	prof := flag.Int("profile", 1, "0=none 1=A 2=B")
 	ranks := flag.Int("ranks", 8, "ranks")
 	seed := flag.Uint64("seed", 1, "seed")
-	metricsOut := flag.String("metrics", "", `write the cell's metric snapshot to this file ("-" = stdout; .json = JSON, else text)`)
-	traceOut := flag.String("trace-out", "", "write Chrome trace-event JSON for the cell to this file")
-	seriesOut := flag.String("series", "", "write the cell's time-series samples as CSV to this file")
 	flag.Parse()
 
 	spec, ok := workload.ByName(*bench)
@@ -42,38 +39,32 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bad bench")
 		os.Exit(1)
 	}
-	var reg *metrics.Registry
-	var tracer *metrics.ChromeTracer
-	var series *timeline.Series
-	if *metricsOut != "" || *traceOut != "" || *seriesOut != "" {
-		reg = metrics.NewRegistry()
-		if *traceOut != "" {
-			tracer = metrics.NewChromeTracer(0)
-		}
-		if *seriesOut != "" {
-			series = timeline.NewSeries()
-		}
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	ctx := art.Start(cli.Run{Meta: ledger.Meta{Model: experiments.ModelVersion, Flags: map[string]string{"exp": "probe"}}})
 
-	out, err := experiments.ExecuteSingleNode(experiments.SingleRun{
+	rs := experiments.SingleRun{
 		Bench:   spec,
 		Kind:    experiments.ManagerKind(*kind),
 		Profile: experiments.Profile(*prof),
 		Ranks:   *ranks,
 		Seed:    *seed,
-		Metrics: reg,
-		Tracer:  tracer,
-		Series:  series,
-		Context: ctx,
-	})
-	if err != nil {
-		// Interrupted or failed: flush the partial artifacts first.
-		writeArtifacts(reg, tracer, series, *metricsOut, *traceOut, *seriesOut)
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
 	}
+	// The cell runs through the runner so the ledger journals it, at
+	// -seed itself rather than a coordinate-derived seed.
+	obs := art.Observe("probe")
+	plan := runner.Plan{Name: "probe", Seed: *seed, Cells: []runner.Cell{
+		{Exp: "probe", Bench: *bench, Manager: rs.Kind.Key(), Cores: *ranks},
+	}}
+	outs, err := runner.Run(runner.Options{Workers: 1, Context: ctx, Obs: obs}, plan,
+		func(ctx context.Context, idx int, cell runner.Cell, _ uint64) (experiments.RunOutcome, error) {
+			r := rs
+			r.Metrics, r.Tracer = obs.Cell(idx, cell.String())
+			r.Series, r.Context = obs.Series(idx), ctx
+			return experiments.ExecuteSingleNode(r)
+		})
+	if err != nil {
+		art.Fatal(err)
+	}
+	out := outs[0]
 	fmt.Printf("runtime: %.2f s\n", out.RuntimeSec)
 	fmt.Printf("compactions=%d storms=%d stormsHPC=%d merges=%d meanPressure=%.2f\n",
 		out.Compactions, out.ReclaimStorms, out.StormsHPC, out.Merges, out.MeanPressure)
@@ -89,53 +80,5 @@ func main() {
 			break
 		}
 	}
-
-	writeArtifacts(reg, tracer, series, *metricsOut, *traceOut, *seriesOut)
-}
-
-// writeArtifacts flushes the cell's observability outputs. Also called
-// on the error path, so an interrupted probe still leaves partial
-// artifacts behind. No-op per artifact whose flag was empty.
-func writeArtifacts(reg *metrics.Registry, tracer *metrics.ChromeTracer, series *timeline.Series, metricsOut, traceOut, seriesOut string) {
-	emit := func(path string, write func(*os.File) error) {
-		if path == "" {
-			return
-		}
-		if path == "-" {
-			must(write(os.Stdout))
-			return
-		}
-		f, err := os.Create(path)
-		must(err)
-		must(write(f))
-		must(f.Close())
-		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-	}
-	if reg != nil {
-		emit(metricsOut, func(f *os.File) error {
-			snap := reg.Snapshot()
-			if strings.HasSuffix(metricsOut, ".json") {
-				return snap.WriteJSON(f)
-			}
-			return snap.WriteText(f)
-		})
-	}
-	if tracer != nil {
-		emit(traceOut, func(f *os.File) error { return metrics.WriteChromeTrace(f, tracer) })
-	}
-	if series != nil {
-		emit(seriesOut, func(f *os.File) error {
-			if _, err := fmt.Fprintln(f, timeline.SeriesCSVHeader); err != nil {
-				return err
-			}
-			return series.WriteCSV(f, "probe")
-		})
-	}
-}
-
-func must(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	art.Done()
 }

@@ -7,7 +7,9 @@
 // Each knob's value x manager x run grid executes as one internal/runner
 // plan: -workers bounds the worker pool (0 = one per CPU), seeds derive
 // from cell coordinates so the table is identical at any worker count,
-// and -timeout cancels a stuck sweep.
+// and -timeout cancels a stuck sweep. The artifact flags every
+// experiment CLI shares (internal/cli) instrument each knob's plan and
+// write one metrics, trace and series file per knob.
 //
 // Sweepable knobs:
 //
@@ -24,9 +26,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 
+	"hpmmap/internal/cli"
 	"hpmmap/internal/experiments"
 	"hpmmap/internal/ledger"
 	"hpmmap/internal/runner"
@@ -56,6 +57,7 @@ var sweepManagers = []experiments.ManagerKind{
 }
 
 func main() {
+	art := cli.Register("hpmmap-sweep")
 	which := flag.String("knob", "all", "knob to sweep (or 'all')")
 	bench := flag.String("bench", "HPCCG", "benchmark")
 	profile := flag.Int("profile", 2, "commodity profile: 1=A 2=B")
@@ -65,7 +67,6 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel simulation workers (0 = one per CPU; table identical at any count)")
 	timeout := flag.Duration("timeout", 0, "cancel the sweep after this long (0 = none)")
 	verbose := flag.Bool("v", false, "per-cell progress with ETA on stderr")
-	ledgerOut := flag.String("ledger", "", "append a JSONL run ledger (one plan per swept knob) to this file; inspect with hpmmap-ledger")
 	flag.Parse()
 
 	spec, ok := workload.ByName(*bench)
@@ -77,36 +78,19 @@ func main() {
 
 	// SIGINT/SIGTERM cancels the running plan: in-flight cells observe
 	// the cancellation and the sweep exits non-zero. Knob tables printed
-	// before the signal have already been flushed to stdout.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	opts := runner.Options{Workers: *workers, Context: ctx}
-	var led *ledger.Ledger
-	if *ledgerOut != "" {
-		var err error
-		led, err = ledger.Open(*ledgerOut, ledger.Meta{
+	// before the signal have already been flushed to stdout, and so
+	// have their artifacts (one set per knob, the knob's name spliced in
+	// when every knob is swept).
+	ctx := art.Start(cli.Run{
+		Meta: ledger.Meta{
 			Model: experiments.ModelVersion,
 			Scale: *scale,
 			Flags: map[string]string{"exp": "sweep", "knob": *which, "bench": *bench},
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		// The runner journals through an observation collector.
-		opts.Obs = runner.NewObservations(0)
-		opts.Obs.SetLedger(led)
-	}
-	closeLedger := func() {
-		if err := led.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "hpmmap-sweep: ledger: %v\n", err)
-		}
-	}
+		},
+		Timeout: *timeout,
+		Multi:   *which == "all",
+	})
+	opts := runner.Options{Workers: *workers, Context: ctx}
 	if *verbose {
 		// Serialized sink: the runner never overlaps invocations, so
 		// writing to stderr without locking is safe.
@@ -134,6 +118,8 @@ func main() {
 				}
 			}
 		}
+		obs := art.Observe(k.name)
+		opts.Obs = obs
 		secs, err := runner.Run(opts, plan, func(ctx context.Context, idx int, cell runner.Cell, cellSeed uint64) (float64, error) {
 			var o experiments.ModelOverrides
 			k.apply(&o, vals[idx])
@@ -143,9 +129,11 @@ func main() {
 					kind = mk
 				}
 			}
+			reg, tr := obs.Cell(idx, cell.String())
 			out, err := experiments.ExecuteSingleNodeWithOverrides(experiments.SingleRun{
 				Bench: spec, Kind: kind, Profile: prof, Ranks: cell.Cores,
 				Seed: cellSeed, Scale: experiments.Scale(*scale), Context: ctx,
+				Metrics: reg, Tracer: tr, Series: obs.Series(idx),
 			}, o)
 			if err != nil {
 				return 0, err
@@ -153,9 +141,7 @@ func main() {
 			return out.RuntimeSec, nil
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			closeLedger()
-			os.Exit(1)
+			art.Fatal(err)
 		}
 
 		// Reduce in declaration order: mean per (value, manager).
@@ -180,6 +166,9 @@ func main() {
 				v, hp, th, 100*(th-hp)/th, ht, 100*(ht-hp)/ht)
 		}
 		fmt.Println()
+		if err := art.Flush(); err != nil {
+			art.Fatal(err)
+		}
 	}
-	closeLedger()
+	art.Done()
 }

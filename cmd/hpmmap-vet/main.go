@@ -13,16 +13,11 @@
 // //detsim:allow sweeps run with -allowaudit.enable (`make
 // lint-audit`).
 //
-// Besides the unitchecker protocol, three standalone modes (first
-// argument) support the Makefile lint targets:
+// Besides the unitchecker protocol, one standalone mode (first
+// argument) supports `make lint-audit`:
 //
-//	hpmmap-vet -sarif             convert a `go vet -json` stream on
-//	                              stdin to SARIF 2.1.0 on stdout
 //	hpmmap-vet -list-allows       list every //detsim:allow directive
 //	                              in the tree with file:line and reason
-//	hpmmap-vet -timing-summary F  aggregate the per-analyzer timing log
-//	                              written when HPMMAP_VET_TIMING_FILE
-//	                              is set (see `make lint`)
 //
 // A finding can be suppressed with a `//detsim:allow <reason>` comment
 // on the flagged line or the line above it; the reason is mandatory.
@@ -38,19 +33,8 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "-sarif", "--sarif":
-			os.Exit(sarifMain(os.Args[2:]))
-		case "-list-allows", "--list-allows":
-			os.Exit(listAllowsMain(os.Args[2:]))
-		case "-timing-summary", "--timing-summary":
-			os.Exit(timingSummaryMain(os.Args[2:]))
-		}
+	if len(os.Args) > 1 && (os.Args[1] == "-list-allows" || os.Args[1] == "--list-allows") {
+		os.Exit(listAllowsMain(os.Args[2:]))
 	}
-	azs := analysis.Analyzers()
-	if path := os.Getenv("HPMMAP_VET_TIMING_FILE"); path != "" {
-		wrapTiming(azs, path)
-	}
-	unitchecker.Main(azs...)
+	unitchecker.Main(analysis.Analyzers()...)
 }

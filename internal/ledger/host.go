@@ -8,7 +8,6 @@
 package ledger
 
 import (
-	"encoding/json"
 	"runtime"
 	"time"
 )
@@ -94,18 +93,5 @@ func (l *Ledger) CacheCorrupt(n uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.write(Record{T: TypeCacheCorrupt, Count: n})
-	l.flushLocked()
-}
-
-// BenchRecord embeds a cmd/hpmmap-perf benchmark record verbatim,
-// making BENCH_*.json history queryable through `hpmmap-ledger diff`.
-// raw must be a valid JSON document.
-func (l *Ledger) BenchRecord(raw json.RawMessage) {
-	if l == nil || len(raw) == 0 {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.write(Record{T: TypeBench, Bench: raw})
 	l.flushLocked()
 }

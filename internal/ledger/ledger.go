@@ -19,7 +19,7 @@
 //     and with a cold or warm result cache. Determinism tests pin this
 //     half (see Canonical and internal/experiments' ledger tests).
 //   - The host annex (everything else: host_manifest, cell_host,
-//     cell_retry, cell_timeout, cache_hit/miss/corrupt, bench) carries
+//     cell_retry, cell_timeout, cache_hit/miss/corrupt) carries
 //     wall-clock times, worker IDs, allocation deltas and cache
 //     traffic. Host records stream live in arrival order — this is
 //     what `hpmmap-ledger watch` tails — and are excluded from every
@@ -78,9 +78,6 @@ const (
 	TypeCacheHit     = "cache_hit"
 	TypeCacheMiss    = "cache_miss"
 	TypeCacheCorrupt = "cache_corrupt"
-	// TypeBench embeds a cmd/hpmmap-perf benchmark record, making
-	// BENCH_*.json history queryable through `hpmmap-ledger diff`.
-	TypeBench = "bench"
 )
 
 // Cell statuses recorded by TypeCellFinish.
@@ -156,9 +153,6 @@ type Record struct {
 	Attempt int `json:"attempt,omitempty"`
 	// Count is the corrupt-entry tally (cache_corrupt).
 	Count uint64 `json:"count,omitempty"`
-
-	// Bench is the embedded cmd/hpmmap-perf record (bench).
-	Bench json.RawMessage `json:"bench,omitempty"`
 }
 
 // Meta is the invocation metadata stamped into every plan manifest:
@@ -203,19 +197,6 @@ func New(w io.Writer, meta Meta) *Ledger {
 // Open creates (truncating) a ledger file at path.
 func Open(path string, meta Meta) (*Ledger, error) {
 	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("ledger: %w", err)
-	}
-	l := New(f, meta)
-	l.f = f
-	return l, nil
-}
-
-// OpenAppend opens a ledger that appends to an existing journal (or
-// creates it) — the mode hpmmap-perf uses to attach its bench record to
-// a run's ledger without truncating the run's history.
-func OpenAppend(path string, meta Meta) (*Ledger, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("ledger: %w", err)
 	}

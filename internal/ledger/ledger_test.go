@@ -2,7 +2,6 @@ package ledger
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -85,7 +84,6 @@ func TestRecordStream(t *testing.T) {
 	}
 	drive(l, []int{2, 0, 3, 1}, true)
 	l.CacheCorrupt(3)
-	l.BenchRecord(json.RawMessage(`{"cells_per_sec":5.5}`))
 	if got := l.CanonicalRecords(); got != 1+8+1 { // manifest + 4x(start+finish) + plan_end
 		t.Fatalf("CanonicalRecords = %d, want 10", got)
 	}
@@ -158,7 +156,7 @@ func TestRecordStream(t *testing.T) {
 		count[r.T]++
 	}
 	if count[TypeCellHost] != 4 || count[TypeCellRetry] != 1 || count[TypeCacheHit] != 3 ||
-		count[TypeCacheMiss] != 1 || count[TypeCacheCorrupt] != 1 || count[TypeBench] != 1 {
+		count[TypeCacheMiss] != 1 || count[TypeCacheCorrupt] != 1 {
 		t.Fatalf("host record counts: %v", count)
 	}
 }
@@ -174,7 +172,6 @@ func TestNilLedgerIsNoop(t *testing.T) {
 	l.CacheHit(0)
 	l.CacheMiss(0)
 	l.CacheCorrupt(1)
-	l.BenchRecord(json.RawMessage(`{}`))
 	l.EndPlan()
 	if l.CanonicalRecords() != 0 || l.PlanCount() != 0 {
 		t.Fatal("nil ledger reported counts")

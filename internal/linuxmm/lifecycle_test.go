@@ -180,11 +180,28 @@ func TestSteadyStateChurnBoundsPools(t *testing.T) {
 	}
 }
 
+// TestPooledForkExitAllocates0 pins the lifecycle fast path's claim:
+// with pooling on, a steady-state pod lifetime (spawn, map, touch,
+// finish, reap) allocates nothing; with it off, every lifetime
+// allocates its structs afresh.
+func TestPooledForkExitAllocates0(t *testing.T) {
+	for _, pooled := range []bool{true, false} {
+		e := newEnv(t, ModeTHP, ModeTHP, 0, false)
+		e.node.SetLifecyclePooling(pooled)
+		allocs := testing.AllocsPerRun(100, func() { churn(t, e, 2<<20) })
+		switch {
+		case pooled && allocs != 0:
+			t.Errorf("pooled fork/exit allocates %.1f/op, want 0", allocs)
+		case !pooled && allocs == 0:
+			t.Error("unpooled fork/exit allocates nothing; the pooled check above proves nothing")
+		}
+	}
+}
+
 // BenchmarkForkExit measures the pod-lifetime hot loop with the
-// lifecycle fast path on and off. The pooled variant is the `make
-// bench` gate: it must hold a >= 2x advantage in allocated bytes/op
-// (in practice it is far larger — steady-state churn allocates almost
-// nothing).
+// lifecycle fast path on and off. TestPooledForkExitAllocates0 pins
+// the allocation claim (0 allocs/op pooled, some unpooled); this
+// reports the time.
 func BenchmarkForkExit(b *testing.B) {
 	for _, pooled := range []bool{true, false} {
 		name := "pooled"
