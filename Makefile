@@ -94,12 +94,15 @@ bench-check:
 #  - pgtable/FuzzTable: the page table, UnmapRange above all, against a
 #    leaf-by-leaf teardown twin and a flat model of the live leaves;
 #  - sim/FuzzEngine: the pooled event queue against the container/heap
-#    engine it replaced.
+#    engine it replaced;
+#  - metrics/FuzzParseExposition and ledger/FuzzRead: the decoders of
+#    on-disk bytes never panic, and what they accept round-trips
+#    through WriteOpenMetrics and Marshal to the same bytes.
 # Plain `go test` replays each committed seed corpus
 # (internal/<pkg>/testdata/fuzz/<target>); this explores further. A
 # failing input is written back under that directory.
 FUZZTIME ?= 30s
-FUZZ_TARGETS = mem/FuzzZoneRuns pgtable/FuzzTable sim/FuzzEngine
+FUZZ_TARGETS = mem/FuzzZoneRuns pgtable/FuzzTable sim/FuzzEngine metrics/FuzzParseExposition ledger/FuzzRead
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 	  echo "fuzz: $$t for $(FUZZTIME)"; \

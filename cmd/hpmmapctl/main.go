@@ -12,6 +12,7 @@ import (
 	"os"
 
 	"hpmmap/internal/core"
+	"hpmmap/internal/fault"
 	"hpmmap/internal/kernel"
 	"hpmmap/internal/linuxmm"
 	"hpmmap/internal/pgtable"
@@ -73,23 +74,24 @@ func main() {
 	}
 	fmt.Printf("    backed eagerly with 2MB pages in %.1f ms of simulated time\n",
 		node.Config().Seconds(float64(cost))*1e3)
-	st, err := node.TouchRange(hpc, addr, *mapGB<<30)
-	if err != nil {
+	before := hpc.Faults
+	if _, err := node.TouchRange(hpc, addr, *mapGB<<30); err != nil {
 		fail(err)
 	}
-	fmt.Printf("    first touch of all %dGB: %d page faults\n", *mapGB, st.TotalFaults())
+	fmt.Printf("    first touch of all %dGB: %d page faults\n", *mapGB, hpc.Faults.Since(before).TotalFaults())
 
 	step("commodity-app: mmap(256MB) + touch — Linux demand paging")
 	caddr, _, err := node.Mmap(com, 256<<20, prot, vma.KindAnon)
 	if err != nil {
 		fail(err)
 	}
-	cst, err := node.TouchRange(com, caddr, 256<<20)
-	if err != nil {
+	before = com.Faults
+	if _, err := node.TouchRange(com, caddr, 256<<20); err != nil {
 		fail(err)
 	}
+	cst := com.Faults.Since(before)
 	fmt.Printf("    first touch of 256MB: %d page faults (%d large, %d small)\n",
-		cst.TotalFaults(), cst.Faults[1], cst.Faults[0])
+		cst.TotalFaults(), cst.Faults[fault.KindLarge], cst.Faults[fault.KindSmall])
 
 	step("hpc-app exits — registry entry removed, pool memory returned")
 	node.Exit(hpc)

@@ -271,11 +271,11 @@ type FaultReport struct {
 // time, demand-paging as the active manager dictates. HPMMAP processes
 // take zero faults on valid ranges.
 func (p *Process) Touch(addr, bytes uint64) (FaultReport, error) {
-	st, err := p.sys.node.TouchRange(p.p, pgtable.VirtAddr(addr), bytes)
-	if err != nil {
+	before := p.p.Faults
+	if _, err := p.sys.node.TouchRange(p.p, pgtable.VirtAddr(addr), bytes); err != nil {
 		return FaultReport{}, err
 	}
-	return reportOf(st), nil
+	return reportOf(p.p.Faults.Since(before)), nil
 }
 
 func reportOf(st kernel.TouchStats) FaultReport {

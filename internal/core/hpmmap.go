@@ -51,8 +51,8 @@ type Manager struct {
 	// pressure.
 	pools []*buddy.Allocator
 
-	// registry is the PID hash table of Figure 6.
-	registry map[int]bool
+	// registry holds the registered PIDs: Figure 6's hash table.
+	registry pidSet
 
 	// Use1GPages maps regions of 1GB or more with 1GB pages where the
 	// pool has gigabyte-contiguous blocks ("2MB by default, but up to 1GB
@@ -103,7 +103,6 @@ func Install(node *kernel.Node, offlineBytes uint64) (*Manager, error) {
 		node:             node,
 		rand:             node.Rand().Split(),
 		pools:            pools,
-		registry:         make(map[int]bool),
 		AllocBookkeeping: 350,
 		PTSetupCost:      250,
 	}
@@ -133,8 +132,8 @@ func coalesce(extents []mem.Extent) []mem.Extent {
 // Uninstall removes the interposition hook. Registered processes must
 // have exited first.
 func (m *Manager) Uninstall() error {
-	if len(m.registry) != 0 {
-		return fmt.Errorf("hpmmap: %d processes still registered", len(m.registry))
+	if m.registry.n != 0 {
+		return fmt.Errorf("hpmmap: %d processes still registered", m.registry.n)
 	}
 	m.node.SetInterposer(nil)
 	return nil
@@ -214,12 +213,12 @@ func (m *Manager) Name() string { return "hpmmap" }
 
 // Registered implements kernel.Interposer: the hash-table check on every
 // interposed system call.
-func (m *Manager) Registered(pid int) bool { return m.registry[pid] }
+func (m *Manager) Registered(pid int) bool { return m.registry.has(pid) }
 
 // Register inserts a PID into the hash table. The paper's launch tool
 // calls this before exec.
 func (m *Manager) Register(pid int) {
-	m.registry[pid] = true
+	m.registry.add(pid)
 	m.Registrations++
 }
 
@@ -309,7 +308,7 @@ func (m *Manager) Detach(p *kernel.Process) {
 	}
 	ps.regions = make(map[pgtable.VirtAddr]*region)
 	ps.order = nil
-	delete(m.registry, p.PID)
+	m.registry.remove(p.PID)
 }
 
 // DetachReap implements kernel.ReapDetacher: identical teardown to
@@ -329,7 +328,7 @@ func (m *Manager) DetachReap(p *kernel.Process) {
 	ps.cursor, ps.heap, ps.brk = 0, nil, 0
 	m.psPool = append(m.psPool, ps)
 	p.SetMMState(nil)
-	delete(m.registry, p.PID)
+	m.registry.remove(p.PID)
 }
 
 func (m *Manager) release(p *kernel.Process, r *region) {
@@ -565,15 +564,15 @@ func (m *Manager) Mprotect(p *kernel.Process, addr pgtable.VirtAddr, length uint
 // page faults at all — the defining property of on-request allocation.
 //
 //detsim:hotpath
-func (m *Manager) TouchRange(p *kernel.Process, addr pgtable.VirtAddr, length uint64) (kernel.TouchStats, error) {
+func (m *Manager) TouchRange(p *kernel.Process, addr pgtable.VirtAddr, length uint64) (sim.Cycles, error) {
 	ps := state(p)
 	r := findRegion(ps, addr)
 	if r == nil || uint64(addr)+length > uint64(r.start)+r.length {
 		// An HPMMAP process accessing unmapped memory is a segfault, not
 		// a demand-paging opportunity.
-		return kernel.TouchStats{}, fmt.Errorf("hpmmap: segfault at %#x (pid %d)", uint64(addr), p.PID)
+		return 0, fmt.Errorf("hpmmap: segfault at %#x (pid %d)", uint64(addr), p.PID)
 	}
-	return kernel.TouchStats{}, nil
+	return 0, nil
 }
 
 // PageSizeAt implements kernel.MemoryManager: everything is large-page

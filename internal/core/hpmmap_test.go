@@ -34,6 +34,14 @@ func newEnv(t testing.TB, offline uint64, detail bool) *env {
 	return &env{eng: eng, node: node, hp: hp}
 }
 
+// touch runs one Node.TouchRange and returns the faults it charged: the
+// change in p.Faults over the call.
+func (e *env) touch(p *kernel.Process, addr pgtable.VirtAddr, length uint64) (kernel.TouchStats, error) {
+	before := p.Faults
+	_, err := e.node.TouchRange(p, addr, length)
+	return p.Faults.Since(before), err
+}
+
 func TestInstallOfflinesMemory(t *testing.T) {
 	e := newEnv(t, 12<<30, false)
 	// 12GB gone from Linux.
@@ -101,7 +109,7 @@ func TestOnRequestAllocationNoFaults(t *testing.T) {
 		t.Fatalf("eager mmap cost %d outside expected band", cost)
 	}
 	// No faults, ever.
-	st, err := e.node.TouchRange(p, addr, 1<<30)
+	st, err := e.touch(p, addr, 1<<30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +139,7 @@ func TestStackEagerlyMapped(t *testing.T) {
 	e := newEnv(t, 12<<30, false)
 	p, _ := e.hp.Launch("app", 0)
 	// The stack region exists at RegionBase; touching it takes no faults.
-	st, err := e.node.TouchRange(p, RegionBase, stackBytes)
+	st, err := e.touch(p, RegionBase, stackBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +173,7 @@ func TestBrkEager(t *testing.T) {
 	if cost < 10e6 {
 		t.Fatalf("eager brk cost %d too cheap", cost)
 	}
-	st, err := e.node.TouchRange(p, base, 100<<20)
+	st, err := e.touch(p, base, 100<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +252,7 @@ func TestIsolationFromCommodityPressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := e.node.TouchRange(p, addr, 1<<30)
+	st, err := e.touch(p, addr, 1<<30)
 	if err != nil || st.TotalFaults() != 0 {
 		t.Fatalf("isolation violated: %v %+v", err, st.Faults)
 	}
@@ -336,7 +344,7 @@ func TestUse1GPages(t *testing.T) {
 		t.Fatal("no 1GB PTEs")
 	}
 	// Touch is still fault-free; teardown returns everything.
-	if st, err := e.node.TouchRange(p, addr, 3<<30); err != nil || st.TotalFaults() != 0 {
+	if st, err := e.touch(p, addr, 3<<30); err != nil || st.TotalFaults() != 0 {
 		t.Fatalf("touch: %v %+v", err, st)
 	}
 	e.node.Exit(p)

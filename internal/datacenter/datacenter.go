@@ -509,11 +509,11 @@ func (a *Agent) touchSlices(p *kernel.Process, class Class, addr pgtable.VirtAdd
 		if off+n > bytes {
 			n = bytes - off
 		}
-		st, err := a.node.TouchRange(p, addr+pgtable.VirtAddr(off), n)
+		cost, err := a.node.TouchRange(p, addr+pgtable.VirtAddr(off), n)
 		if err != nil {
 			return
 		}
-		c := uint64(st.Total())
+		c := uint64(cost)
 		a.TouchHist[class].Observe(c)
 		a.m.touch.Observe(c)
 	}

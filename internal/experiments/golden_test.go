@@ -13,8 +13,9 @@ import (
 // the fault/allocation hot path must preserve the PRNG draw sequence and
 // all charged-cycle arithmetic exactly, so every figure artifact stays
 // byte-identical. These tests render a reduced fig2/fig3 fault table, a
-// fig7 and fig8 panel, the chaos-study table and the attribution report
-// at Workers=1 and Workers=8 (cold and, for fig7, warm cache) and
+// fig7 and fig8 panel, the chaos-study table, the attribution report and
+// the datacenter-study table at Workers=1 and Workers=8 (cold and, for
+// the cached studies, warm cache) and
 // compare them byte-for-byte against the goldens committed under
 // testdata/golden — captured from the tree as it stood before the hot
 // path was restructured. Every future perf PR runs through this net.
@@ -30,7 +31,8 @@ const goldenDir = "testdata/golden"
 // few cells) so the contract test stays fast while still crossing every
 // hot-path layer: THP and HugeTLBfs micro-fidelity fault tables (fig2,
 // fig3), the aggregate-fidelity weak-scaling grid (fig7), the multi-node
-// study (fig8), the chaos sweep and the barrier attribution report.
+// study (fig8), the chaos sweep, the barrier attribution report and the
+// datacenter agent's pod churn, touch tails and OOM kills.
 func renderGoldenArtifacts(t *testing.T, workers int, cache *runner.Cache) map[string][]byte {
 	t.Helper()
 	out := make(map[string][]byte)
@@ -117,6 +119,23 @@ func renderGoldenArtifacts(t *testing.T, workers int, cache *runner.Cache) map[s
 			return err
 		}
 		return WriteAttributionStudy(w, cells)
+	})
+	render("datacenter.txt", func(w *bytes.Buffer) error {
+		s, err := DatacenterStudyRun(DatacenterStudyOptions{
+			Churns:      []float64{0, 200},
+			Intensities: []float64{0, 1},
+			Ranks:       2,
+			Runs:        1,
+			Seed:        77,
+			Scale:       0.1,
+			Workers:     workers,
+			Cache:       cache,
+		})
+		if err != nil {
+			return err
+		}
+		WriteDatacenterStudy(w, s)
+		return nil
 	})
 	return out
 }

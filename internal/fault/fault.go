@@ -149,10 +149,6 @@ type Load struct {
 	// AllocContention in [0,1]: zone/LRU lock contention from concurrent
 	// allocators.
 	AllocContention float64
-	// FragIndex in [0,1]: fragmentation index of the preferred zone at
-	// 2MB order; drives compaction probability. Negative means a 2MB
-	// block is free right now.
-	FragIndex float64
 }
 
 // Clear2MCycles returns the cost of zeroing one 2MB page under the given
@@ -177,7 +173,7 @@ func (c *CostParams) SmallFault(r *sim.Rand, load Load) sim.Cycles {
 
 // LargeFault returns the cycles to service a THP 2MB fault.
 // needCompaction reports whether the allocator had to compact (callers
-// decide from allocator state; pass load.FragIndex-driven decisions in).
+// decide from allocator state).
 func (c *CostParams) LargeFault(r *sim.Rand, load Load, needCompaction bool) sim.Cycles {
 	base := c.TrapOverhead + c.LargeAllocBase + c.Clear2MCycles(load)
 	base *= 1 + c.LockContention*load.AllocContention

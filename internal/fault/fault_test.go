@@ -9,8 +9,8 @@ import (
 
 var (
 	noLoad   = Load{}
-	modLoad  = Load{MemPressure: 0.7, BandwidthLoad: 0.5, AllocContention: 0.3, FragIndex: 0.6}
-	fullLoad = Load{MemPressure: 1, BandwidthLoad: 1, AllocContention: 1, FragIndex: 0.9}
+	modLoad  = Load{MemPressure: 0.7, BandwidthLoad: 0.5, AllocContention: 0.3}
+	fullLoad = Load{MemPressure: 1, BandwidthLoad: 1, AllocContention: 1}
 )
 
 func sampleCycles(n int, f func(r *sim.Rand) sim.Cycles) (mean, stdev float64) {

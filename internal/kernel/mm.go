@@ -33,9 +33,10 @@ type MemoryManager interface {
 
 	// TouchRange simulates the process accessing every page of
 	// [addr, addr+length) for the first time, charging demand-paging
-	// faults as the manager's policy dictates. Eager managers (HPMMAP)
-	// return zero faults for validly mapped ranges.
-	TouchRange(p *Process, addr pgtable.VirtAddr, length uint64) (TouchStats, error)
+	// faults to p.Faults as the manager's policy dictates, and returns
+	// the cycles it charged there. Eager managers (HPMMAP) charge
+	// nothing for validly mapped ranges.
+	TouchRange(p *Process, addr pgtable.VirtAddr, length uint64) (sim.Cycles, error)
 
 	// PageSizeAt reports the mapping granularity backing addr, for the
 	// TLB model.
@@ -59,7 +60,7 @@ type ReapDetacher interface {
 	DetachReap(p *Process)
 }
 
-// TouchStats aggregates the faults charged by a TouchRange call.
+// TouchStats aggregates the faults charged to a process (Process.Faults).
 type TouchStats struct {
 	Faults [fault.NumKinds]uint64
 	Cycles [fault.NumKinds]sim.Cycles
@@ -84,11 +85,14 @@ func (t TouchStats) TotalFaults() uint64 {
 	return n
 }
 
-// Add accumulates other into t.
-func (t *TouchStats) Add(other TouchStats) {
-	for k := 0; k < fault.NumKinds; k++ {
-		t.Faults[k] += other.Faults[k]
-		t.Cycles[k] += other.Cycles[k]
+// Since returns the faults charged between an earlier snapshot of the
+// same process's Faults, before, and t: the per-kind report of the
+// calls in between.
+func (t TouchStats) Since(before TouchStats) TouchStats {
+	for k := range t.Faults {
+		t.Faults[k] -= before.Faults[k]
+		t.Cycles[k] -= before.Cycles[k]
 	}
-	t.Stalls += other.Stalls
+	t.Stalls -= before.Stalls
+	return t
 }

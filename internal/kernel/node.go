@@ -44,6 +44,14 @@ type Node struct {
 	// with every fork over a macro run).
 	runningCommodity int
 
+	// bwSum caches the node-wide bandwidth weight that
+	// bandwidthLoadExcluding starts from. arrive and depart, the only
+	// writers of the per-core counts and weights it sums, clear bwValid,
+	// and the next read reruns the same loop, so the float is the one a
+	// fresh scan would give.
+	bwSum   float64
+	bwValid bool
+
 	// Page cache, one FIFO run queue per zone. Blocks are order-3
 	// (32KB) so commodity file I/O fragments large-page-sized regions
 	// realistically. pcRuns is PageCacheAdd's AllocRun scratch.
@@ -385,8 +393,9 @@ func (n *Node) Mprotect(p *Process, addr pgtable.VirtAddr, length uint64, prot p
 }
 
 // TouchRange drives first-touch accesses over a range through the fault
-// path of the owning manager.
-func (n *Node) TouchRange(p *Process, addr pgtable.VirtAddr, length uint64) (TouchStats, error) {
+// path of the owning manager and returns the fault cycles it charged to
+// p.Faults; the per-kind counts are the change in p.Faults over the call.
+func (n *Node) TouchRange(p *Process, addr pgtable.VirtAddr, length uint64) (sim.Cycles, error) {
 	return n.mmFor(p).TouchRange(p, addr, length)
 }
 
@@ -395,10 +404,12 @@ func (n *Node) PageSizeAt(p *Process, addr pgtable.VirtAddr) pgtable.PageSize {
 	return n.mmFor(p).PageSizeAt(p, addr)
 }
 
-// TouchStack drives first-touch over `bytes` of the process stack.
-func (n *Node) TouchStack(p *Process, bytes uint64) (TouchStats, error) {
-	addr, length := n.mmFor(p).StackRange(p, bytes)
-	return n.mmFor(p).TouchRange(p, addr, length)
+// TouchStack drives first-touch over `bytes` of the process stack and
+// returns the fault cycles charged, as TouchRange does.
+func (n *Node) TouchStack(p *Process, bytes uint64) (sim.Cycles, error) {
+	mm := n.mmFor(p)
+	addr, length := mm.StackRange(p, bytes)
+	return mm.TouchRange(p, addr, length)
 }
 
 // --- Load snapshot --------------------------------------------------------
@@ -434,8 +445,6 @@ func (n *Node) CommitPressure() float64 {
 
 // LoadFor captures the system conditions a fault by p executes under.
 func (n *Node) LoadFor(p *Process) fault.Load {
-	z := n.Mem.Zones[p.PreferredZone]
-	frag := z.FragmentationIndex(mem.LargePageOrder)
 	// Allocation contention: commodity tasks running right now, relative
 	// to core count. runningCommodity is maintained by arrive/depart;
 	// a commodity process excludes its own running tasks.
@@ -455,7 +464,6 @@ func (n *Node) LoadFor(p *Process) fault.Load {
 		MemPressure:     pressure,
 		BandwidthLoad:   n.bandwidthLoadExcluding(p),
 		AllocContention: alloc,
-		FragIndex:       frag,
 	}
 }
 

@@ -62,6 +62,7 @@ func (n *Node) arrive(t *Task) {
 	c := &n.cores[t.cur]
 	c.runnable++
 	c.bwWeight += t.BandwidthWeight
+	n.bwValid = false
 }
 
 // depart removes the task from its core's runqueue.
@@ -77,6 +78,7 @@ func (n *Node) depart(t *Task) {
 	c := &n.cores[t.cur]
 	c.runnable--
 	c.bwWeight -= t.BandwidthWeight
+	n.bwValid = false
 	if c.runnable < 0 {
 		// Simulated-state violation: more departures than arrivals —
 		// runqueue accounting went negative on this core.
@@ -152,13 +154,17 @@ func (n *Node) CPULoad() float64 {
 // contribution is the average weight of its runnable tasks, not the sum.
 // Bandwidth saturates at roughly half the core count of streaming tasks.
 func (n *Node) bandwidthLoadExcluding(p *Process) float64 {
-	var w float64
-	for i := range n.cores {
-		c := &n.cores[i]
-		if c.runnable > 0 {
-			w += c.bwWeight / float64(c.runnable)
+	if !n.bwValid {
+		var w float64
+		for i := range n.cores {
+			c := &n.cores[i]
+			if c.runnable > 0 {
+				w += c.bwWeight / float64(c.runnable)
+			}
 		}
+		n.bwSum, n.bwValid = w, true
 	}
+	w := n.bwSum
 	// Subtract p's own running tasks' time-shared contribution. p.tasks
 	// preserves creation order, so the subtraction sequence (and thus the
 	// float result) matches the old whole-node scan exactly.

@@ -108,7 +108,6 @@ func (m *Manager) cowTouch(tc *touchCtx, from, to uint64) {
 	// charged on top of the fault service time.
 	copyCost := sim.Cycles(2 * float64(bytes) / (2 << 20) * m.node.Costs().Clear2MCycles(tc.load))
 	tc.cum += copyCost
-	tc.stats.Cycles[fault.KindSmall] += copyCost
 	tc.p.Faults.Cycles[fault.KindSmall] += copyCost
 }
 

@@ -104,7 +104,7 @@ func TestExitReapRecyclesStructsClean(t *testing.T) {
 	if a2 != a1 {
 		t.Fatalf("recycled address space maps at %#x, newborn mapped at %#x", a2, a1)
 	}
-	st, err := e.node.TouchRange(p2, a2, 64<<20)
+	st, err := e.touch(p2, a2, 64<<20)
 	if err != nil {
 		t.Fatal(err)
 	}

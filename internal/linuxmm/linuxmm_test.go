@@ -38,6 +38,14 @@ func newEnv(t testing.TB, hpc, commodity Mode, hugetlbBytes uint64, detail bool)
 	return &env{eng: eng, node: node, mgr: mgr}
 }
 
+// touch runs one Node.TouchRange and returns the faults it charged: the
+// change in p.Faults over the call.
+func (e *env) touch(p *kernel.Process, addr pgtable.VirtAddr, length uint64) (kernel.TouchStats, error) {
+	before := p.Faults
+	_, err := e.node.TouchRange(p, addr, length)
+	return p.Faults.Since(before), err
+}
+
 func (e *env) proc(t testing.TB, commodity bool) *kernel.Process {
 	t.Helper()
 	p, err := e.node.NewProcess("p", commodity, 0)
@@ -76,7 +84,7 @@ func TestTouchMaterializesWithTHP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := e.node.TouchRange(p, addr, 64<<20)
+	st, err := e.touch(p, addr, 64<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +101,7 @@ func TestTouchMaterializesWithTHP(t *testing.T) {
 		t.Fatalf("large fault avg %v outside calibration", avg)
 	}
 	// Touching again faults nothing.
-	st2, _ := e.node.TouchRange(p, addr, 64<<20)
+	st2, _ := e.touch(p, addr, 64<<20)
 	if st2.TotalFaults() != 0 {
 		t.Fatalf("re-touch faulted %d times", st2.TotalFaults())
 	}
@@ -103,7 +111,7 @@ func TestTouch4KOnlyMode(t *testing.T) {
 	e := newEnv(t, Mode4KOnly, Mode4KOnly, 0, false)
 	p := e.proc(t, false)
 	addr, _, _ := e.node.Mmap(p, 8<<20, rw, vma.KindAnon)
-	st, err := e.node.TouchRange(p, addr, 8<<20)
+	st, err := e.touch(p, addr, 8<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +132,7 @@ func TestUnalignedRegionEdgesGoSmall(t *testing.T) {
 	// Default placement is 4KB-granular: a region of odd size lands
 	// unaligned and its edges cannot be 2MB-mapped.
 	addr, _, _ := e.node.Mmap(p, 8<<20+12<<10, rw, vma.KindAnon)
-	st, err := e.node.TouchRange(p, addr, 8<<20+12<<10)
+	st, err := e.touch(p, addr, 8<<20+12<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +148,7 @@ func TestStackFaultsAreSmallAndDescending(t *testing.T) {
 	e := newEnv(t, ModeTHP, ModeTHP, 0, false)
 	p := e.proc(t, false)
 	top := p.Space.Layout().StackTop
-	st, err := e.node.TouchRange(p, top-pgtable.VirtAddr(64<<10), 64<<10)
+	st, err := e.touch(p, top-pgtable.VirtAddr(64<<10), 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +156,7 @@ func TestStackFaultsAreSmallAndDescending(t *testing.T) {
 		t.Fatalf("stack touch small faults %d, want 16", st.Faults[fault.KindSmall])
 	}
 	// Deeper touch faults only the delta.
-	st2, _ := e.node.TouchRange(p, top-pgtable.VirtAddr(128<<10), 128<<10)
+	st2, _ := e.touch(p, top-pgtable.VirtAddr(128<<10), 128<<10)
 	if st2.Faults[fault.KindSmall] != 16 {
 		t.Fatalf("deeper stack touch faulted %d, want 16", st2.Faults[fault.KindSmall])
 	}
@@ -165,7 +173,7 @@ func TestBrkHeapGrowth(t *testing.T) {
 	if nb != start+pgtable.VirtAddr(32<<20) {
 		t.Fatalf("brk returned %#x", uint64(nb))
 	}
-	st, err := e.node.TouchRange(p, start, 32<<20)
+	st, err := e.touch(p, start, 32<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +189,7 @@ func TestHugeTLBSlabFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := e.node.TouchRange(p, addr, 256<<20)
+	st, err := e.touch(p, addr, 256<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +214,7 @@ func TestHugeTLBStackStaysSmall(t *testing.T) {
 	e := newEnv(t, ModeHugeTLB, Mode4KOnly, 2<<30, false)
 	p := e.proc(t, false)
 	top := p.Space.Layout().StackTop
-	st, err := e.node.TouchRange(p, top-pgtable.VirtAddr(1<<20), 1<<20)
+	st, err := e.touch(p, top-pgtable.VirtAddr(1<<20), 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +287,7 @@ func TestTHPFallbackUnderFragmentation(t *testing.T) {
 		e.node.PageCacheAdd(z.ID, n*mem.PageSize)
 	}
 	addr, _, _ := e.node.Mmap(p, 64<<20, rw, vma.KindAnon)
-	st, err := e.node.TouchRange(p, addr, 64<<20)
+	st, err := e.touch(p, addr, 64<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +315,7 @@ func TestReclaimStormsWhenMemoryExhausted(t *testing.T) {
 	}
 	// Now the HPC process's small faults (stack) contend hard.
 	top := p.Space.Layout().StackTop
-	st, err := e.node.TouchRange(p, top-pgtable.VirtAddr(4<<20), 4<<20)
+	st, err := e.touch(p, top-pgtable.VirtAddr(4<<20), 4<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +374,7 @@ func TestMprotectFragmentsTHPSpan(t *testing.T) {
 	if _, err := e.node.Mprotect(p, addr+4096, 4096, pgtable.ProtRead); err != nil {
 		t.Fatal(err)
 	}
-	st, err := e.node.TouchRange(p, addr, 16<<20)
+	st, err := e.touch(p, addr, 16<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +389,7 @@ func TestMergeStallsConsumedAsMergeFaults(t *testing.T) {
 	p := e.proc(t, false)
 	addr, _, _ := e.node.Mmap(p, 8<<20, rw, vma.KindAnon)
 	p.PendingMergeCosts = append(p.PendingMergeCosts, 1_000_000, 2_000_000)
-	st, err := e.node.TouchRange(p, addr, 1<<20)
+	st, err := e.touch(p, addr, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,11 +422,11 @@ func TestCommodityModeSelection(t *testing.T) {
 	build := e.proc(t, true)
 	a1, _, _ := e.node.Mmap(hpc, 64<<20, rw, vma.KindAnon)
 	a2, _, _ := e.node.Mmap(build, 64<<20, rw, vma.KindAnon)
-	s1, err := e.node.TouchRange(hpc, a1, 64<<20)
+	s1, err := e.touch(hpc, a1, 64<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := e.node.TouchRange(build, a2, 64<<20)
+	s2, err := e.touch(build, a2, 64<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +443,7 @@ func TestAggregateAndDetailFaultCountsAgree(t *testing.T) {
 		e := newEnv(t, ModeTHP, ModeTHP, 0, detail)
 		p := e.proc(t, false)
 		addr, _, _ := e.node.Mmap(p, 24<<20+64<<10, rw, vma.KindAnon)
-		st, err := e.node.TouchRange(p, addr, 24<<20+64<<10)
+		st, err := e.touch(p, addr, 24<<20+64<<10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -523,7 +531,7 @@ func TestMlockAllSplitsTHPPages(t *testing.T) {
 		t.Fatalf("%d 2MB PTEs survive mlockall", p.PT.Mapped2M)
 	}
 	// Future touches in the region stay small (THP defeated).
-	st, err := e.node.TouchRange(p, addr, 32<<20)
+	st, err := e.touch(p, addr, 32<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,7 +605,7 @@ func TestForkIsCOWCheap(t *testing.T) {
 		t.Fatalf("fork cost %d below PTE-copy floor %d", cost, wantMin)
 	}
 	// The child's first writes take COW faults that allocate + copy.
-	st, err := e.node.TouchRange(child, addr, 64<<20)
+	st, err := e.touch(child, addr, 64<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -705,11 +713,11 @@ func TestPartialTouchThenFullTouch(t *testing.T) {
 	e := newEnv(t, ModeTHP, ModeTHP, 0, false)
 	p := e.proc(t, false)
 	addr, _, _ := e.node.Mmap(p, 16<<20, rw, vma.KindAnon)
-	st1, err := e.node.TouchRange(p, addr, 5<<20+12<<10)
+	st1, err := e.touch(p, addr, 5<<20+12<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, err := e.node.TouchRange(p, addr, 16<<20)
+	st2, err := e.touch(p, addr, 16<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -722,7 +730,7 @@ func TestPartialTouchThenFullTouch(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no faults")
 	}
-	st3, _ := e.node.TouchRange(p, addr, 16<<20)
+	st3, _ := e.touch(p, addr, 16<<20)
 	if st3.TotalFaults() != 0 {
 		t.Fatal("third touch faulted")
 	}

@@ -19,21 +19,17 @@ const maxSmallBlockOrder = 8
 
 // touchCtx carries one TouchRange invocation's running state.
 type touchCtx struct {
-	p     *kernel.Process
-	r     *region
-	load  fault.Load
-	stats kernel.TouchStats
-	cum   sim.Cycles // accumulated cost, for trace timestamp interpolation
+	p    *kernel.Process
+	r    *region
+	load fault.Load
+	// cum is the fault cost charged to p.Faults so far in this call: the
+	// call's return, and the offset of each recorded fault's timestamp.
+	cum sim.Cycles
 }
 
 // charge books one fault.
 func (tc *touchCtx) charge(m *Manager, k fault.Kind, cost sim.Cycles, va pgtable.VirtAddr, stalled bool) {
 	tc.cum += cost
-	tc.stats.Faults[k]++
-	tc.stats.Cycles[k] += cost
-	if stalled {
-		tc.stats.Stalls++
-	}
 	tc.p.RecordFault(m.node.Now()+tc.cum, k, cost, va, stalled)
 }
 
@@ -43,8 +39,6 @@ func (tc *touchCtx) chargeBulk(k fault.Kind, n uint64, total sim.Cycles) {
 		return
 	}
 	tc.cum += total
-	tc.stats.Faults[k] += n
-	tc.stats.Cycles[k] += total
 	tc.p.RecordFaultBulk(k, n, total)
 }
 
@@ -52,15 +46,15 @@ func (tc *touchCtx) chargeBulk(k fault.Kind, n uint64, total sim.Cycles) {
 // [addr, addr+length); unmaterialized pages fault.
 //
 //detsim:hotpath
-func (m *Manager) TouchRange(p *kernel.Process, addr pgtable.VirtAddr, length uint64) (kernel.TouchStats, error) {
+func (m *Manager) TouchRange(p *kernel.Process, addr pgtable.VirtAddr, length uint64) (sim.Cycles, error) {
 	ps := state(p)
 	r := ps.findRegion(addr)
 	if r == nil {
-		return kernel.TouchStats{}, fmt.Errorf("linuxmm: touch of unmapped address %#x (pid %d)", uint64(addr), p.PID)
+		return 0, fmt.Errorf("linuxmm: touch of unmapped address %#x (pid %d)", uint64(addr), p.PID)
 	}
 	end := uint64(addr) + length
 	if end > uint64(r.start)+r.length {
-		return kernel.TouchStats{}, fmt.Errorf("linuxmm: touch [%#x,+%#x) crosses region end", uint64(addr), length)
+		return 0, fmt.Errorf("linuxmm: touch [%#x,+%#x) crosses region end", uint64(addr), length)
 	}
 	// Reuse the manager's scratch context: TouchRange does not reenter
 	// (the fallback paths — reclaim, swap-out, OOM kill — never touch),
@@ -81,7 +75,7 @@ func (m *Manager) TouchRange(p *kernel.Process, addr pgtable.VirtAddr, length ui
 		target = end - uint64(r.start)
 	}
 	if target <= r.touched {
-		return tc.stats, nil // fully resident already
+		return tc.cum, nil // fully resident already
 	}
 
 	from := r.touched
@@ -92,7 +86,7 @@ func (m *Manager) TouchRange(p *kernel.Process, addr pgtable.VirtAddr, length ui
 	default:
 		m.touchDemand(tc, from, target)
 	}
-	return tc.stats, nil
+	return tc.cum, nil
 }
 
 // consumeMergeStalls charges one blocked fault per completed merge window.

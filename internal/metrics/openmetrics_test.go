@@ -175,6 +175,10 @@ func TestParseExpositionRejectsMalformed(t *testing.T) {
 		"blank name":   "  0\n# EOF",
 		"invalid name": "# TYPE A gauge\nA-1 1\n# EOF\n",
 		"labels only":  "{le=\"1\"} 1\n# EOF\n",
+		// Once read through a float conversion, which wrapped a
+		// negative sum to 2^64-1 and rewrote it as 2^63.
+		"negative histogram sum": "# TYPE h histogram\nh_sum -1\n# EOF\n",
+		"fractional bucket":      "# TYPE h histogram\nh_bucket{le=\"1\"} 0.5\n# EOF\n",
 	}
 	for name, in := range cases {
 		if _, err := ParseExposition(strings.NewReader(in)); err == nil {

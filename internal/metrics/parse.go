@@ -101,7 +101,10 @@ func ParseExposition(r io.Reader) (Snapshot, error) {
 			if err != nil {
 				return Snapshot{}, fmt.Errorf("metrics: line %d: bad le %q", line, le)
 			}
-			cum := uint64(val)
+			cum, err := histValue(valText, line)
+			if err != nil {
+				return Snapshot{}, err
+			}
 			if cum < prevCum[family] {
 				return Snapshot{}, fmt.Errorf("metrics: line %d: non-monotonic bucket in %s", line, family)
 			}
@@ -110,15 +113,28 @@ func ParseExposition(r io.Reader) (Snapshot, error) {
 			}
 			prevCum[family] = cum
 		case histSuffix(name, "_sum", kinds):
-			get(strings.TrimSuffix(name, "_sum"), KindHistogram).Sum = uint64(val)
+			sum, err := histValue(valText, line)
+			if err != nil {
+				return Snapshot{}, err
+			}
+			get(strings.TrimSuffix(name, "_sum"), KindHistogram).Sum = sum
 		case histSuffix(name, "_count", kinds):
-			get(strings.TrimSuffix(name, "_count"), KindHistogram).Count = uint64(val)
+			n, err := histValue(valText, line)
+			if err != nil {
+				return Snapshot{}, err
+			}
+			get(strings.TrimSuffix(name, "_count"), KindHistogram).Count = n
 		default:
 			kind, ok := kinds[name]
 			if k, isCounter := kinds[strings.TrimSuffix(name, "_total")]; !ok && isCounter && k == KindCounter {
 				kind = KindCounter
 			} else if !ok {
 				kind = KindGauge // untyped samples diff as gauges
+			}
+			if kind == KindCounter && !strings.HasSuffix(name, "_total") {
+				// A counter sample named after its family: keep it in
+				// exposition form, as WriteOpenMetrics writes it.
+				name += "_total"
 			}
 			get(name, kind).Value = val
 		}
@@ -134,6 +150,18 @@ func ParseExposition(r io.Reader) (Snapshot, error) {
 		out.Metrics = append(out.Metrics, *metrics[name])
 	}
 	return out, nil
+}
+
+// histValue parses a histogram bucket, sum or count sample's value.
+// The model holds these as uint64 and WriteOpenMetrics writes them as
+// unsigned integers, so anything else (a sign, a fraction, an exponent)
+// is malformed rather than rounded into range.
+func histValue(text string, line int) (uint64, error) {
+	v, err := strconv.ParseUint(text, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("metrics: line %d: bad histogram value %q", line, text)
+	}
+	return v, nil
 }
 
 // histSuffix reports whether name is a histogram sample of the given

@@ -27,6 +27,14 @@ func newEnv(t *testing.T) *env {
 	return &env{eng: eng, node: node, mgr: mgr, d: d}
 }
 
+// touch runs one Node.TouchRange and returns the faults it charged: the
+// change in p.Faults over the call.
+func (e *env) touch(p *kernel.Process, addr pgtable.VirtAddr, length uint64) (kernel.TouchStats, error) {
+	before := p.Faults
+	_, err := e.node.TouchRange(p, addr, length)
+	return p.Faults.Since(before), err
+}
+
 // forceFallbacks creates a process whose THP faults all fall back small.
 func forceFallbacks(t *testing.T, e *env) *kernel.Process {
 	t.Helper()
@@ -88,7 +96,7 @@ func TestMergesDepositStalls(t *testing.T) {
 	}
 	// Trigger fault activity and observe the merge-blocked charge.
 	addr, _, _ := e.node.Mmap(p, 1<<20, pgtable.ProtRead|pgtable.ProtWrite, vma.KindAnon)
-	st, err := e.node.TouchRange(p, addr, 1<<20)
+	st, err := e.touch(p, addr, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}

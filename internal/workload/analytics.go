@@ -96,8 +96,8 @@ func (a *Analytics) pass(id int) {
 	addr, c, err := a.node.Mmap(p, size, rw, vma.KindAnon)
 	if err == nil {
 		stall += c
-		if st, terr := a.node.TouchRange(p, addr, size); terr == nil {
-			stall += st.Total()
+		if fc, terr := a.node.TouchRange(p, addr, size); terr == nil {
+			stall += fc
 		}
 	}
 	cpu := a.rand.Jitter(a.spec.ComputePerPass, 0.2)

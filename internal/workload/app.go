@@ -225,12 +225,12 @@ func (r *rankState) begin() {
 	spec := r.app.opts.Spec
 	node := r.node
 	// Stack.
-	st, err := node.TouchStack(r.p, spec.StackBytes)
+	fc, err := node.TouchStack(r.p, spec.StackBytes)
 	if err != nil {
 		r.app.fail(err)
 		return
 	}
-	r.stall += st.Total()
+	r.stall += fc
 
 	// Big arrays: mmap everything up front (demand-paged managers charge
 	// almost nothing here; HPMMAP performs its eager on-request backing).
@@ -265,12 +265,12 @@ func (r *rankState) begin() {
 				return
 			}
 			r.stall += c
-			st, err := node.TouchRange(r.p, addr, shm)
+			fc, err := node.TouchRange(r.p, addr, shm)
 			if err != nil {
 				r.app.fail(err)
 				return
 			}
-			r.stall += st.Total()
+			r.stall += fc
 		}
 	}
 
@@ -311,12 +311,12 @@ func (r *rankState) setup() {
 			regTarget = reg.size
 		}
 		if regTarget > reg.touched {
-			st, err := r.node.TouchRange(r.p, reg.addr, regTarget)
+			fc, err := r.node.TouchRange(r.p, reg.addr, regTarget)
 			if err != nil {
 				r.app.fail(err)
 				return
 			}
-			r.stall += st.Total()
+			r.stall += fc
 			reg.touched = regTarget
 		}
 		cum += reg.size
@@ -367,11 +367,11 @@ func (r *rankState) growHeap(target uint64) error {
 			return err
 		}
 		r.stall += c
-		st, err := r.node.TouchRange(r.p, r.heapBase+pgtable.VirtAddr(r.heapLen), step)
+		fc, err := r.node.TouchRange(r.p, r.heapBase+pgtable.VirtAddr(r.heapLen), step)
 		if err != nil {
 			return err
 		}
-		r.stall += st.Total()
+		r.stall += fc
 		r.heapLen += step
 	}
 	return nil
@@ -405,12 +405,12 @@ func (r *rankState) iterate() {
 		}
 		r.stall += c
 		r.churnAddr, r.churnLen = addr, spec.ChurnPerIter
-		st, err := r.node.TouchRange(r.p, addr, spec.ChurnPerIter)
+		fc, err := r.node.TouchRange(r.p, addr, spec.ChurnPerIter)
 		if err != nil {
 			r.app.fail(err)
 			return
 		}
-		r.stall += st.Total()
+		r.stall += fc
 	}
 	// Small-buffer churn: a sub-2MB scratch buffer remapped every
 	// iteration (4KB-mapped under the Linux managers).
@@ -430,12 +430,12 @@ func (r *rankState) iterate() {
 		}
 		r.stall += c
 		r.smallAddr, r.smallLen = addr, spec.SmallChurnPerIter
-		st, err := r.node.TouchRange(r.p, addr, spec.SmallChurnPerIter)
+		fc, err := r.node.TouchRange(r.p, addr, spec.SmallChurnPerIter)
 		if err != nil {
 			r.app.fail(err)
 			return
 		}
-		r.stall += st.Total()
+		r.stall += fc
 	}
 	// Heap churn: small temporary allocations push the heap tail.
 	if spec.HeapChurnPerIter > 0 {

@@ -159,8 +159,8 @@ func (b *Build) worker(id int) {
 	addr, c, err := b.node.Mmap(p, size, rw, vma.KindAnon)
 	if err == nil {
 		stall += c
-		if st, terr := b.node.TouchRange(p, addr, size); terr == nil {
-			stall += st.Total()
+		if fc, terr := b.node.TouchRange(p, addr, size); terr == nil {
+			stall += fc
 		}
 	}
 
