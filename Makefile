@@ -91,18 +91,20 @@ bench-check:
 # target per run). Each target is package/Fuzz function:
 #  - mem/FuzzZoneRuns: the zone's bulk run operations (AllocRun,
 #    FreeRun) against block-at-a-time allocation and freeing;
-#  - pgtable/FuzzTable: the page table, UnmapRange above all, against a
-#    leaf-by-leaf teardown twin and a flat model of the live leaves;
+#  - pgtable/FuzzTable: the page table, UnmapRange and MapRun4K above
+#    all, against a leaf-by-leaf teardown and page-by-page mapping twin
+#    and a flat model of the live leaves;
 #  - sim/FuzzEngine: the pooled event queue against the container/heap
 #    engine it replaced;
-#  - metrics/FuzzParseExposition and ledger/FuzzRead: the decoders of
-#    on-disk bytes never panic, and what they accept round-trips
-#    through WriteOpenMetrics and Marshal to the same bytes.
+#  - metrics/FuzzParseExposition, ledger/FuzzRead and
+#    runner/FuzzCacheGet: the decoders of on-disk bytes never panic,
+#    and what they accept round-trips through WriteOpenMetrics, Marshal
+#    and the result cache's put to the same bytes.
 # Plain `go test` replays each committed seed corpus
 # (internal/<pkg>/testdata/fuzz/<target>); this explores further. A
 # failing input is written back under that directory.
 FUZZTIME ?= 30s
-FUZZ_TARGETS = mem/FuzzZoneRuns pgtable/FuzzTable sim/FuzzEngine metrics/FuzzParseExposition ledger/FuzzRead
+FUZZ_TARGETS = mem/FuzzZoneRuns pgtable/FuzzTable sim/FuzzEngine metrics/FuzzParseExposition ledger/FuzzRead runner/FuzzCacheGet
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 	  echo "fuzz: $$t for $(FUZZTIME)"; \

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,10 +14,11 @@ import (
 // The pinned-output contract (DESIGN.md §10): performance refactors of
 // the fault/allocation hot path must preserve the PRNG draw sequence and
 // all charged-cycle arithmetic exactly, so every figure artifact stays
-// byte-identical. These tests render a reduced fig2/fig3 fault table, a
-// fig7 and fig8 panel, the chaos-study table, the attribution report and
-// the datacenter-study table at Workers=1 and Workers=8 (cold and, for
-// the cached studies, warm cache) and
+// byte-identical. These tests render a reduced fig2/fig3 fault table,
+// the SHA-256 of each fig2 row's per-fault CSV, the fig4 and fig5
+// timeline plots, a fig7 and fig8 panel, the chaos-study table, the
+// attribution report and the datacenter-study table at Workers=1 and
+// Workers=8 (cold and, for the cached studies, warm cache) and
 // compare them byte-for-byte against the goldens committed under
 // testdata/golden — captured from the tree as it stood before the hot
 // path was restructured. Every future perf PR runs through this net.
@@ -30,8 +33,9 @@ const goldenDir = "testdata/golden"
 // worker count. The configurations are deliberately reduced (scale 0.25,
 // few cells) so the contract test stays fast while still crossing every
 // hot-path layer: THP and HugeTLBfs micro-fidelity fault tables (fig2,
-// fig3), the aggregate-fidelity weak-scaling grid (fig7), the multi-node
-// study (fig8), the chaos sweep, the barrier attribution report and the
+// fig3), their per-fault records and timelines (fig2 CSV, fig4, fig5),
+// the aggregate-fidelity weak-scaling grid (fig7), the multi-node study
+// (fig8), the chaos sweep, the barrier attribution report and the
 // datacenter agent's pod churn, touch tails and OOM kills.
 func renderGoldenArtifacts(t *testing.T, workers int, cache *runner.Cache) map[string][]byte {
 	t.Helper()
@@ -44,12 +48,40 @@ func renderGoldenArtifacts(t *testing.T, workers int, cache *runner.Cache) map[s
 		out[name] = buf.Bytes()
 	}
 
+	fig2, err := Fig2(FaultStudyOptions{Ranks: 2, Seed: 7, Scale: 0.25, Workers: workers})
+	if err != nil {
+		t.Fatalf("render fig2.txt: %v", err)
+	}
 	render("fig2.txt", func(w *bytes.Buffer) error {
-		fs, err := Fig2(FaultStudyOptions{Ranks: 2, Seed: 7, Scale: 0.25, Workers: workers})
+		WriteFaultStudy(w, fig2)
+		return nil
+	})
+	// The tables above print only per-kind summaries; one SHA-256 per
+	// row's CSV pins every record's order, time, cost, kind and stall.
+	render("fig2-csv.txt", func(w *bytes.Buffer) error {
+		for i, row := range fig2.Rows {
+			h := sha256.New()
+			if err := row.Recorder.WriteCSV(h); err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "row %d loaded=%t records=%d sha256=%x\n", i, row.Loaded, row.Recorder.Len(), h.Sum(nil))
+		}
+		return nil
+	})
+	render("fig4.txt", func(w *bytes.Buffer) error {
+		tls, err := Fig4(FaultStudyOptions{Ranks: 2, Seed: 7, Scale: 0.25, Workers: workers})
 		if err != nil {
 			return err
 		}
-		WriteFaultStudy(w, fs)
+		WriteTimelines(w, "Figure 4: THP fault timeline, miniMD", tls, 72, 12)
+		return nil
+	})
+	render("fig5.txt", func(w *bytes.Buffer) error {
+		tls, err := Fig5(FaultStudyOptions{Ranks: 2, Seed: 9, Scale: 0.25, Workers: workers})
+		if err != nil {
+			return err
+		}
+		WriteTimelines(w, "Figure 5: HugeTLBfs fault timelines", tls, 72, 12)
 		return nil
 	})
 	render("fig3.txt", func(w *bytes.Buffer) error {

@@ -6,6 +6,7 @@
 package hugetlb
 
 import (
+	"errors"
 	"fmt"
 
 	"hpmmap/internal/invariant"
@@ -77,28 +78,31 @@ func (p *Pools) FreePagesTotal() int {
 	return t
 }
 
+// errExhausted is Alloc2M's error when every pool is empty.
+var errExhausted = errors.New("hugetlb: pools exhausted")
+
 // Alloc2M takes one 2MB page, preferring the given zone and falling back
-// to others. The second result reports the zone the page came from, so
-// callers can account for cross-zone (remote NUMA) placement.
+// to others in ascending order. The second result reports the zone the
+// page came from, so callers can account for cross-zone (remote NUMA)
+// placement.
 func (p *Pools) Alloc2M(zone int) (mem.PFN, int, error) {
-	order := make([]int, 0, len(p.zones))
-	if zone >= 0 && zone < len(p.zones) {
-		order = append(order, zone)
+	if zone >= 0 && zone < len(p.zones) && len(p.zones[zone].pages) > 0 {
+		return p.zones[zone].pop(), zone, nil
 	}
-	for i := range p.zones {
-		if i != zone {
-			order = append(order, i)
+	for zi := range p.zones {
+		if len(p.zones[zi].pages) > 0 {
+			return p.zones[zi].pop(), zi, nil
 		}
 	}
-	for _, zi := range order {
-		pl := &p.zones[zi]
-		if n := len(pl.pages); n > 0 {
-			pfn := pl.pages[n-1]
-			pl.pages = pl.pages[:n-1]
-			return pfn, zi, nil
-		}
-	}
-	return 0, 0, fmt.Errorf("hugetlb: pools exhausted")
+	return 0, 0, errExhausted
+}
+
+// pop takes the most recently freed page of a non-empty pool.
+func (pl *pool) pop() mem.PFN {
+	n := len(pl.pages) - 1
+	pfn := pl.pages[n]
+	pl.pages = pl.pages[:n]
+	return pfn
 }
 
 // Free2M returns a page to its zone's pool.

@@ -517,7 +517,10 @@ func (n *Node) PageCacheAdd(zone int, bytes uint64) {
 //
 //detsim:hotpath
 func (n *Node) pageCacheFill(zid int, want uint64) uint64 {
-	z := n.Mem.Zones[zid%len(n.Mem.Zones)]
+	if zid >= len(n.Mem.Zones) {
+		zid %= len(n.Mem.Zones) // only past the end: % is a DIVQ
+	}
+	z := n.Mem.Zones[zid]
 	var got uint64
 	n.pcRuns, got = z.AllocRun(pcOrder, want, z.WatermarkLow+mem.PagesPerOrder(pcOrder), n.pcRuns[:0])
 	q := &n.pageCache[z.ID]

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 
+	"hpmmap/internal/fault"
 	"hpmmap/internal/hugetlb"
 	"hpmmap/internal/kernel"
 	"hpmmap/internal/mem"
@@ -99,6 +100,11 @@ type Manager struct {
 	// capacity across pod/compile churn.
 	psPool []*procState
 
+	// touchDetail is touchSmall's micro-fidelity path:
+	// (*Manager).touchSmallDetail, or in tests the per-page loop it is
+	// checked against.
+	touchDetail func(m *Manager, tc *touchCtx, kind fault.Kind, va pgtable.VirtAddr, pages uint64)
+
 	// Scratch buffers for gatedAllocRun (one zone's AllocRun runs, block
 	// PFNs and per-zone run segments), reused across calls.
 	runs    []mem.Run
@@ -134,6 +140,7 @@ func New(node *kernel.Node, hpcMode, commodityMode Mode, pools *hugetlb.Pools) *
 		Pools:              pools,
 		THPFallbackBase:    0.025,
 		THPFragSensitivity: 0.55,
+		touchDetail:        (*Manager).touchSmallDetail,
 	}
 }
 

@@ -280,7 +280,10 @@ func (m *Manager) allocLarge(preferred int) (mem.PFN, int, bool, bool) {
 func (m *Manager) gatedAlloc(preferred, order int) (mem.PFN, int, bool) {
 	zones := m.node.Mem.Zones
 	for i := 0; i < len(zones); i++ {
-		zi := (preferred + i) % len(zones)
+		zi := preferred + i
+		if zi >= len(zones) {
+			zi %= len(zones) // only past the end: % is a DIVQ
+		}
 		z := zones[zi]
 		if z.FreePages() < z.WatermarkMin+mem.PagesPerOrder(order) {
 			continue
@@ -319,7 +322,10 @@ func (m *Manager) gatedAllocRun(preferred, order int, want uint64) uint64 {
 	zones := m.node.Mem.Zones
 	var got uint64
 	for i := 0; i < len(zones) && got < want; i++ {
-		zi := (preferred + i) % len(zones)
+		zi := preferred + i
+		if zi >= len(zones) {
+			zi %= len(zones) // only past the end: % is a DIVQ
+		}
 		z := zones[zi]
 		var n uint64
 		m.runs, n = z.AllocRun(order, want-got, z.WatermarkMin+mem.PagesPerOrder(order), m.runs[:0])
@@ -461,22 +467,7 @@ func (m *Manager) touchSmall(tc *touchCtx, bytes uint64, va pgtable.VirtAddr) {
 		kind = fault.KindHugeTLBSmall
 	}
 	if m.node.Detail && !p.Commodity {
-		// Micro fidelity: draw each fault, map each PTE.
-		for i := uint64(0); i < pages; i++ {
-			pva := va + pgtable.VirtAddr(i*mem.PageSize)
-			var cost, stall sim.Cycles
-			stalled := false
-			if kind == fault.KindHugeTLBSmall {
-				var svc sim.Cycles
-				svc, stall, stalled = m.node.Costs().HugeTLBSmallFaultParts(m.rand, tc.load)
-				cost = svc + stall
-			} else {
-				cost = m.node.Costs().SmallFault(m.rand, tc.load)
-			}
-			tc.charge(m, kind, cost, pva, stalled)
-			p.Account.Reattribute(timeline.FaultCause(kind), timeline.CauseReclaimStorm, stall)
-			m.mapSmallDetail(p, pva, r)
-		}
+		m.touchDetail(m, tc, kind, va, pages)
 		return
 	}
 	// Aggregate fidelity: one normal draw for the batch; storms were
@@ -546,19 +537,52 @@ func sqrt(x float64) float64 {
 	return z
 }
 
-// mapSmallDetail installs one 4KB PTE with a synthetic frame drawn from
-// the region's small blocks (frame identity within a block is not
-// significant; the table structure and counts are).
-func (m *Manager) mapSmallDetail(p *kernel.Process, va pgtable.VirtAddr, r *region) {
+// touchSmallDetail is touchSmall at micro fidelity: it draws and charges
+// each of the pages 4KB faults from va, then maps them as one run.
+// Nothing a charge reaches reads the page table, so this leaves the
+// state that mapping each page right after its charge would (DESIGN.md
+// §10 "Detail touch").
+//
+//detsim:hotpath
+func (m *Manager) touchSmallDetail(tc *touchCtx, kind fault.Kind, va pgtable.VirtAddr, pages uint64) {
+	p := tc.p
+	for i := uint64(0); i < pages; i++ {
+		pva := va + pgtable.VirtAddr(i*mem.PageSize)
+		var cost, stall sim.Cycles
+		stalled := false
+		if kind == fault.KindHugeTLBSmall {
+			var svc sim.Cycles
+			svc, stall, stalled = m.node.Costs().HugeTLBSmallFaultParts(m.rand, tc.load)
+			cost = svc + stall
+		} else {
+			cost = m.node.Costs().SmallFault(m.rand, tc.load)
+		}
+		tc.charge(m, kind, cost, pva, stalled)
+		p.Account.Reattribute(timeline.FaultCause(kind), timeline.CauseReclaimStorm, stall)
+	}
+	mapSmallRun(p, tc.r, va, pages)
+}
+
+// mapSmallRun installs the 4KB PTEs of pages pages from va, with
+// synthetic frames drawn from the region's last small block (frame
+// identity within a block is not significant; the table structure and
+// counts are): page a gets the block's frame a/4KB mod 2^order. The run
+// is split where that offset wraps to 0, one MapRun4K per piece. Pages
+// already mapped (a re-touch after a partial unmap) are skipped.
+//
+//detsim:hotpath
+func mapSmallRun(p *kernel.Process, r *region, va pgtable.VirtAddr, pages uint64) {
 	if len(r.smallBlocks) == 0 {
 		return
 	}
 	blk := r.smallBlocks[len(r.smallBlocks)-1]
-	off := (uint64(va) / mem.PageSize) % mem.PagesPerOrder(blk.order)
-	pfn := blk.pfn + mem.PFN(off)
-	if err := p.PT.Map(va, pfn, pgtable.Page4K, r.prot); err != nil {
-		// Already mapped (re-touch after partial unmap); ignore.
-		_ = err
+	span := mem.PagesPerOrder(blk.order)
+	for pages > 0 {
+		off := (uint64(va) / mem.PageSize) & (span - 1)
+		n := min(span-off, pages)
+		p.PT.MapRun4K(va, n, blk.pfn+mem.PFN(off), r.prot)
+		va += pgtable.VirtAddr(n * mem.PageSize)
+		pages -= n
 	}
 }
 

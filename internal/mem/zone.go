@@ -152,7 +152,7 @@ func (z *Zone) FreeBlock(p PFN, order int) {
 			"FreeBlock [%d,+2^%d) outside zone %d span [%d,%d)",
 			p, order, z.ID, z.Base, z.Base+PFN(z.Pages))
 	}
-	if uint64(p-z.Base)%PagesPerOrder(order) != 0 {
+	if uint64(p-z.Base)&(PagesPerOrder(order)-1) != 0 {
 		// Simulated-state violation: the freed address is not aligned to
 		// its order, so it cannot be a block this allocator handed out.
 		invariant.Failf("free_misaligned", "mem",
@@ -391,7 +391,7 @@ func (z *Zone) CheckAccounting() error {
 				return invariant.Errorf("zone_conservation", "mem",
 					"zone %d: free block %d order %d outside zone", z.ID, p, o)
 			}
-			if uint64(p-z.Base)%PagesPerOrder(o) != 0 {
+			if uint64(p-z.Base)&(PagesPerOrder(o)-1) != 0 {
 				return invariant.Errorf("zone_conservation", "mem",
 					"zone %d: free block %d misaligned for order %d", z.ID, p, o)
 			}

@@ -31,6 +31,14 @@ func refUnmapRange(tb testing.TB, t *Table, start VirtAddr, length uint64) {
 	}
 }
 
+// refMapRun4K is the per-page loop MapRun4K replaces: one Map per page,
+// in ascending order, each refusal ignored.
+func refMapRun4K(t *Table, va VirtAddr, n uint64, pfn mem.PFN, prot Prot) {
+	for i := uint64(0); i < n; i++ {
+		_ = t.Map(va+VirtAddr(i*mem.PageSize), pfn+mem.PFN(i), Page4K, prot)
+	}
+}
+
 // leaf is one live mapping as Range reports it, keyed in the flat model by
 // its start address.
 type leaf struct {
@@ -55,6 +63,12 @@ var fuzzLengths = [...]uint64{
 	mem.HugePageSize - mem.LargePageSize, mem.HugePageSize, 2 * mem.HugePageSize, 512 * mem.HugePageSize,
 	1 << 62, ^uint64(0), 0, 3 * mem.PageSize,
 }
+
+// runLengths are the MapRun4K lengths in pages: empty, within one PT,
+// one short and one long of a whole PT, and across two and three PTs.
+// From an edge slot of the last PT of a PD or PDPT, even short runs
+// cross into the next one.
+var runLengths = [...]uint64{0, 1, 2, 3, 8, 9, 16, 64, 255, 511, 512, 520, 1023, 513, 1025, 7}
 
 // edgeSlot maps b onto one of the first or last eight slots of a table,
 // so operations meet at table boundaries often.
@@ -193,9 +207,10 @@ func checkTree(t *testing.T, step int, pt *Table) {
 }
 
 // checkTable decodes data five bytes per step (op, w, x, y, z) into Map,
-// Unmap, UnmapRange, Split2M, Protect and Walk calls over fuzzWindows. It
-// applies each to the table under test and to a twin that tears ranges
-// down with refUnmapRange, and keeps a flat model of the live leaves.
+// Unmap, UnmapRange, Split2M, Protect, Walk and MapRun4K calls over
+// fuzzWindows. It applies each to the table under test and to a twin
+// that tears ranges down with refUnmapRange and maps runs with
+// refMapRun4K, and keeps a flat model of the live leaves.
 // After every step the two tables must report the same results as each
 // other and as the flat model, the same leaves in Range and the same
 // counters; Range must equal the flat model, and Walk of the step's
@@ -209,7 +224,7 @@ func checkTable(t *testing.T, data []byte) {
 		op, w, x, y, z := data[0], data[1], data[2], data[3], data[4]
 		data = data[5:]
 		probe := fuzzAddr(w, x, y, Page4K)
-		switch op % 8 {
+		switch op % 9 {
 		case 0, 1, 2: // Map
 			ps := mapSize(z)
 			va := fuzzAddr(w, x, y, ps)
@@ -273,6 +288,21 @@ func checkTable(t *testing.T, data []byte) {
 			}
 		case 7: // Walk, anywhere in the probe's page
 			probe += VirtAddr(z) << 4
+		case 8: // MapRun4K; one run in four starts one byte past a page
+			va := probe
+			if y&0x60 == 0x60 {
+				va++
+			}
+			n, pfn, prot := runLengths[z%16], mem.PFN(uint64(x)<<8|uint64(y)), Prot(z>>4)
+			pt.MapRun4K(va, n, pfn, prot)
+			refMapRun4K(twin, va, n, pfn, prot)
+			for i := uint64(0); i < n && va == probe; i++ {
+				p := va + VirtAddr(i*mem.PageSize)
+				if _, ok := flatLookup(flat, p); !ok {
+					flat[p] = leaf{p, pfn + mem.PFN(i), Page4K, prot}
+				}
+			}
+			probe = va + VirtAddr(n/2*mem.PageSize)
 		}
 		checkWalk(t, step, pt, twin, flat, probe)
 		got, want = appendLeaves(got[:0], pt), appendLeaves(want[:0], twin)
@@ -294,9 +324,9 @@ func checkTable(t *testing.T, data []byte) {
 	}
 }
 
-// FuzzTable differentially checks the page table, UnmapRange above all,
-// against a twin that tears ranges down leaf by leaf and a flat model of
-// the live leaves. The seed corpus under testdata/fuzz/FuzzTable replays
+// FuzzTable differentially checks the page table, UnmapRange and
+// MapRun4K above all, against a twin that tears ranges down leaf by leaf
+// and maps runs page by page, and a flat model of the live leaves. The seed corpus under testdata/fuzz/FuzzTable replays
 // in plain `go test`; `make fuzz` explores further.
 func FuzzTable(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 4, 0, 0, 0, 1})

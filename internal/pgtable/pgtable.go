@@ -202,7 +202,7 @@ func (t *Table) MappedPages(ps PageSize) uint64 {
 }
 
 func checkAligned(va VirtAddr, ps PageSize) error {
-	if uint64(va)%ps.Bytes() != 0 {
+	if uint64(va)&(ps.Bytes()-1) != 0 {
 		return fmt.Errorf("pgtable: address %#x not aligned to %s", uint64(va), ps)
 	}
 	return nil
@@ -216,20 +216,9 @@ func (t *Table) Map(va VirtAddr, pfn mem.PFN, ps PageSize, prot Prot) error {
 		return err
 	}
 	target := levelFor(ps)
-	n := t.rootNode()
-	for level := 0; level < target; level++ {
-		e := &n.slots[indexAt(va, level)]
-		if e.present && e.leaf {
-			return fmt.Errorf("pgtable: %#x already covered by a %s mapping", uint64(va), leafSize(level))
-		}
-		if !e.present {
-			e.present = true
-			e.leaf = false
-			e.child = t.newNode()
-			n.live++
-			t.TablePages++
-		}
-		n = e.child
+	n, level := t.descend(va, target)
+	if n == nil {
+		return fmt.Errorf("pgtable: %#x already covered by a %s mapping", uint64(va), leafSize(level))
 	}
 	e := &n.slots[indexAt(va, target)]
 	if e.present {
@@ -253,6 +242,70 @@ func (t *Table) Map(va VirtAddr, pfn mem.PFN, ps PageSize, prot Prot) error {
 		t.Mapped1G++
 	}
 	return nil
+}
+
+// MapRun4K maps the n consecutive 4KB pages from va to the consecutive
+// frames from pfn, leaving the tree and counters exactly as n ascending
+// Map(va+i·4KB, pfn+i, Page4K, prot) calls would: it skips each page Map
+// refuses (every page of a misaligned va, a page whose PTE is present,
+// a page under a 2MB or 1GB leaf) and creates the same tables in the
+// same order. It descends once per PT instead of once per page, and
+// allocates nothing but the tables it creates.
+//
+//detsim:hotpath
+func (t *Table) MapRun4K(va VirtAddr, n uint64, pfn mem.PFN, prot Prot) {
+	if uint64(va)&(mem.PageSize-1) != 0 {
+		return
+	}
+	for n > 0 {
+		idx := indexAt(va, levelPT)
+		k := uint64(512 - idx)
+		if k > n {
+			k = n
+		}
+		if pt, _ := t.descend(va, levelPT); pt != nil {
+			var mapped uint64
+			for i := uint64(0); i < k; i++ {
+				e := &pt.slots[idx+int(i)]
+				if e.present {
+					continue
+				}
+				// As in Map, a slot that is not present is all-zero, so
+				// the child pointer needs no write (nor its barrier).
+				e.pfn, e.prot, e.present, e.leaf = pfn+mem.PFN(i), prot, true, true
+				mapped++
+			}
+			pt.live += int(mapped)
+			t.MapOps += mapped
+			t.Mapped4K += mapped
+		}
+		va += VirtAddr(k * mem.PageSize)
+		pfn += mem.PFN(k)
+		n -= k
+	}
+}
+
+// descend returns the table at level target that covers va, creating
+// the missing tables above it, or nil and the level of the large leaf
+// covering va. A leaf's ancestors all exist, so a nil return has
+// created nothing.
+//
+//detsim:hotpath
+func (t *Table) descend(va VirtAddr, target int) (*node, int) {
+	n := t.rootNode()
+	for level := 0; level < target; level++ {
+		e := &n.slots[indexAt(va, level)]
+		if !e.present {
+			e.present = true
+			e.child = t.newNode()
+			n.live++
+			t.TablePages++
+		} else if e.leaf {
+			return nil, level
+		}
+		n = e.child
+	}
+	return n, target
 }
 
 func leafSize(level int) PageSize {

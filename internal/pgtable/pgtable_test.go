@@ -313,9 +313,10 @@ func TestUnmapRangeAllocationFree(t *testing.T) {
 	}
 }
 
-// TestMapAfterPruneAllocationFree checks that Map reuses the tables Unmap
-// pruned: in a warmed table, mapping and unmapping a 4KB page, or a 2MB
-// page, in an otherwise empty subtree allocates nothing.
+// TestMapAfterPruneAllocationFree checks that Map and MapRun4K reuse the
+// tables Unmap and UnmapRange pruned: in a warmed table, mapping and
+// unmapping a 4KB page, a 2MB page, or a run of 4KB pages across a PT
+// boundary, in an otherwise empty subtree allocates nothing.
 func TestMapAfterPruneAllocationFree(t *testing.T) {
 	pt := New()
 	for _, ps := range []PageSize{Page4K, Page2M} {
@@ -334,6 +335,15 @@ func TestMapAfterPruneAllocationFree(t *testing.T) {
 		if pt.TablePages != 1 || pt.MappedBytes() != 0 {
 			t.Fatalf("%d table pages, %d mapped bytes after the runs", pt.TablePages, pt.MappedBytes())
 		}
+	}
+	va, ops := VirtAddr(0x7f00_0000_0000+300*mem.PageSize), pt.MapOps
+	allocs := testing.AllocsPerRun(100, func() {
+		pt.MapRun4K(va, 600, 1, ProtRead)
+		pt.UnmapRange(va, 600*mem.PageSize)
+	})
+	// AllocsPerRun calls the function once more to warm up.
+	if allocs != 0 || pt.TablePages != 1 || pt.MapOps-ops != 101*600 {
+		t.Fatalf("MapRun4K+UnmapRange of 600 pages after a prune: %v allocations, %d table pages, %d map ops", allocs, pt.TablePages, pt.MapOps-ops)
 	}
 }
 

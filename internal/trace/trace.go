@@ -14,39 +14,56 @@ import (
 	"hpmmap/internal/sim"
 )
 
-// Recorder accumulates fault records in completion order.
+// chunkLen is the number of records in one of a Recorder's chunks: 48 KB
+// of fault.Record.
+const chunkLen = 1024
+
+// Recorder accumulates fault records in completion order. It stores them
+// in fixed-size chunks, so each record is written once and never copied
+// by a regrowth; Reset keeps the chunks for reuse.
 type Recorder struct {
-	records []fault.Record
+	chunks []*[chunkLen]fault.Record
+	n      int
 }
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
 // Record appends one fault.
-func (r *Recorder) Record(rec fault.Record) { r.records = append(r.records, rec) }
+//
+//detsim:hotpath
+func (r *Recorder) Record(rec fault.Record) {
+	c := r.n / chunkLen
+	if c == len(r.chunks) {
+		//detsim:allow one chunk per chunkLen records, kept across Reset: no record is ever copied
+		r.chunks = append(r.chunks, new([chunkLen]fault.Record))
+	}
+	r.chunks[c][r.n%chunkLen] = rec
+	r.n++
+}
 
 // Records returns a copy of the captured records, in completion order.
 // Callers may sort, filter or mutate the returned slice freely without
-// corrupting the recorder. (It used to return the internal slice, which
-// let a caller's append or in-place sort silently alter subsequent
-// Summarize/Scatter output.) For read-only scans without the copy, use
+// corrupting the recorder. For read-only scans without the copy, use
 // Each.
 func (r *Recorder) Records() []fault.Record {
-	out := make([]fault.Record, len(r.records))
-	copy(out, r.records)
+	out := make([]fault.Record, 0, r.n)
+	r.Each(func(rec fault.Record) { out = append(out, rec) })
 	return out
 }
 
 // Each calls fn for every captured record in completion order, without
 // copying. fn must not call Record or Reset on the same recorder.
 func (r *Recorder) Each(fn func(fault.Record)) {
-	for _, rec := range r.records {
-		fn(rec)
+	for c, left := 0, r.n; left > 0; c, left = c+1, left-chunkLen {
+		for _, rec := range r.chunks[c][:min(left, chunkLen)] {
+			fn(rec)
+		}
 	}
 }
 
 // Len returns the number of captured faults.
-func (r *Recorder) Len() int { return len(r.records) }
+func (r *Recorder) Len() int { return r.n }
 
 // KindSummary is the per-kind statistics row of the paper's fault tables.
 type KindSummary struct {
@@ -65,7 +82,7 @@ func (r *Recorder) Summarize() []KindSummary {
 		max      sim.Cycles
 	}
 	var a [fault.NumKinds]agg
-	for _, rec := range r.records {
+	r.Each(func(rec fault.Record) {
 		x := &a[rec.Kind]
 		x.n++
 		v := float64(rec.Cost)
@@ -74,7 +91,7 @@ func (r *Recorder) Summarize() []KindSummary {
 		if rec.Cost > x.max {
 			x.max = rec.Cost
 		}
-	}
+	})
 	var out []KindSummary
 	for k := 0; k < fault.NumKinds; k++ {
 		if a[k].n == 0 {
@@ -108,15 +125,13 @@ func (r *Recorder) WriteTable(w io.Writer, title string) {
 
 // WriteCSV emits one line per fault: time_cycles,cost_cycles,kind,stalled.
 func (r *Recorder) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "at_cycles,cost_cycles,kind,pid,stalled"); err != nil {
-		return err
-	}
-	for _, rec := range r.records {
-		if _, err := fmt.Fprintf(w, "%d,%d,%s,%d,%t\n", rec.At, rec.Cost, rec.Kind, rec.PID, rec.Stalls); err != nil {
-			return err
+	_, err := fmt.Fprintln(w, "at_cycles,cost_cycles,kind,pid,stalled")
+	r.Each(func(rec fault.Record) {
+		if err == nil {
+			_, err = fmt.Fprintf(w, "%d,%d,%s,%d,%t\n", rec.At, rec.Cost, rec.Kind, rec.PID, rec.Stalls)
 		}
-	}
-	return nil
+	})
+	return err
 }
 
 // Scatter renders an ASCII scatter plot of fault cost against time, the
@@ -124,7 +139,7 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 // '.' small, 'O' large, 'M' merge-blocked, 'H' hugetlb-large,
 // 'h' hugetlb-small(reclaim), 's' stack.
 func (r *Recorder) Scatter(width, height int, logY bool) string {
-	if len(r.records) == 0 {
+	if r.n == 0 {
 		return "(no faults)\n"
 	}
 	if width < 10 {
@@ -133,9 +148,9 @@ func (r *Recorder) Scatter(width, height int, logY bool) string {
 	if height < 4 {
 		height = 4
 	}
-	minT, maxT := r.records[0].At, r.records[0].At
+	minT, maxT := r.chunks[0][0].At, r.chunks[0][0].At
 	var maxC sim.Cycles = 1
-	for _, rec := range r.records {
+	r.Each(func(rec fault.Record) {
 		if rec.At < minT {
 			minT = rec.At
 		}
@@ -145,7 +160,7 @@ func (r *Recorder) Scatter(width, height int, logY bool) string {
 		if rec.Cost > maxC {
 			maxC = rec.Cost
 		}
-	}
+	})
 	span := float64(maxT-minT) + 1
 	grid := make([][]byte, height)
 	for i := range grid {
@@ -176,16 +191,16 @@ func (r *Recorder) Scatter(width, height int, logY bool) string {
 	order := []fault.Kind{fault.KindSmall, fault.KindStackGrow, fault.KindHugeTLBSmall,
 		fault.KindHugeTLBLarge, fault.KindLarge, fault.KindMergeBlocked}
 	for _, k := range order {
-		for _, rec := range r.records {
+		r.Each(func(rec fault.Record) {
 			if rec.Kind != k {
-				continue
+				return
 			}
 			x := int(float64(rec.At-minT) / span * float64(width))
 			if x >= width {
 				x = width - 1
 			}
 			grid[yOf(rec.Cost)][x] = glyph[k]
-		}
+		})
 	}
 	var b strings.Builder
 	scale := "linear"
@@ -206,16 +221,16 @@ func (r *Recorder) Scatter(width, height int, logY bool) string {
 // FilterKind returns a new recorder holding only records of kind k.
 func (r *Recorder) FilterKind(k fault.Kind) *Recorder {
 	out := NewRecorder()
-	for _, rec := range r.records {
+	r.Each(func(rec fault.Record) {
 		if rec.Kind == k {
 			out.Record(rec)
 		}
-	}
+	})
 	return out
 }
 
-// Reset discards all records.
-func (r *Recorder) Reset() { r.records = r.records[:0] }
+// Reset discards all records, keeping the chunks for reuse.
+func (r *Recorder) Reset() { r.n = 0 }
 
 // Histogram renders an ASCII log-scale histogram of fault costs for one
 // kind — the distribution view behind the tables' stdev columns.
@@ -224,11 +239,11 @@ func (r *Recorder) Histogram(k fault.Kind, buckets, width int) string {
 		buckets = 2
 	}
 	var costs []float64
-	for _, rec := range r.records {
+	r.Each(func(rec fault.Record) {
 		if rec.Kind == k {
 			costs = append(costs, float64(rec.Cost))
 		}
-	}
+	})
 	if len(costs) == 0 {
 		return fmt.Sprintf("(no %s faults)\n", k)
 	}

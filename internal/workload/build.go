@@ -66,6 +66,8 @@ type Build struct {
 
 	stopped  bool
 	resident *kernel.Process
+	// names[id] is worker id's compiler process name, formatted once.
+	names []string
 
 	// Statistics.
 	Compiles uint64
@@ -100,6 +102,7 @@ func StartBuild(node *kernel.Node, spec BuildSpec, seed uint64) *Build {
 	}
 	for w := 0; w < spec.Workers; w++ {
 		w := w
+		b.names = append(b.names, fmt.Sprintf("cc1.%d", w))
 		// Stagger worker starts so the first compiles do not align.
 		node.Engine().Schedule(sim.Cycles(b.rand.Uint64n(uint64(spec.IOWait)+1)), func() {
 			b.worker(w)
@@ -129,7 +132,7 @@ func (b *Build) worker(id int) {
 	// make fork+execs each compiler: fork is COW-cheap under Linux, exec
 	// discards the inherited image.
 	if b.resident != nil && !b.resident.Exited {
-		child, c, err := b.node.Fork(b.resident, fmt.Sprintf("cc1.%d", id))
+		child, c, err := b.node.Fork(b.resident, b.names[id])
 		if err == nil {
 			p = child
 			stall += c
@@ -142,7 +145,7 @@ func (b *Build) worker(id int) {
 	}
 	if p == nil {
 		var err error
-		p, err = b.node.NewProcess(fmt.Sprintf("cc1.%d", id), true, zone)
+		p, err = b.node.NewProcess(b.names[id], true, zone)
 		if err != nil {
 			b.Failures++
 			return
