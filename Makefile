@@ -94,6 +94,8 @@ bench-check:
 #  - pgtable/FuzzTable: the page table, UnmapRange and MapRun4K above
 #    all, against a leaf-by-leaf teardown and page-by-page mapping twin
 #    and a flat model of the live leaves;
+#  - buddy/FuzzAllocator: the HPMMAP pool against a map-based
+#    reference allocator, block for block in hand-out order;
 #  - sim/FuzzEngine: the pooled event queue against the container/heap
 #    engine it replaced;
 #  - metrics/FuzzParseExposition, ledger/FuzzRead and
@@ -104,7 +106,7 @@ bench-check:
 # (internal/<pkg>/testdata/fuzz/<target>); this explores further. A
 # failing input is written back under that directory.
 FUZZTIME ?= 30s
-FUZZ_TARGETS = mem/FuzzZoneRuns pgtable/FuzzTable sim/FuzzEngine metrics/FuzzParseExposition ledger/FuzzRead runner/FuzzCacheGet
+FUZZ_TARGETS = mem/FuzzZoneRuns pgtable/FuzzTable buddy/FuzzAllocator sim/FuzzEngine metrics/FuzzParseExposition ledger/FuzzRead runner/FuzzCacheGet
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 	  echo "fuzz: $$t for $(FUZZTIME)"; \

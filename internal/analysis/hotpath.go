@@ -34,6 +34,8 @@ const hotpathPrefix = "//detsim:hotpath"
 //   - append to an escaping slice (field or package variable) unless
 //     the same slice is length-truncated (s = s[:0]) in the function —
 //     the §10/§11 capacity-reuse discipline
+//   - make of a slice stored into an escaping destination (a new
+//     backing array per call)
 //
 // Error paths are exempt: anything inside a return statement that
 // returns a non-nil error, or inside panic(...)/invariant.Fail*(...)
@@ -45,10 +47,11 @@ var HotpathAnalyzer = &analysis.Analyzer{
 	Doc: "forbid allocating constructs in //detsim:hotpath functions\n\n" +
 		"Annotated hot-path functions (DESIGN.md §10 inventory) must stay\n" +
 		"free of defer, fmt, string concatenation, map literals and\n" +
-		"iteration, escaping closures, interface boxing, and appends to\n" +
-		"escaping slices without the s = s[:0] reuse discipline. Error\n" +
-		"paths (error returns, panic/invariant.Fail arguments) are\n" +
-		"exempt; see ANALYSIS.md.",
+		"iteration, escaping closures, interface boxing, appends to\n" +
+		"escaping slices without the s = s[:0] reuse discipline, and\n" +
+		"slices made into escaping destinations. Error paths (error\n" +
+		"returns, panic/invariant.Fail arguments) are exempt; see\n" +
+		"ANALYSIS.md.",
 	Requires:   []*analysis.Analyzer{inspect.Analyzer},
 	ResultType: directiveIndexResult,
 	Run:        runHotpath,
@@ -239,8 +242,8 @@ func hotpathFinding(pass *analysis.Pass, n ast.Node, stack []ast.Node, h *hotFun
 }
 
 // hotpathAssignFinding covers the assignment-shaped constructs: string
-// +=, interface boxing, and append to an escaping slice without the
-// truncation discipline.
+// +=, interface boxing, append to an escaping slice without the
+// truncation discipline, and a slice made into an escaping destination.
 func hotpathAssignFinding(pass *analysis.Pass, as *ast.AssignStmt, h *hotFunc) string {
 	if as.Tok == token.ADD_ASSIGN && len(as.Lhs) == 1 {
 		if t := pass.TypesInfo.TypeOf(as.Lhs[0]); t != nil && isString(t) {
@@ -261,7 +264,15 @@ func hotpathAssignFinding(pass *analysis.Pass, as *ast.AssignStmt, h *hotFunc) s
 			// variable: the slice escapes the call, so growth is a real
 			// allocation unless its capacity is provably reused.
 			call, ok := as.Rhs[i].(*ast.CallExpr)
-			if !ok || !isBuiltinAppend(pass, call) || len(call.Args) == 0 {
+			if !ok {
+				continue
+			}
+			if isBuiltinMake(pass, call) && escapingSliceTarget(pass, lhs) {
+				if _, isSlice := pass.TypesInfo.TypeOf(call).Underlying().(*types.Slice); isSlice {
+					return fmt.Sprintf("make into escaping slice %q (allocates a backing array per call)", types.ExprString(lhs))
+				}
+			}
+			if !isBuiltinAppend(pass, call) || len(call.Args) == 0 {
 				continue
 			}
 			target := types.ExprString(lhs)

@@ -22,6 +22,13 @@ func (p *pool) push(v uint64) {
 	p.items = append(p.items, v) // want `hotpath: append to escaping slice "p\.items" without the s = s\[:0\] reuse discipline`
 }
 
+//detsim:hotpath
+func (p *pool) reset(n int) {
+	scratch := make([]uint64, n) // a local slice: not reported
+	_ = scratch
+	p.run = make([]uint64, n) // want `hotpath: make into escaping slice "p\.run" \(allocates a backing array per call\)`
+}
+
 // The capacity-reuse discipline: truncate, then refill. Not reported.
 //
 //detsim:hotpath

@@ -29,13 +29,14 @@ type Allocator struct {
 type region struct {
 	base, size uint64
 	shift      uint // the allocator's minShift, cached for slot arithmetic
-	// freeBit[o] marks which base-relative offsets hold a free block of
-	// size minBlock<<o, indexed by slot off>>(shift+o). Offsets (not
-	// absolute addresses) keep the buddy XOR arithmetic independent of
-	// where the extent sits in physical memory; the dense slot index
-	// replaces a map[uint64]struct{} so membership tests do no hashing
-	// (ISSUE 6 hot-path contract).
-	freeBit [][]bool
+	// free[o] marks which base-relative offsets hold a free block of
+	// size minBlock<<o, one bit per slot off>>(shift+o): bit s%64 of
+	// word s/64. Offsets (not absolute addresses) keep the buddy XOR
+	// arithmetic independent of where the extent sits in physical
+	// memory; the dense slot index replaces a map[uint64]struct{} so
+	// membership tests do no hashing (DESIGN.md §10), and packing the
+	// bits lets CheckInvariants skip 64 clear slots per word.
+	free [][]uint64
 	// count[o] is the number of free blocks at exactly order o.
 	count []int
 	// order of the largest block this region can hold.
@@ -48,9 +49,14 @@ type region struct {
 
 func (r *region) slot(order int, off uint64) uint64 { return off >> (r.shift + uint(order)) }
 
-func (r *region) isFree(order int, off uint64) bool {
-	return r.freeBit[order][r.slot(order, off)]
-}
+// slots returns the number of slots at the given order.
+func (r *region) slots(order int) uint64 { return r.size >> (r.shift + uint(order)) }
+
+// freeAt reports whether slot s of the given order holds a free block.
+func (r *region) freeAt(order int, s uint64) bool { return r.free[order][s/64]>>(s%64)&1 != 0 }
+
+// flip marks a clear slot free or a free slot clear.
+func (r *region) flip(order int, s uint64) { r.free[order][s/64] ^= 1 << (s % 64) }
 
 // New returns an allocator whose minimum block size is minBlock (a power
 // of two; HPMMAP uses 2MB).
@@ -89,11 +95,11 @@ func (a *Allocator) AddRegion(base, size uint64) error {
 	blocks := size >> a.minShift
 	maxOrder := bits.Len64(blocks) - 1
 	r := &region{base: base, size: size, shift: a.minShift, maxOrder: maxOrder}
-	r.freeBit = make([][]bool, maxOrder+1)
+	r.free = make([][]uint64, maxOrder+1)
 	r.count = make([]int, maxOrder+1)
 	r.stack = make([][]uint64, maxOrder+1)
-	for o := range r.freeBit {
-		r.freeBit[o] = make([]bool, blocks>>uint(o))
+	for o := range r.free {
+		r.free[o] = make([]uint64, (r.slots(o)+63)/64)
 	}
 	// Seed with the greedy aligned decomposition of the range.
 	off := uint64(0)
@@ -118,13 +124,13 @@ func (a *Allocator) AddRegion(base, size uint64) error {
 //detsim:hotpath
 func (r *region) push(order int, off uint64) {
 	s := r.slot(order, off)
-	if r.freeBit[order][s] {
+	if r.freeAt(order, s) {
 		// Simulated-state violation: a block entered the free pool twice
 		// (double free in the HPMMAP path).
 		invariant.Failf("pool_double_push", "buddy",
 			"offset %#x order %d pushed onto the free pool it is already on", off, order)
 	}
-	r.freeBit[order][s] = true
+	r.flip(order, s)
 	r.count[order]++
 	//detsim:allow pooled capacity: the per-order free stack refills capacity released by pop; growth is bounded by region size and amortised (DESIGN.md §10)
 	r.stack[order] = append(r.stack[order], off)
@@ -140,9 +146,9 @@ func (r *region) pop(order int) (uint64, bool) {
 	for len(s) > 0 {
 		off := s[len(s)-1]
 		s = s[:len(s)-1]
-		if slot := r.slot(order, off); r.freeBit[order][slot] {
+		if slot := r.slot(order, off); r.freeAt(order, slot) {
 			r.stack[order] = s
-			r.freeBit[order][slot] = false
+			r.flip(order, slot)
 			r.count[order]--
 			return off, true
 		}
@@ -156,10 +162,10 @@ func (r *region) pop(order int) (uint64, bool) {
 //detsim:hotpath
 func (r *region) take(order int, off uint64) bool {
 	s := r.slot(order, off)
-	if !r.freeBit[order][s] {
+	if !r.freeAt(order, s) {
 		return false
 	}
-	r.freeBit[order][s] = false
+	r.flip(order, s)
 	r.count[order]--
 	return true
 }
@@ -290,24 +296,26 @@ func (a *Allocator) LargestFreeBlock() uint64 {
 // and no unit is free twice. Aligned buddy blocks either nest or are
 // disjoint, so a unit is free twice exactly when an aligned ancestor of
 // a free block is itself free: one bit lookup per higher order, with no
-// allocation. Exported for tests and the invariant auditor.
+// allocation. Set bits are visited in ascending slot order, a word at a
+// time, so clear words cost one test. Exported for tests and the
+// invariant auditor.
 func (a *Allocator) CheckInvariants() error {
 	var free uint64
 	for _, r := range a.regions {
 		for o := 0; o <= r.maxOrder; o++ {
 			n := 0
-			for slot, set := range r.freeBit[o] {
-				if !set {
-					continue
-				}
-				n++
-				free += a.MinBlock() << uint(o)
-				for up := o + 1; up <= r.maxOrder; up++ {
-					// A region whose size is not a power of two has no
-					// slot at high orders for its tail blocks.
-					if s := slot >> uint(up-o); s < len(r.freeBit[up]) && r.freeBit[up][s] {
-						return fmt.Errorf("buddy: unit %#x free twice (orders %d, %d)",
-							uint64(slot)<<(r.shift+uint(o)), o, up)
+			for w, word := range r.free[o] {
+				for ; word != 0; word &= word - 1 {
+					slot := uint64(w)*64 + uint64(bits.TrailingZeros64(word))
+					n++
+					free += a.MinBlock() << uint(o)
+					for up := o + 1; up <= r.maxOrder; up++ {
+						// A region whose size is not a power of two has no
+						// slot at high orders for its tail blocks.
+						if s := slot >> uint(up-o); s < r.slots(up) && r.freeAt(up, s) {
+							return fmt.Errorf("buddy: unit %#x free twice (orders %d, %d)",
+								slot<<(r.shift+uint(o)), o, up)
+						}
 					}
 				}
 			}

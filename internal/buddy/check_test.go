@@ -17,12 +17,12 @@ func refCheckInvariants(a *Allocator) error {
 		for o := 0; o <= r.maxOrder; o++ {
 			bs := a.MinBlock() << uint(o)
 			n := 0
-			for slot, set := range r.freeBit[o] {
-				if !set {
+			for slot := uint64(0); slot < r.slots(o); slot++ {
+				if !r.freeAt(o, slot) {
 					continue
 				}
 				n++
-				off := uint64(slot) << (r.shift + uint(o))
+				off := slot << (r.shift + uint(o))
 				if off%bs != 0 {
 					return fmt.Errorf("buddy: free block %#x misaligned for order %d", off, o)
 				}
@@ -84,11 +84,11 @@ func randomPoolState(r *sim.Rand) *Allocator {
 func plantExtraFreeBit(r *sim.Rand, a *Allocator) {
 	reg := a.regions[r.Intn(len(a.regions))]
 	o := r.Intn(reg.maxOrder + 1)
-	bits := reg.freeBit[o]
-	start := r.Intn(len(bits))
-	for i := range bits {
-		if s := (start + i) % len(bits); !bits[s] {
-			bits[s] = true
+	slots := reg.slots(o)
+	start := uint64(r.Intn(int(slots)))
+	for i := uint64(0); i < slots; i++ {
+		if s := (start + i) % slots; !reg.freeAt(o, s) {
+			reg.flip(o, s)
 			reg.count[o]++
 			a.free += a.MinBlock() << uint(o)
 			return

@@ -164,6 +164,9 @@ func plantZoneCorruption(r *sim.Rand, z *Zone, live []zoneBlock, kind zoneCorrup
 		}
 		a := b.order + 1 + r.Intn(MaxOrder-b.order)
 		f := z.free[a]
+		if f.idx == nil { // never pushed to: allocate the index to plant in
+			f.idx = make([]int32, f.slots)
+		}
 		k := len(f.items) + 1 // a popped last item: past the end of items
 		if len(f.items) > 0 && r.Bool(0.5) {
 			k = 1 + r.Intn(len(f.items)) // now another block's position

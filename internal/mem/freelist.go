@@ -14,13 +14,17 @@ import "hpmmap/internal/invariant"
 // hot path does no hashing (ISSUE 6 — the map[PFN]int representation put
 // memhash/mapaccess/mapassign at ~25% of simulator CPU). idx[slot] holds
 // position+1 in items, 0 means absent. The array is sized from the zone's
-// span at construction and never shrinks: Offline removes only topmost
-// sections, so stale high slots simply stay zero.
+// span on the list's first push and never shrinks: Offline removes only
+// topmost sections, so stale high slots simply stay zero. Until then idx
+// is nil, which contains, owns and remove read as empty: nothing in the
+// simulator allocates below order 3, so the lists of orders 0–2, 7/8 of
+// every zone's index, are never pushed to.
 type freeList struct {
 	items []PFN
 	base  PFN
 	shift uint
-	idx   []int32 // slot -> position+1 in items; 0 = absent
+	slots uint64  // len(idx) once allocated
+	idx   []int32 // slot -> position+1 in items; 0 = absent; nil until the first push
 }
 
 // newFreeList builds the list for one order of a zone spanning pages base
@@ -29,7 +33,7 @@ func newFreeList(base PFN, order int, pages uint64) *freeList {
 	return &freeList{
 		base:  base,
 		shift: uint(order),
-		idx:   make([]int32, pages>>uint(order)),
+		slots: pages >> uint(order),
 	}
 }
 
@@ -58,6 +62,10 @@ func (f *freeList) owns(p PFN) bool {
 
 //detsim:hotpath
 func (f *freeList) push(p PFN) {
+	if f.idx == nil {
+		//detsim:allow lazy index: allocated once, on the list's first push, and kept for the zone's lifetime (DESIGN.md §10)
+		f.idx = make([]int32, f.slots)
+	}
 	s := f.slot(p)
 	if f.idx[s] != 0 {
 		// Simulated-state violation: the same physical block entered a

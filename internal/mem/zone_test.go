@@ -27,6 +27,43 @@ func TestZoneStartsFullyCoalesced(t *testing.T) {
 	}
 }
 
+// TestZoneFreeListIndexLazy checks that a fresh zone builds the index of
+// its max-order list only, that an unindexed list reads as empty, and
+// that a list builds its index on its first push: an order-3 allocation
+// leaves the order-0 to order-2 lists unindexed, an order-0 one indexes
+// them.
+func TestZoneFreeListIndexLazy(t *testing.T) {
+	z := newTestZone(t, 16)
+	for o := 0; o < MaxOrder; o++ {
+		f := z.free[o]
+		if f.idx != nil || f.contains(z.Base) || f.owns(z.Base) || f.remove(z.Base) {
+			t.Fatalf("fresh zone: order-%d list has index %v or reports frame %d", o, f.idx != nil, z.Base)
+		}
+	}
+	if z.free[MaxOrder].idx == nil {
+		t.Fatal("fresh zone: max-order list has no index")
+	}
+	if _, ok := z.AllocPages(3); !ok {
+		t.Fatal("order-3 allocation failed")
+	}
+	for o := 0; o <= MaxOrder; o++ {
+		if indexed := z.free[o].idx != nil; indexed != (o >= 3) {
+			t.Fatalf("after an order-3 allocation: order-%d list indexed %v", o, indexed)
+		}
+	}
+	if _, ok := z.AllocPages(0); !ok {
+		t.Fatal("order-0 allocation failed")
+	}
+	for o := 0; o <= MaxOrder; o++ {
+		if f := z.free[o]; f.idx == nil || uint64(len(f.idx)) != z.Pages>>uint(o) {
+			t.Fatalf("after an order-0 allocation: order-%d index holds %d slots, want %d", o, len(f.idx), z.Pages>>uint(o))
+		}
+	}
+	if err := z.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestZoneAllocFreeRoundTrip(t *testing.T) {
 	z := newTestZone(t, 64)
 	p, ok := z.AllocPages(0)

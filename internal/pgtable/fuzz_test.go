@@ -156,52 +156,61 @@ func checkWalk(t *testing.T, step int, pt, twin *Table, flat map[VirtAddr]leaf, 
 // present slots, no table below the root is empty, TablePages counts the
 // tree's nodes, and every node on the spare stack is outside the tree
 // and empty: no slot present and every slot zero, but for slot 0's link.
+// Nodes are read through their arena indexes, and every arena node must
+// be in the tree or on the spare stack, exactly once.
 func checkTree(t *testing.T, step int, pt *Table) {
 	t.Helper()
+	if len(pt.live) != len(pt.nodes) {
+		t.Fatalf("step %d: %d live counts for %d arena nodes", step, len(pt.live), len(pt.nodes))
+	}
 	nodes := uint64(1)
-	seen := map[*node]bool{}
-	var visit func(n *node, level int)
-	visit = func(n *node, level int) {
-		seen[n] = true
+	seen := make([]bool, len(pt.nodes))
+	var visit func(ni uint32, level int)
+	visit = func(ni uint32, level int) {
+		seen[ni] = true
 		present := 0
-		for i := range n.slots {
-			e := &n.slots[i]
-			if !e.present {
+		for i, e := range pt.nodes[ni] {
+			if !e.present() {
 				continue
 			}
 			present++
-			if !e.leaf {
-				if level == levelPT || e.child == nil || e.child.live == 0 {
+			if !e.leaf() {
+				c := e.child()
+				if level == levelPT || int(c) >= len(pt.nodes) || seen[c] || pt.live[c] == 0 {
 					t.Fatalf("step %d: level-%d slot %d holds a malformed or empty table", step, level, i)
 				}
 				nodes++
-				visit(e.child, level+1)
+				visit(c, level+1)
 			}
 		}
-		if present != n.live {
-			t.Fatalf("step %d: level-%d node has %d present slots, live %d", step, level, present, n.live)
+		if int32(present) != pt.live[ni] {
+			t.Fatalf("step %d: level-%d node has %d present slots, live %d", step, level, present, pt.live[ni])
 		}
 	}
-	if pt.root != nil {
-		visit(pt.root, levelPML4)
+	if len(pt.nodes) > 0 {
+		visit(0, levelPML4)
 	}
 	if nodes != pt.TablePages {
 		t.Fatalf("step %d: %d table nodes, TablePages %d", step, nodes, pt.TablePages)
 	}
-	for n, i := pt.spare, 0; n != nil; n, i = n.slots[0].child, i+1 {
-		if seen[n] {
-			t.Fatalf("step %d: spare %d is in the tree or on the stack twice", step, i)
+	for s, i := pt.spare, 0; s != 0; s, i = uint32(pt.nodes[s-1][0]), i+1 {
+		n := s - 1
+		if int(n) >= len(pt.nodes) || seen[n] {
+			t.Fatalf("step %d: spare %d (node %d) is outside the arena, in the tree or on the stack twice", step, i, n)
 		}
 		seen[n] = true
-		link := n.slots[0]
-		link.child = nil
-		if n.live != 0 || link != (entry{}) {
-			t.Fatalf("step %d: spare %d has live %d, slot 0 %+v", step, i, n.live, n.slots[0])
+		if pt.live[n] != 0 {
+			t.Fatalf("step %d: spare %d has live %d", step, i, pt.live[n])
 		}
-		for j := 1; j < len(n.slots); j++ {
-			if n.slots[j] != (entry{}) {
-				t.Fatalf("step %d: spare %d slot %d is %+v", step, i, j, n.slots[j])
+		for j := 1; j < len(pt.nodes[n]); j++ {
+			if pt.nodes[n][j] != 0 {
+				t.Fatalf("step %d: spare %d slot %d is %#x", step, i, j, uint64(pt.nodes[n][j]))
 			}
+		}
+	}
+	for n, ok := range seen {
+		if !ok {
+			t.Fatalf("step %d: arena node %d is neither in the tree nor on the spare stack", step, n)
 		}
 	}
 }

@@ -96,31 +96,57 @@ func levelFor(ps PageSize) int {
 	panic(fmt.Sprintf("pgtable: level lookup with invalid PageSize %d (valid: Page4K, Page2M, Page1G)", ps))
 }
 
-// entry is one slot of a table node. The word-sized fields come first so
-// the three byte-sized ones share one padded word: 24 bytes, not 32.
-type entry struct {
-	pfn     mem.PFN
-	child   *node
-	prot    Prot
-	present bool
-	leaf    bool // terminal mapping (possibly large) rather than a child table
+// entry is one slot of a table node, a 64-bit word laid out as an x86-64
+// page-table entry is: bit 0 is present, bit 1 is leaf (a terminal
+// mapping, possibly large, rather than a child table), bits 8–15 hold
+// the Prot, and bits 16–63 hold the frame of a leaf or the arena index
+// of a child table. The zero entry is an empty slot.
+type entry uint64
+
+const (
+	entryPresent entry = 1 << 0
+	entryLeaf    entry = 1 << 1
+	protShift          = 8
+	frameShift         = 16
+	protMask     entry = 0xff << protShift
+)
+
+// maxFrame is one past the highest frame a leaf can map: 2^40 4KB
+// frames, x86-64's 52-bit physical address limit. Map refuses a mapping
+// whose last frame reaches it.
+const maxFrame mem.PFN = 1 << 40
+
+func leafEntry(pfn mem.PFN, prot Prot) entry {
+	return entry(pfn)<<frameShift | entry(prot)<<protShift | entryLeaf | entryPresent
 }
 
-// node is one 4KB table page holding 512 entries.
-type node struct {
-	slots [512]entry
-	live  int // number of present entries
-}
+func tableEntry(child uint32) entry { return entry(child)<<frameShift | entryPresent }
+
+func (e entry) present() bool { return e&entryPresent != 0 }
+func (e entry) leaf() bool    { return e&entryLeaf != 0 }
+func (e entry) pfn() mem.PFN  { return mem.PFN(e >> frameShift) }
+func (e entry) prot() Prot    { return Prot(e >> protShift) }
+func (e entry) child() uint32 { return uint32(e >> frameShift) }
+
+// node is one 4KB table page: 512 entries and nothing else, so the
+// collector never scans it and no slot write needs a barrier.
+type node [512]entry
 
 // Table is one process address space's page-table tree.
 type Table struct {
-	root *node
-	// spare is a stack of the nodes this table pruned, linked through
-	// slot 0's child pointer; Map and Split2M pop from it before
-	// allocating. A pruned node has no present slot, and every slot
-	// stops being present only by being overwritten with entry{}, so a
-	// spare is all-zero apart from its link.
-	spare *node
+	// nodes is the arena of table pages, the root at index 0; a table
+	// entry names its child by index. live[i] counts the present
+	// entries of nodes[i], kept beside the nodes so a node stays
+	// exactly one page.
+	nodes []*node
+	live  []int32
+	// spare is 1 + the arena index of the top of a stack of the nodes
+	// this table pruned, 0 when it is empty, and each spare's slot 0
+	// holds the next one the same way; Map and Split2M pop from it
+	// before allocating. A pruned node has no present slot, and every
+	// slot stops being present only by being zeroed, so a spare is
+	// all-zero apart from its link.
+	spare uint32
 
 	// Accounting, visible to cost models and tests.
 	Mapped4K    uint64
@@ -139,49 +165,53 @@ type Table struct {
 }
 
 // New returns an empty address space. The root node is materialized on
-// first Map: a node is 512 entries (~12KB), and aggregate-fidelity runs
-// create page tables for every process and fork without ever mapping a
-// page — eager roots were 70% of all simulator allocation (ISSUE 6).
-// TablePages still counts the root from birth so accounting is unchanged.
+// first Map: aggregate-fidelity runs create page tables for every
+// process and fork without ever mapping a page, and eager roots were
+// 70% of all simulator allocation (DESIGN.md §10). TablePages still
+// counts the root from birth so accounting is unchanged.
 func New() *Table {
 	return &Table{TablePages: 1}
 }
 
 // Reset returns the table to its New() state so the struct can be
-// recycled across process lifecycles (kernel.ExitReap). The node tree
-// and the spare stack are dropped for the collector rather than
-// scrubbed: roots are lazy, so a reset table is indistinguishable from a
-// fresh one — the next Map materializes a clean root. Instrument handles
-// are cleared too; owners re-instrument on reuse exactly as they do on
+// recycled across process lifecycles (kernel.ExitReap). The arena and
+// the spare stack are dropped for the collector rather than scrubbed:
+// roots are lazy, so a reset table is indistinguishable from a fresh
+// one — the next Map materializes a clean root. Instrument handles are
+// cleared too; owners re-instrument on reuse exactly as they do on
 // creation.
 func (t *Table) Reset() {
 	*t = Table{TablePages: 1}
 }
 
-// rootNode returns the root, materializing it on first use.
-func (t *Table) rootNode() *node {
-	if t.root == nil {
-		t.root = &node{}
+// rootNode returns the root's arena index, materializing it on first
+// use.
+func (t *Table) rootNode() uint32 {
+	if len(t.nodes) == 0 {
+		t.nodes = append(t.nodes, new(node))
+		t.live = append(t.live, 0)
 	}
-	return t.root
+	return 0
 }
 
-// newNode returns an empty table node, reusing a pruned one when the
-// spare stack has any.
-func (t *Table) newNode() *node {
-	n := t.spare
-	if n == nil {
-		return &node{}
+// newNode returns the arena index of an empty table node, reusing a
+// pruned one when the spare stack has any.
+func (t *Table) newNode() uint32 {
+	if s := t.spare; s != 0 {
+		n := t.nodes[s-1]
+		t.spare = uint32(n[0])
+		n[0] = 0
+		return s - 1
 	}
-	t.spare = n.slots[0].child
-	n.slots[0].child = nil
-	return n
+	t.nodes = append(t.nodes, new(node))
+	t.live = append(t.live, 0)
+	return uint32(len(t.nodes) - 1)
 }
 
 // freeNode pushes a node just pruned from the tree onto the spare stack.
-func (t *Table) freeNode(n *node) {
-	n.slots[0].child = t.spare
-	t.spare = n
+func (t *Table) freeNode(i uint32) {
+	t.nodes[i][0] = entry(t.spare)
+	t.spare = i + 1
 }
 
 // MappedBytes returns the total bytes currently mapped.
@@ -210,28 +240,29 @@ func checkAligned(va VirtAddr, ps PageSize) error {
 
 // Map installs a leaf mapping of the given size at va. It fails if any
 // part of the range is already mapped (at any granularity) — callers
-// unmap first, as the kernel does.
+// unmap first, as the kernel does — or if the mapping's last frame is
+// at or above 2^40, which no entry can hold.
 func (t *Table) Map(va VirtAddr, pfn mem.PFN, ps PageSize, prot Prot) error {
 	if err := checkAligned(va, ps); err != nil {
 		return err
 	}
+	if pfn > maxFrame-mem.PFN(ps.Bytes()/mem.PageSize) {
+		return fmt.Errorf("pgtable: %s mapping of frame %d at %#x reaches past frame 2^40", ps, pfn, uint64(va))
+	}
 	target := levelFor(ps)
-	n, level := t.descend(va, target)
-	if n == nil {
+	ni, level := t.descend(va, target)
+	if level != target {
 		return fmt.Errorf("pgtable: %#x already covered by a %s mapping", uint64(va), leafSize(level))
 	}
-	e := &n.slots[indexAt(va, target)]
-	if e.present {
-		if e.leaf {
+	e := &t.nodes[ni][indexAt(va, target)]
+	if e.present() {
+		if e.leaf() {
 			return fmt.Errorf("pgtable: %#x already mapped", uint64(va))
 		}
 		return fmt.Errorf("pgtable: %#x has smaller mappings below; unmap before mapping %s", uint64(va), ps)
 	}
-	e.present = true
-	e.leaf = true
-	e.pfn = pfn
-	e.prot = prot
-	n.live++
+	*e = leafEntry(pfn, prot)
+	t.live[ni]++
 	t.MapOps++
 	switch ps {
 	case Page4K:
@@ -247,15 +278,19 @@ func (t *Table) Map(va VirtAddr, pfn mem.PFN, ps PageSize, prot Prot) error {
 // MapRun4K maps the n consecutive 4KB pages from va to the consecutive
 // frames from pfn, leaving the tree and counters exactly as n ascending
 // Map(va+i·4KB, pfn+i, Page4K, prot) calls would: it skips each page Map
-// refuses (every page of a misaligned va, a page whose PTE is present,
-// a page under a 2MB or 1GB leaf) and creates the same tables in the
-// same order. It descends once per PT instead of once per page, and
-// allocates nothing but the tables it creates.
+// refuses (every page of a misaligned va, a page whose frame is at or
+// above 2^40, a page whose PTE is present, a page under a 2MB or 1GB
+// leaf) and creates the same tables in the same order. It descends once
+// per PT instead of once per page, and allocates nothing but the tables
+// it creates.
 //
 //detsim:hotpath
 func (t *Table) MapRun4K(va VirtAddr, n uint64, pfn mem.PFN, prot Prot) {
-	if uint64(va)&(mem.PageSize-1) != 0 {
+	if uint64(va)&(mem.PageSize-1) != 0 || pfn >= maxFrame {
 		return
+	}
+	if n > uint64(maxFrame-pfn) {
+		n = uint64(maxFrame - pfn) // the pages past the limit come last
 	}
 	for n > 0 {
 		idx := indexAt(va, levelPT)
@@ -263,21 +298,20 @@ func (t *Table) MapRun4K(va VirtAddr, n uint64, pfn mem.PFN, prot Prot) {
 		if k > n {
 			k = n
 		}
-		if pt, _ := t.descend(va, levelPT); pt != nil {
-			var mapped uint64
-			for i := uint64(0); i < k; i++ {
-				e := &pt.slots[idx+int(i)]
-				if e.present {
+		if pt, level := t.descend(va, levelPT); level == levelPT {
+			slots := t.nodes[pt][idx : idx+int(k)]
+			first := leafEntry(pfn, prot)
+			var mapped int32
+			for i, e := range slots {
+				if e.present() {
 					continue
 				}
-				// As in Map, a slot that is not present is all-zero, so
-				// the child pointer needs no write (nor its barrier).
-				e.pfn, e.prot, e.present, e.leaf = pfn+mem.PFN(i), prot, true, true
+				slots[i] = first + entry(i)<<frameShift
 				mapped++
 			}
-			pt.live += int(mapped)
-			t.MapOps += mapped
-			t.Mapped4K += mapped
+			t.live[pt] += mapped
+			t.MapOps += uint64(mapped)
+			t.Mapped4K += uint64(mapped)
 		}
 		va += VirtAddr(k * mem.PageSize)
 		pfn += mem.PFN(k)
@@ -285,27 +319,30 @@ func (t *Table) MapRun4K(va VirtAddr, n uint64, pfn mem.PFN, prot Prot) {
 	}
 }
 
-// descend returns the table at level target that covers va, creating
-// the missing tables above it, or nil and the level of the large leaf
-// covering va. A leaf's ancestors all exist, so a nil return has
-// created nothing.
+// descend returns the arena index of the table at level target that
+// covers va, creating the missing tables above it, and target; or, when
+// a large leaf covers va, the level of that leaf. A leaf's ancestors
+// all exist, so that return has created nothing.
 //
 //detsim:hotpath
-func (t *Table) descend(va VirtAddr, target int) (*node, int) {
-	n := t.rootNode()
+func (t *Table) descend(va VirtAddr, target int) (uint32, int) {
+	ni := t.rootNode()
 	for level := 0; level < target; level++ {
-		e := &n.slots[indexAt(va, level)]
-		if !e.present {
-			e.present = true
-			e.child = t.newNode()
-			n.live++
+		e := &t.nodes[ni][indexAt(va, level)]
+		if !e.present() {
+			c := t.newNode()
+			*e = tableEntry(c)
+			t.live[ni]++
 			t.TablePages++
-		} else if e.leaf {
-			return nil, level
+			ni = c
+			continue
 		}
-		n = e.child
+		if e.leaf() {
+			return 0, level
+		}
+		ni = e.child()
 	}
-	return n, target
+	return ni, target
 }
 
 func leafSize(level int) PageSize {
@@ -359,23 +396,23 @@ func (t *Table) Walk(va VirtAddr) (Mapping, bool) {
 }
 
 func (t *Table) walk(va VirtAddr) (Mapping, bool) {
-	if t.root == nil {
+	if len(t.nodes) == 0 {
 		// Same observable result as an empty root: one slot probed, miss
 		// at the top level.
 		t.WalkedSlots++
 		return Mapping{Levels: 1}, false
 	}
-	n := t.root
+	n := t.nodes[0]
 	for level := 0; level < numLevels; level++ {
 		t.WalkedSlots++
-		e := &n.slots[indexAt(va, level)]
-		if !e.present {
+		e := n[indexAt(va, level)]
+		if !e.present() {
 			return Mapping{Levels: level + 1}, false
 		}
-		if e.leaf {
-			return Mapping{PFN: e.pfn, Size: leafSize(level), Prot: e.prot, Levels: level + 1}, true
+		if e.leaf() {
+			return Mapping{PFN: e.pfn(), Size: leafSize(level), Prot: e.prot(), Levels: level + 1}, true
 		}
-		n = e.child
+		n = t.nodes[e.child()]
 	}
 	// Simulated-state violation: a bottom-level entry was present but not
 	// a leaf — the radix tree grew a level that cannot exist on x86-64.
@@ -403,26 +440,26 @@ func (t *Table) Unmap(va VirtAddr, ps PageSize) (mem.PFN, error) {
 		return 0, err
 	}
 	target := levelFor(ps)
-	if t.root == nil {
+	if len(t.nodes) == 0 {
 		return 0, fmt.Errorf("pgtable: %#x not mapped as %s", uint64(va), ps)
 	}
-	path := make([]*node, 0, numLevels)
-	n := t.root
+	var path [numLevels]uint32
+	ni := uint32(0)
 	for level := 0; level < target; level++ {
-		path = append(path, n)
-		e := &n.slots[indexAt(va, level)]
-		if !e.present || e.leaf {
+		path[level] = ni
+		e := t.nodes[ni][indexAt(va, level)]
+		if !e.present() || e.leaf() {
 			return 0, fmt.Errorf("pgtable: %#x not mapped as %s", uint64(va), ps)
 		}
-		n = e.child
+		ni = e.child()
 	}
-	e := &n.slots[indexAt(va, target)]
-	if !e.present || !e.leaf {
+	e := &t.nodes[ni][indexAt(va, target)]
+	if !e.present() || !e.leaf() {
 		return 0, fmt.Errorf("pgtable: %#x not mapped as %s", uint64(va), ps)
 	}
-	pfn := e.pfn
-	*e = entry{}
-	n.live--
+	pfn := e.pfn()
+	*e = 0
+	t.live[ni]--
 	t.UnmapOps++
 	switch ps {
 	case Page4K:
@@ -435,13 +472,13 @@ func (t *Table) Unmap(va VirtAddr, ps PageSize) (mem.PFN, error) {
 	// Prune empty tables bottom-up.
 	for level := target - 1; level >= 0; level-- {
 		parent := path[level]
-		e := &parent.slots[indexAt(va, level)]
-		if e.child.live > 0 {
+		e := &t.nodes[parent][indexAt(va, level)]
+		if t.live[e.child()] > 0 {
 			break
 		}
-		t.freeNode(e.child)
-		*e = entry{}
-		parent.live--
+		t.freeNode(e.child())
+		*e = 0
+		t.live[parent]--
 		t.TablePages--
 	}
 	return pfn, nil
@@ -450,20 +487,20 @@ func (t *Table) Unmap(va VirtAddr, ps PageSize) (mem.PFN, error) {
 // Protect updates the permissions of the leaf covering va. Reports the
 // mapping's size so callers can iterate ranges.
 func (t *Table) Protect(va VirtAddr, prot Prot) (PageSize, error) {
-	if t.root == nil {
+	if len(t.nodes) == 0 {
 		return 0, fmt.Errorf("pgtable: %#x not mapped", uint64(va))
 	}
-	n := t.root
+	n := t.nodes[0]
 	for level := 0; level < numLevels; level++ {
-		e := &n.slots[indexAt(va, level)]
-		if !e.present {
+		e := &n[indexAt(va, level)]
+		if !e.present() {
 			return 0, fmt.Errorf("pgtable: %#x not mapped", uint64(va))
 		}
-		if e.leaf {
-			e.prot = prot
+		if e.leaf() {
+			*e = *e&^protMask | entry(prot)<<protShift
 			return leafSize(level), nil
 		}
-		n = e.child
+		n = t.nodes[e.child()]
 	}
 	// Simulated-state violation: same impossible shape as walk_off_tree,
 	// reached through the protection-change path.
@@ -480,30 +517,28 @@ func (t *Table) Split2M(va VirtAddr) error {
 	if err := checkAligned(va, Page2M); err != nil {
 		return err
 	}
-	if t.root == nil {
+	if len(t.nodes) == 0 {
 		return fmt.Errorf("pgtable: %#x not mapped as 2MB", uint64(va))
 	}
-	n := t.root
+	n := t.nodes[0]
 	for level := 0; level < levelPD; level++ {
-		e := &n.slots[indexAt(va, level)]
-		if !e.present || e.leaf {
+		e := n[indexAt(va, level)]
+		if !e.present() || e.leaf() {
 			return fmt.Errorf("pgtable: %#x not mapped as 2MB", uint64(va))
 		}
-		n = e.child
+		n = t.nodes[e.child()]
 	}
-	e := &n.slots[indexAt(va, levelPD)]
-	if !e.present || !e.leaf {
+	e := &n[indexAt(va, levelPD)]
+	if !e.present() || !e.leaf() {
 		return fmt.Errorf("pgtable: %#x not mapped as 2MB", uint64(va))
 	}
 	pt := t.newNode()
-	for i := 0; i < 512; i++ {
-		pt.slots[i] = entry{present: true, leaf: true, pfn: e.pfn + mem.PFN(i), prot: e.prot}
+	first, slots := leafEntry(e.pfn(), e.prot()), t.nodes[pt]
+	for i := range slots {
+		slots[i] = first + entry(i)<<frameShift
 	}
-	pt.live = 512
-	e.leaf = false
-	e.pfn = 0
-	e.child = pt
-	e.prot = 0
+	t.live[pt] = 512
+	*e = tableEntry(pt)
 	t.TablePages++
 	t.SplitOps++
 	t.Mapped2M--
@@ -516,28 +551,27 @@ func (t *Table) Split2M(va VirtAddr) error {
 func (t *Table) Range(fn func(va VirtAddr, m Mapping) bool) {
 	var walk func(n *node, level int, prefix uint64) bool
 	walk = func(n *node, level int, prefix uint64) bool {
-		for i := 0; i < 512; i++ {
-			e := &n.slots[i]
-			if !e.present {
+		for i, e := range n {
+			if !e.present() {
 				continue
 			}
 			va := prefix | uint64(i)<<shiftFor(level)
-			if e.leaf {
-				if !fn(VirtAddr(va), Mapping{PFN: e.pfn, Size: leafSize(level), Prot: e.prot, Levels: level + 1}) {
+			if e.leaf() {
+				if !fn(VirtAddr(va), Mapping{PFN: e.pfn(), Size: leafSize(level), Prot: e.prot(), Levels: level + 1}) {
 					return false
 				}
 				continue
 			}
-			if !walk(e.child, level+1, va) {
+			if !walk(t.nodes[e.child()], level+1, va) {
 				return false
 			}
 		}
 		return true
 	}
-	if t.root == nil {
+	if len(t.nodes) == 0 {
 		return
 	}
-	walk(t.root, 0, 0)
+	walk(t.nodes[0], 0, 0)
 }
 
 // UnmapRange removes every leaf mapping that starts inside
@@ -551,21 +585,22 @@ func (t *Table) Range(fn func(va VirtAddr, m Mapping) bool) {
 //detsim:hotpath
 func (t *Table) UnmapRange(start VirtAddr, length uint64) {
 	first, end := uint64(start), uint64(start)+length
-	if t.root == nil || end <= first { // empty, or wraps past 2^64
+	if len(t.nodes) == 0 || end <= first { // empty, or wraps past 2^64
 		return
 	}
-	t.unmapRange(t.root, levelPML4, 0, first, end-1)
+	t.unmapRange(0, levelPML4, 0, first, end-1)
 }
 
-// unmapRange is UnmapRange's pass over n, the table at level whose first
-// slot maps base. It visits only the slots from the one holding first to
-// the one holding last, clears each leaf that starts in [first, last],
-// and, on the way back up, prunes each child table it emptied onto the
-// spare stack. Past the 48-bit space the root indexes, a first leaves lo
-// above 511 and a last leaves hi at 511.
+// unmapRange is UnmapRange's pass over node ni, the table at level whose
+// first slot maps base. It visits only the slots from the one holding
+// first to the one holding last, clears each leaf that starts in
+// [first, last], and, on the way back up, prunes each child table it
+// emptied onto the spare stack. Past the 48-bit space the root indexes,
+// a first leaves lo above 511 and a last leaves hi at 511.
 //
 //detsim:hotpath
-func (t *Table) unmapRange(n *node, level int, base, first, last uint64) {
+func (t *Table) unmapRange(ni uint32, level int, base, first, last uint64) {
+	n := t.nodes[ni]
 	shift := shiftFor(level)
 	lo, hi := 0, 511
 	if first > base {
@@ -575,24 +610,26 @@ func (t *Table) unmapRange(n *node, level int, base, first, last uint64) {
 		hi = int((last - base) >> shift)
 	}
 	for i := lo; i <= hi; i++ {
-		e := &n.slots[i]
-		if !e.present {
+		e := &n[i]
+		if !e.present() {
 			continue
 		}
 		va := base + uint64(i)<<shift
-		if e.leaf && level == levelPML4 || !e.leaf && level == levelPT {
+		leaf := e.leaf()
+		if leaf && level == levelPML4 || !leaf && level == levelPT {
 			// Simulated-state violation: a shape Map never builds, a leaf
 			// in the PML4 or a table below the PT.
 			invariant.Failf("unmap_lost_mapping", "pgtable",
 				"UnmapRange over [%#x, %#x]: level-%d slot at %#x (leaf %v) cannot exist on x86-64",
-				first, last, level, va, e.leaf)
+				first, last, level, va, leaf)
 		}
-		if !e.leaf {
-			t.unmapRange(e.child, level+1, va, first, last)
-			if e.child.live == 0 {
-				t.freeNode(e.child)
-				*e = entry{}
-				n.live--
+		if !leaf {
+			c := e.child()
+			t.unmapRange(c, level+1, va, first, last)
+			if t.live[c] == 0 {
+				t.freeNode(c)
+				*e = 0
+				t.live[ni]--
 				t.TablePages--
 			}
 			continue
@@ -608,8 +645,8 @@ func (t *Table) unmapRange(n *node, level int, base, first, last uint64) {
 		default:
 			t.Mapped1G--
 		}
-		*e = entry{}
-		n.live--
+		*e = 0
+		t.live[ni]--
 		t.UnmapOps++
 	}
 }

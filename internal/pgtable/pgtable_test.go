@@ -2,6 +2,8 @@ package pgtable
 
 import (
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -352,17 +354,20 @@ func TestMapAfterPruneAllocationFree(t *testing.T) {
 // the PT each raise a contained *invariant.Violation.
 func TestUnmapRangeMalformedTreeViolates(t *testing.T) {
 	pml4Leaf := New()
-	pml4Leaf.rootNode().slots[1] = entry{present: true, leaf: true, pfn: 7, prot: ProtRead}
-	pml4Leaf.root.live = 1
+	pml4Leaf.nodes[pml4Leaf.rootNode()][1] = leafEntry(7, ProtRead)
+	pml4Leaf.live[0] = 1
 
 	belowPT := New()
 	if err := belowPT.Map(0x4000_0000, 1, Page4K, ProtRead); err != nil {
 		t.Fatal(err)
 	}
-	pte := &belowPT.root.slots[0].child.slots[1].child.slots[0].child.slots[0]
-	extra := &node{live: 1}
-	extra.slots[0] = entry{present: true, leaf: true, pfn: 1, prot: ProtRead}
-	*pte = entry{present: true, child: extra}
+	pdpt := belowPT.nodes[0][0].child()
+	pd := belowPT.nodes[pdpt][1].child()
+	pte := &belowPT.nodes[belowPT.nodes[pd][0].child()][0]
+	extra := belowPT.newNode()
+	belowPT.nodes[extra][0] = leafEntry(1, ProtRead)
+	belowPT.live[extra] = 1
+	*pte = tableEntry(extra)
 
 	for _, tc := range []struct {
 		name  string
@@ -464,5 +469,152 @@ func TestPageSizeBytes(t *testing.T) {
 	}
 	if Page4K.String() != "4KB" || Page2M.String() != "2MB" || Page1G.String() != "1GB" {
 		t.Fatal("PageSize.String wrong")
+	}
+}
+
+// hasPointer reports whether a value of type t holds anything the
+// garbage collector must scan.
+func hasPointer(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return hasPointer(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointer(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Chan, reflect.Func,
+		reflect.Interface, reflect.Slice, reflect.String:
+		return true
+	}
+	return false
+}
+
+// checkRoundTrip4K maps one 4KB page and requires Walk, Range, Protect
+// and Unmap to hand back its frame and protections unchanged.
+func checkRoundTrip4K(t *testing.T, pfn mem.PFN, prot Prot) {
+	t.Helper()
+	pt, va := New(), VirtAddr(0x7f12_3456_7000)
+	if err := pt.Map(va, pfn, Page4K, prot); err != nil {
+		t.Fatalf("Map(frame %#x, prot %#x): %v", pfn, prot, err)
+	}
+	want := Mapping{PFN: pfn, Size: Page4K, Prot: prot, Levels: 4}
+	if m, ok := pt.Walk(va); !ok || m != want {
+		t.Fatalf("Walk after Map(frame %#x, prot %#x) = %+v, %v", pfn, prot, m, ok)
+	}
+	if got := appendLeaves(nil, pt); !slices.Equal(got, []leaf{{va, pfn, Page4K, prot}}) {
+		t.Fatalf("Range after Map(frame %#x, prot %#x) = %+v", pfn, prot, got)
+	}
+	if ps, err := pt.Protect(va, ^prot); ps != Page4K || err != nil {
+		t.Fatalf("Protect(%#x) = %s, %v", ^prot, ps, err)
+	}
+	if m, _ := pt.Walk(va); m.PFN != pfn || m.Prot != ^prot {
+		t.Fatalf("Walk after Protect(%#x) of frame %#x = %+v", ^prot, pfn, m)
+	}
+	if _, err := pt.Protect(va, prot); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := pt.Unmap(va, Page4K); got != pfn || err != nil {
+		t.Fatalf("Unmap of frame %#x, prot %#x = %#x, %v", pfn, prot, got, err)
+	}
+}
+
+// checkRoundTripSplit maps one 2MB page from frame pfn, splits it, and
+// requires every 4KB piece to carry frame pfn+i and the same prot.
+func checkRoundTripSplit(t *testing.T, pfn mem.PFN, prot Prot) {
+	t.Helper()
+	pt, va := New(), VirtAddr(0x7f12_3440_0000)
+	if err := pt.Map(va, pfn, Page2M, prot); err != nil {
+		t.Fatalf("Map 2MB (frame %#x, prot %#x): %v", pfn, prot, err)
+	}
+	if m, ok := pt.Walk(va + mem.PageSize); !ok || m != (Mapping{PFN: pfn, Size: Page2M, Prot: prot, Levels: 3}) {
+		t.Fatalf("Walk of 2MB frame %#x, prot %#x = %+v, %v", pfn, prot, m, ok)
+	}
+	if err := pt.Split2M(va); err != nil {
+		t.Fatal(err)
+	}
+	leaves := appendLeaves(nil, pt)
+	if len(leaves) != 512 {
+		t.Fatalf("%d leaves after Split2M, want 512", len(leaves))
+	}
+	for i, l := range leaves {
+		if want := (leaf{va + VirtAddr(i)*mem.PageSize, pfn + mem.PFN(i), Page4K, prot}); l != want {
+			t.Fatalf("Split2M piece %d = %+v, want %+v", i, l, want)
+		}
+	}
+	if got, err := pt.Unmap(va+511*mem.PageSize, Page4K); got != pfn+511 || err != nil {
+		t.Fatalf("Unmap of the last piece of frame %#x = %#x, %v", pfn, got, err)
+	}
+}
+
+// TestEntryLayout pins the entry representation: an entry is one 64-bit
+// word and a node one 4KB page with no pointer in it; every Prot value
+// and every frame below 2^40 round-trips through Map, Walk, Range,
+// Protect, Split2M and Unmap; and a mapping whose last frame is at or
+// above 2^40 is refused, by MapRun4K exactly as by per-page Map.
+func TestEntryLayout(t *testing.T) {
+	if size := reflect.TypeOf(entry(0)).Size(); size != 8 {
+		t.Fatalf("entry is %d bytes, want 8", size)
+	}
+	if nt := reflect.TypeOf(node{}); nt.Size() != 4096 || hasPointer(nt) {
+		t.Fatalf("node is %d bytes (pointers: %v), want 4096 and none", nt.Size(), hasPointer(nt))
+	}
+
+	for p := 0; p < 256; p++ {
+		for _, pfn := range []mem.PFN{0, 1, 1 << 32, maxFrame - 1} {
+			checkRoundTrip4K(t, pfn, Prot(p))
+		}
+		for _, pfn := range []mem.PFN{0, 1, 1 << 32, maxFrame - 512} {
+			checkRoundTripSplit(t, pfn, Prot(p))
+		}
+	}
+
+	pt := New()
+	for _, c := range []struct {
+		va  VirtAddr
+		pfn mem.PFN
+		ps  PageSize
+	}{
+		{0x4000_0000, maxFrame, Page4K},
+		{0x4000_0000, maxFrame - 511, Page2M},
+		{0x4000_0000, maxFrame - (1 << 18) + 1, Page1G},
+	} {
+		if err := pt.Map(c.va, c.pfn, c.ps, ProtRead); err == nil {
+			t.Fatalf("Map(%s at frame %#x) accepted: its last frame reaches 2^40", c.ps, c.pfn)
+		}
+	}
+	if c := tableCounters(pt); c != [8]uint64{3: 1} || len(pt.nodes) != 0 {
+		t.Fatalf("refused Maps left counters %v and %d arena nodes", c, len(pt.nodes))
+	}
+	if err := pt.Map(0x4000_0000, maxFrame-512, Page2M, ProtRead); err != nil {
+		t.Fatalf("Map of a 2MB leaf ending at frame 2^40-1: %v", err)
+	}
+
+	// Runs that cross the limit, from inside a PT, across a PT boundary,
+	// and from the limit itself, over a table already holding leaves.
+	run, twin := New(), New()
+	for _, r := range []struct {
+		va  VirtAddr
+		n   uint64
+		pfn mem.PFN
+	}{
+		{0x4000_0000 + 400*mem.PageSize, 600, maxFrame - 300},
+		{0x4000_0000 + 800*mem.PageSize, 100, maxFrame - 50},
+		{0x8000_0000, 10, maxFrame},
+		{0x8000_0000, 1, maxFrame - 1},
+	} {
+		run.MapRun4K(r.va, r.n, r.pfn, ProtRead|ProtWrite)
+		refMapRun4K(twin, r.va, r.n, r.pfn, ProtRead|ProtWrite)
+		if got, want := appendLeaves(nil, run), appendLeaves(nil, twin); !slices.Equal(got, want) {
+			t.Fatalf("MapRun4K(%#x, %d, frame %#x) leaves %v; per-page Map %v", uint64(r.va), r.n, r.pfn, got, want)
+		}
+		if c, ct := tableCounters(run), tableCounters(twin); c != ct {
+			t.Fatalf("MapRun4K(%#x, %d, frame %#x) counters %v; per-page Map %v", uint64(r.va), r.n, r.pfn, c, ct)
+		}
+	}
+	if run.Mapped4K != 300+50+1 {
+		t.Fatalf("runs across the limit mapped %d pages, want 351", run.Mapped4K)
 	}
 }
