@@ -19,7 +19,6 @@ import (
 
 	"hpmmap/internal/cli"
 	"hpmmap/internal/experiments"
-	"hpmmap/internal/fault"
 	"hpmmap/internal/ledger"
 	"hpmmap/internal/runner"
 )
@@ -171,6 +170,4 @@ func faultTable(fs experiments.FaultStudy, paper map[string][2][3]float64) {
 				load, name, pc[0], pc[1], pc[2], s.Count, s.AvgCycles, s.StdevCycles)
 		}
 	}
-	// Keep the compiler honest about the fault import (kind names).
-	_ = fault.KindSmall
 }

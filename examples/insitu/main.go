@@ -50,12 +50,13 @@ func run(bench string, m hpmmap.Manager, ranks int, scale float64) (float64, uin
 	case hpmmap.ManagerHugeTLBfs:
 		kind = experiments.HugeTLBfs
 	}
-	out, err := experiments.ExecuteSingleNodeWith(experiments.SingleRun{
+	out, err := experiments.ExecuteSingleNode(experiments.SingleRun{
 		Bench: spec, Kind: kind, Ranks: ranks, Seed: 99,
 		Scale: experiments.Scale(scale),
-	}, func(node *kernel.Node) func() {
-		a := workload.StartAnalytics(node, workload.VizPipeline(), 7)
-		return a.Stop
+		CoLocated: func(node *kernel.Node) func() {
+			a := workload.StartAnalytics(node, workload.VizPipeline(), 7)
+			return a.Stop
+		},
 	})
 	if err != nil {
 		return 0, 0, 0, err

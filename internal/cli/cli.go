@@ -1,8 +1,7 @@
 // Package cli is the artifact layer of the experiment CLIs
-// (hpmmap-bench, hpmmap-report, hpmmap-probe, hpmmap-faulttrace and
-// hpmmap-sweep). It registers the six artifact flags they all share,
-// opens what those flags name, and closes it all on every exit path:
-// a run that succeeds, fails, hits its -timeout or receives
+// (hpmmap-bench and hpmmap-report). It registers the six artifact flags
+// they share, opens what those flags name, and closes it all on every
+// exit path: a run that succeeds, fails, hits its -timeout or receives
 // SIGINT/SIGTERM leaves the same set of files behind (partial ones for
 // a run cut short).
 //

@@ -18,12 +18,9 @@ import (
 	"hpmmap/internal/timeline"
 )
 
-// The CLIs built by tools: the five experiment CLIs that share the
+// The CLIs built by tools: the two experiment CLIs that share the
 // artifact layer, plus hpmmap-ledger to diff their snapshots.
-var toolNames = []string{
-	"hpmmap-bench", "hpmmap-faulttrace", "hpmmap-probe", "hpmmap-sweep", "hpmmap-report",
-	"hpmmap-ledger",
-}
+var toolNames = []string{"hpmmap-bench", "hpmmap-report", "hpmmap-ledger"}
 
 var (
 	buildOnce sync.Once
@@ -111,13 +108,25 @@ func TestEveryCLIWritesEveryArtifact(t *testing.T) {
 		wantStderr  []string
 	}{
 		{"bench", "hpmmap-bench", []string{"-exp", "fig2", "-scale", "0.1"}, []string{""}, 0, nil},
-		{"faulttrace", "hpmmap-faulttrace", []string{"-scale", "0.1", "-no-plot"}, []string{""}, 0, nil},
-		{"probe", "hpmmap-probe", []string{"-ranks", "2"}, []string{""}, 0, nil},
-		{"sweep", "hpmmap-sweep", []string{"-knob", "thp-frag", "-runs", "1", "-scale", "0.25"}, []string{""}, 0, nil},
+		{"faulttrace", "hpmmap-bench", []string{"-study", "faulttrace", "-scale", "0.1", "-plot-height", "0"}, []string{""}, 0, nil},
+		{"probe", "hpmmap-bench", []string{"-study", "probe", "-cores", "2"}, []string{""}, 0, nil},
+		{"sweep", "hpmmap-bench", []string{"-study", "sweep", "-knob", "thp-frag", "-runs", "1", "-scale", "0.25"}, []string{""}, 0, nil},
 		{"report", "hpmmap-report", []string{"-scale", "0.25", "-skip-fig7", "-skip-fig8"},
 			[]string{"-fig2", "-fig3", "-attribution"}, 0, nil},
 		{"bench unknown -exp", "hpmmap-bench", []string{"-exp", "fig9", "-scale", "0.1"}, nil, 2,
 			[]string{`unknown -exp "fig9"`, "fig2, fig3, fig4, fig5, fig7, noise, attribution, fig8, all"}},
+		{"bench unknown -study", "hpmmap-bench", []string{"-study", "storm"}, nil, 2,
+			[]string{`unknown -study "storm"`, "chaos, datacenter, eviction, probe, faulttrace, sweep"}},
+		{"sweep unknown -profile", "hpmmap-bench", []string{"-study", "sweep", "-profile", "7"}, nil, 2,
+			[]string{`unknown -profile "7"`, "none, A, B"}},
+		{"probe unknown -manager", "hpmmap-bench", []string{"-study", "probe", "-manager", "2"}, nil, 2,
+			[]string{`unknown -manager "2"`, "thp, hugetlbfs, hpmmap"}},
+		{"faulttrace refuses hpmmap", "hpmmap-bench", []string{"-study", "faulttrace", "-manager", "hpmmap"}, nil, 2,
+			[]string{`unknown manager "hpmmap"`, "nothing to trace"}},
+		{"sweep unknown -knob", "hpmmap-bench", []string{"-study", "sweep", "-knob", "nosuch"}, nil, 2,
+			[]string{`unknown -knob "nosuch"`, "thp-frag, reclaim-prob, reclaim-tail, merge-period, store-cycles, mem-latency, all"}},
+		{"faulttrace unknown -hist", "hpmmap-bench", []string{"-study", "faulttrace", "-hist", "stack"}, nil, 2,
+			[]string{`unknown -hist "stack"`, "small, large, merge, hugetlb-large, hugetlb-small"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -345,20 +345,24 @@ func TestManagerAndProfileStrings(t *testing.T) {
 	if ProfileA.String() != "A" || ProfileD.String() != "D" {
 		t.Fatal("profile names")
 	}
+	if Profile(7).String() != "?" || Profile(-1).String() != "?" {
+		t.Fatal("an out-of-range profile must print as ?")
+	}
 }
 
 func TestModelOverridesApply(t *testing.T) {
 	spec, _ := workload.ByName("miniFE")
-	base, err := ExecuteSingleNodeWithOverrides(SingleRun{
+	base, err := ExecuteSingleNode(SingleRun{
 		Bench: spec, Kind: THP, Profile: ProfileA, Ranks: 2, Seed: 5, Scale: 0.25,
-	}, ModelOverrides{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	slow := 40.0
-	slowed, err := ExecuteSingleNodeWithOverrides(SingleRun{
+	slowed, err := ExecuteSingleNode(SingleRun{
 		Bench: spec, Kind: THP, Profile: ProfileA, Ranks: 2, Seed: 5, Scale: 0.25,
-	}, ModelOverrides{StoreCycles: &slow})
+		Overrides: ModelOverrides{StoreCycles: &slow},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,9 +370,10 @@ func TestModelOverridesApply(t *testing.T) {
 		t.Fatalf("4x clear cost did not slow the run: %.2f vs %.2f", slowed.RuntimeSec, base.RuntimeSec)
 	}
 	lat := 500.0
-	slower, err := ExecuteSingleNodeWithOverrides(SingleRun{
+	slower, err := ExecuteSingleNode(SingleRun{
 		Bench: spec, Kind: THP, Profile: ProfileA, Ranks: 2, Seed: 5, Scale: 0.25,
-	}, ModelOverrides{MemLatency: &lat})
+		Overrides: ModelOverrides{MemLatency: &lat},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

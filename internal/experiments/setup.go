@@ -98,7 +98,11 @@ const (
 )
 
 func (p Profile) String() string {
-	return [...]string{"none", "A", "B", "C", "D"}[p]
+	names := [...]string{"none", "A", "B", "C", "D"}
+	if p < 0 || int(p) >= len(names) {
+		return "?"
+	}
+	return names[p]
 }
 
 // Scale shrinks an experiment for fast test runs: footprints, memory and
@@ -492,6 +496,14 @@ type SingleRun struct {
 	// The agent is stopped when the measured application completes and
 	// returned via RunOutcome.Datacenter.
 	Datacenter *datacenter.Config
+	// Overrides perturbs calibrated model parameters: the machine
+	// config before the node boots, the managers after.
+	Overrides ModelOverrides
+	// CoLocated, when non-nil, starts an additional workload on the
+	// booted node after the commodity profile (in-situ analytics,
+	// custom interference); the stop it returns is called when the
+	// measured application completes.
+	CoLocated func(node *kernel.Node) (stop func())
 }
 
 // RunOutcome reports one completed run.
@@ -508,14 +520,9 @@ type RunOutcome struct {
 	Datacenter *datacenter.Agent
 }
 
-// ExecuteSingleNode performs one single-node run (the unit of Figure 7,
-// and with Detail+Recorder the source of Figures 2–5).
-func ExecuteSingleNode(rs SingleRun) (RunOutcome, error) {
-	return ExecuteSingleNodeWith(rs, nil)
-}
-
 // ModelOverrides perturbs the simulator's calibrated parameters for
-// sensitivity sweeps (cmd/hpmmap-sweep). Nil fields keep the defaults.
+// sensitivity sweeps (hpmmap-bench -study sweep). Nil fields keep the
+// defaults.
 type ModelOverrides struct {
 	THPFragSensitivity  *float64
 	ReclaimProbAtFull   *float64
@@ -549,31 +556,19 @@ func (o ModelOverrides) applyRig(r *rig) {
 	}
 }
 
-// ExecuteSingleNodeWithOverrides runs one cell with perturbed model
-// parameters.
-func ExecuteSingleNodeWithOverrides(rs SingleRun, o ModelOverrides) (RunOutcome, error) {
-	return executeSingle(rs, nil, o)
-}
-
-// ExecuteSingleNodeWith is ExecuteSingleNode with a hook that starts an
-// additional co-located workload on the booted node (in-situ analytics,
-// custom interference). The hook's returned stop function is invoked when
-// the measured application completes.
-func ExecuteSingleNodeWith(rs SingleRun, extra func(node *kernel.Node) (stop func())) (RunOutcome, error) {
-	return executeSingle(rs, extra, ModelOverrides{})
-}
-
-func executeSingle(rs SingleRun, extra func(node *kernel.Node) (stop func()), o ModelOverrides) (RunOutcome, error) {
+// ExecuteSingleNode performs one single-node run (the unit of Figure 7,
+// and with Detail+Recorder the source of Figures 2–5).
+func ExecuteSingleNode(rs SingleRun) (RunOutcome, error) {
 	if rs.Scale == 0 {
 		rs.Scale = 1
 	}
 	mc := kernel.DellR415()
-	o.applyConfig(&mc)
+	rs.Overrides.applyConfig(&mc)
 	rig, err := newRig(mc, rs.Kind, rs.Seed, rs.Detail, rs.Scale)
 	if err != nil {
 		return RunOutcome{}, err
 	}
-	o.applyRig(rig)
+	rs.Overrides.applyRig(rig)
 	rs.Tracer.SetClock(mc.ClockHz)
 	rig.observe(rs.Metrics, rs.Tracer)
 	observeEngine(rs.Metrics, rig.eng)
@@ -586,9 +581,9 @@ func executeSingle(rs SingleRun, extra func(node *kernel.Node) (stop func()), o 
 		return RunOutcome{}, err
 	}
 	builds := startProfile(rig.node, rs.Profile, rs.Ranks, rs.Seed^0xb0b)
-	var stopExtra func()
-	if extra != nil {
-		stopExtra = extra(rig.node)
+	var stopCoLocated func()
+	if rs.CoLocated != nil {
+		stopCoLocated = rs.CoLocated(rig.node)
 	}
 	if rs.Chaos != nil {
 		rs.Chaos.Observe(rs.Metrics)
@@ -653,8 +648,8 @@ func executeSingle(rs SingleRun, extra func(node *kernel.Node) (stop func()), o 
 		for _, b := range builds {
 			b.Stop()
 		}
-		if stopExtra != nil {
-			stopExtra()
+		if stopCoLocated != nil {
+			stopCoLocated()
 		}
 		// The agent and chaos release everything they still hold, so
 		// end-of-run audits and accounting see a clean machine.
