@@ -96,6 +96,8 @@ bench-check:
 #    and a flat model of the live leaves;
 #  - buddy/FuzzAllocator: the HPMMAP pool against a map-based
 #    reference allocator, block for block in hand-out order;
+#  - vma/FuzzSpace: the address space, node pool on, against a sorted
+#    interval slice, region for region and counter for counter;
 #  - sim/FuzzEngine: the pooled event queue against the container/heap
 #    engine it replaced;
 #  - metrics/FuzzParseExposition, ledger/FuzzRead and
@@ -106,7 +108,7 @@ bench-check:
 # (internal/<pkg>/testdata/fuzz/<target>); this explores further. A
 # failing input is written back under that directory.
 FUZZTIME ?= 30s
-FUZZ_TARGETS = mem/FuzzZoneRuns pgtable/FuzzTable buddy/FuzzAllocator sim/FuzzEngine metrics/FuzzParseExposition ledger/FuzzRead runner/FuzzCacheGet
+FUZZ_TARGETS = mem/FuzzZoneRuns pgtable/FuzzTable buddy/FuzzAllocator vma/FuzzSpace sim/FuzzEngine metrics/FuzzParseExposition ledger/FuzzRead runner/FuzzCacheGet
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 	  echo "fuzz: $$t for $(FUZZTIME)"; \
