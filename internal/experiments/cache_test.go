@@ -99,7 +99,7 @@ func TestEvictionCacheKeyCoversChurn(t *testing.T) {
 	if hits, misses := countType(warm.recs, ledger.TypeCacheHit), countType(warm.recs, ledger.TypeCacheMiss); hits != 0 || misses != 1 {
 		t.Errorf("100 pods/s run over a 200 pods/s cache: %d hits, %d misses; want 0, 1", hits, misses)
 	}
-	// Filling EvictionCell.Violations must not register the auditor's
+	// Filling DatacenterCell.Violations must not register the auditor's
 	// counter in an unaudited cell.
 	if _, ok := warm.snap.Get(metrics.InvariantViolationsTotal); ok {
 		t.Error("unaudited eviction run registered invariant_violations_total")

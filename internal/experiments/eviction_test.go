@@ -43,26 +43,26 @@ func TestEvictionStudySmall(t *testing.T) {
 	var sawEvictions, sawOutages bool
 	for _, pt := range s.Points {
 		if pt.MeanSec <= 0 {
-			t.Fatalf("o%g x%g: non-positive mean %f", pt.Overcommit, pt.Chaos, pt.MeanSec)
+			t.Fatalf("o%g x%g: non-positive mean %f", pt.Overcommit, pt.Intensity, pt.MeanSec)
 		}
 		// The victim-interference gate: the failure domain shreds the
 		// commodity tenants, not the HPMMAP victim.
 		if math.Abs(pt.InterferencePct) > 1 {
 			t.Fatalf("o%g x%g: victim moved %.2f%% vs quiet (gate is 1%%)",
-				pt.Overcommit, pt.Chaos, pt.InterferencePct)
+				pt.Overcommit, pt.Intensity, pt.InterferencePct)
 		}
 		for _, c := range pt.Cells {
 			if c.Violations != 0 {
-				t.Fatalf("o%g x%g: %d invariant violations", pt.Overcommit, pt.Chaos, c.Violations)
+				t.Fatalf("o%g x%g: %d invariant violations", pt.Overcommit, pt.Intensity, c.Violations)
 			}
 			// The eviction-ordering invariant, asserted from the books
 			// too: guaranteed pods are never evicted (best-effort pods
 			// always outnumber them at these churn rates).
 			if c.Evicted[datacenter.PriorityGuaranteed] != 0 {
 				t.Fatalf("o%g x%g: %d guaranteed pods evicted",
-					pt.Overcommit, pt.Chaos, c.Evicted[datacenter.PriorityGuaranteed])
+					pt.Overcommit, pt.Intensity, c.Evicted[datacenter.PriorityGuaranteed])
 			}
-			if pt.Overcommit <= 1 && pt.Chaos == 0 {
+			if pt.Overcommit <= 1 && pt.Intensity == 0 {
 				if got := total(c.Evicted); got != 0 {
 					t.Fatalf("quiet cell evicted %d pods", got)
 				}
@@ -72,7 +72,7 @@ func TestEvictionStudySmall(t *testing.T) {
 			}
 			if pt.Overcommit > 1 {
 				if c.EvictionPasses == 0 {
-					t.Fatalf("o%g x%g: eviction manager never swept", pt.Overcommit, pt.Chaos)
+					t.Fatalf("o%g x%g: eviction manager never swept", pt.Overcommit, pt.Intensity)
 				}
 				if be := c.Evicted[datacenter.PriorityBestEffort]; be > 0 {
 					sawEvictions = true
@@ -80,29 +80,29 @@ func TestEvictionStudySmall(t *testing.T) {
 					// the burstable eviction count.
 					if c.Evicted[datacenter.PriorityBurstable] > be {
 						t.Fatalf("o%g x%g: burstable evictions (%d) exceed best-effort (%d)",
-							pt.Overcommit, pt.Chaos,
+							pt.Overcommit, pt.Intensity,
 							c.Evicted[datacenter.PriorityBurstable], be)
 					}
 				}
 				if total(c.Evicted) > 0 && (c.BackoffCount == 0 || total(c.Restarts) == 0) {
-					t.Fatalf("o%g x%g: evictions without crash-loop restarts", pt.Overcommit, pt.Chaos)
+					t.Fatalf("o%g x%g: evictions without crash-loop restarts", pt.Overcommit, pt.Intensity)
 				}
 			}
-			if pt.Chaos > 0 && c.ZoneFailures > 0 {
+			if pt.Intensity > 0 && c.ZoneFailures > 0 {
 				sawOutages = true
 				if c.Rescheduled+total(c.Restarts) == 0 {
 					t.Fatalf("o%g x%g: %d zone failures displaced no pods",
-						pt.Overcommit, pt.Chaos, c.ZoneFailures)
+						pt.Overcommit, pt.Intensity, c.ZoneFailures)
 				}
 			}
 			// The paper's claim survives the failure domain: the HPMMAP
 			// class's fault tail stays pinned at zero.
 			if c.Classes[datacenter.ClassHPMMAP].P999 != 0 {
 				t.Fatalf("o%g x%g: HPMMAP fault tail %d cycles",
-					pt.Overcommit, pt.Chaos, c.Classes[datacenter.ClassHPMMAP].P999)
+					pt.Overcommit, pt.Intensity, c.Classes[datacenter.ClassHPMMAP].P999)
 			}
 			if c.Classes[datacenter.ClassTHP].P99 == 0 {
-				t.Fatalf("o%g x%g: THP class shows no fault tail", pt.Overcommit, pt.Chaos)
+				t.Fatalf("o%g x%g: THP class shows no fault tail", pt.Overcommit, pt.Intensity)
 			}
 		}
 	}
