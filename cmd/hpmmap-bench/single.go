@@ -163,19 +163,24 @@ func runFaultTrace(a studyArgs) error {
 
 // runSweep drives the sensitivity sweeps (-study sweep): each -knob
 // perturbs one calibrated constant across a range and reports how the
-// headline result, HPMMAP's improvement over THP and HugeTLBfs at 8
-// cores, responds — the evidence that the reproduction's conclusions do
+// headline result, HPMMAP's improvement over THP and HugeTLBfs,
+// responds — the evidence that the reproduction's conclusions do
 // not hinge on one lucky constant. Each knob's value x manager x run
 // grid is one runner plan whose seeds derive from the cell coordinates
 // (the knob value is the Variant axis), so the table is identical at
 // any -workers; each knob writes its own metrics, trace and series.
-// Defaults: HPCCG, profile B, 2 runs, seed 4242.
+// Defaults: HPCCG, 8 ranks, profile B, 2 runs, seed 4242.
 func runSweep(a studyArgs) error {
 	bench := cmp.Or(a.bench(), "HPCCG")
 	spec, ok := workload.ByName(bench)
 	if !ok {
 		return fmt.Errorf("unknown benchmark %q", bench)
 	}
+	ranks, err := a.ranks()
+	if err != nil {
+		return err
+	}
+	ranks = cmp.Or(ranks, 8)
 	prof := a.profileOr(experiments.ProfileB)
 	runs := cmp.Or(a.runs, 2)
 	opts := runner.Options{
@@ -195,7 +200,7 @@ func runSweep(a studyArgs) error {
 					plan.Cells = append(plan.Cells, runner.Cell{
 						Exp: "sweep", Bench: bench, Profile: prof.String(),
 						Manager: kind.Key(), Variant: fmt.Sprintf("%s=%g", k.name, v),
-						Cores: 8, Run: r,
+						Cores: ranks, Run: r,
 					})
 					vals, kinds = append(vals, v), append(kinds, kind)
 				}
@@ -219,7 +224,7 @@ func runSweep(a studyArgs) error {
 		}
 
 		// Reduce in declaration order: mean per (value, manager).
-		fmt.Printf("=== sweep %s (%s, profile %s, 8 cores) ===\n", k.name, bench, prof)
+		fmt.Printf("=== sweep %s (%s, profile %s, %d cores) ===\n", k.name, bench, prof, ranks)
 		fmt.Printf("%12s %12s %12s %14s %12s %14s\n",
 			k.name, "hpmmap (s)", "thp (s)", "vs thp", "htlb (s)", "vs hugetlbfs")
 		i := 0

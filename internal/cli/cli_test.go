@@ -111,6 +111,7 @@ func TestEveryCLIWritesEveryArtifact(t *testing.T) {
 		{"faulttrace", "hpmmap-bench", []string{"-study", "faulttrace", "-scale", "0.1", "-plot-height", "0"}, []string{""}, 0, nil},
 		{"probe", "hpmmap-bench", []string{"-study", "probe", "-cores", "2"}, []string{""}, 0, nil},
 		{"sweep", "hpmmap-bench", []string{"-study", "sweep", "-knob", "thp-frag", "-runs", "1", "-scale", "0.25"}, []string{""}, 0, nil},
+		{"sweep -cores 2", "hpmmap-bench", []string{"-study", "sweep", "-knob", "thp-frag", "-runs", "1", "-scale", "0.1", "-cores", "2"}, []string{""}, 0, nil},
 		{"report", "hpmmap-report", []string{"-scale", "0.25", "-skip-fig7", "-skip-fig8"},
 			[]string{"-fig2", "-fig3", "-attribution"}, 0, nil},
 		{"bench unknown -exp", "hpmmap-bench", []string{"-exp", "fig9", "-scale", "0.1"}, nil, 2,

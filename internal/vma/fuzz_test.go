@@ -170,8 +170,16 @@ func (r *refSpace) unmap(addr, length uint64) bool {
 	return true
 }
 
-// protect mirrors Space.Protect: split at both ends, no merging.
+// protect mirrors Space.Protect: an unaligned address fails and a zero
+// length changes nothing, as with mprotect; otherwise split at both
+// ends, no merging.
 func (r *refSpace) protect(addr, length uint64, prot pgtable.Prot) bool {
+	if addr%mem.PageSize != 0 {
+		return false
+	}
+	if length == 0 {
+		return true
+	}
 	end := addr + (length+mem.PageSize-1)/mem.PageSize*mem.PageSize
 	if !r.covered(addr, end) {
 		return false
@@ -199,21 +207,6 @@ func (r *refSpace) protect(addr, length uint64, prot pgtable.Prot) bool {
 		}
 	}
 	r.vmas = out
-	return true
-}
-
-// lock mirrors Space.Lock: every region the range touches is locked
-// whole.
-func (r *refSpace) lock(addr, length uint64) bool {
-	end := addr + (length+mem.PageSize-1)/mem.PageSize*mem.PageSize
-	if !r.covered(addr, end) {
-		return false
-	}
-	for i, v := range r.vmas {
-		if v.start < end && addr < v.end {
-			r.vmas[i].locked = true
-		}
-	}
 	return true
 }
 
@@ -326,12 +319,13 @@ func compareSpace(t *testing.T, step int, name string, s *Space, ref *refSpace, 
 // to the space and to its reference, and fails at the first step where
 // a result or the state differs. Each step is five bytes: op, a, b, c,
 // d. The top bit of op picks the space; op%9 picks MapAligned at a
-// chosen or a fixed address, Unmap, Protect, Lock, SetBrk, GrowStackTo,
-// Reset, or CloneInto the other space. a and b form a page index into
-// fuzzLayout, c a length of 1 to 64 pages (times 16 with bit 6; bit 7
-// makes a fixed address or an unmap unaligned), d the protection (bits
-// 0-2), kind (bits 3-5) and placement alignment (bits 6-7). Protect
-// and Lock always get a page-aligned address and at least one page.
+// chosen or a fixed address, Unmap, Protect, locking every region (as
+// linuxmm.MlockAll does), SetBrk, GrowStackTo, Reset, or CloneInto the
+// other space. a and b form a page index into fuzzLayout, c a length of
+// 1 to 64 pages (times 16 with bit 6; bit 7 makes a fixed address, an
+// unmap or a protect unaligned), d the protection (bits 0-2), kind
+// (bits 3-5) and placement alignment (bits 6-7). a = 0xff makes a map
+// or a protect zero-length.
 func checkSpace(t *testing.T, data []byte) {
 	const maxSteps = 256
 	spaces := [2]*Space{NewSpace(fuzzLayout), NewSpace(fuzzLayout)}
@@ -352,7 +346,7 @@ func checkSpace(t *testing.T, data []byte) {
 		kind := Kind((d >> 3 & 7) % 6)
 		align := [...]uint64{0, mem.PageSize, 16 * mem.PageSize, mem.LargePageSize}[d>>6]
 		kindOfOp := (op & 0x7f) % 9
-		if c&0x80 != 0 && kindOfOp <= 2 {
+		if c&0x80 != 0 && kindOfOp <= 3 {
 			addr += 123
 		}
 		var desc string
@@ -378,14 +372,20 @@ func checkSpace(t *testing.T, data []byte) {
 				t.Fatalf("step %d: %s error %v differs from the reference", step, desc, err)
 			}
 		case 3:
+			if a == 0xff {
+				length = 0
+			}
 			desc = fmt.Sprintf("Protect(%#x, %#x, %v)", addr, length, prot)
 			if err := s.Protect(pgtable.VirtAddr(addr), length, prot); (err == nil) != ref.protect(addr, length, prot) {
 				t.Fatalf("step %d: %s error %v differs from the reference", step, desc, err)
 			}
 		case 4:
-			desc = fmt.Sprintf("Lock(%#x, %#x)", addr, length)
-			if err := s.Lock(pgtable.VirtAddr(addr), length); (err == nil) != ref.lock(addr, length) {
-				t.Fatalf("step %d: %s error %v differs from the reference", step, desc, err)
+			desc = "LockAll"
+			for _, v := range s.VMAs() {
+				v.Locked = true
+			}
+			for i := range ref.vmas {
+				ref.vmas[i].locked = true
 			}
 		case 5:
 			brk := uint64(fuzzLayout.BrkStart) + page%2560*mem.PageSize + uint64(c%64)*64
@@ -428,7 +428,8 @@ func checkSpace(t *testing.T, data []byte) {
 func FuzzSpace(f *testing.F) {
 	// Two read-write anon maps one page apart, then a third filling the
 	// gap, which merges all three into one region; then an unmap that
-	// splits it in two, a protect that splits again, and a lock.
+	// splits it in two, a protect that splits again, a lock of every
+	// region, and a map beside a locked region, which does not merge.
 	f.Add([]byte{
 		1, 0, 1, 1, 3, // MapAligned(BrkStart+256p, 2 pages-100, rw, anon)
 		1, 3, 1, 1, 3, // MapAligned(BrkStart+259p, 2 pages-100, rw, anon): one page apart
@@ -436,7 +437,8 @@ func FuzzSpace(f *testing.F) {
 		1, 2, 1, 0, 3, // MapAligned(BrkStart+258p, 1 page-100): fills the gap, merges both ways
 		2, 1, 1, 0, 0, // Unmap(BrkStart+257p, 1 page)
 		3, 3, 1, 0, 1, // Protect(BrkStart+259p, 1 page, r)
-		4, 0, 1, 0, 0, // Lock(BrkStart+256p, 1 page)
+		4, 0, 0, 0, 0, // LockAll
+		1, 5, 1, 0, 3, // MapAligned(BrkStart+261p, 1 page-100, rw, anon): abuts a locked region
 	})
 	// Top-down placement at mixed alignments (the 16-page and 2 MB ones
 	// leave gaps), a heap grown, shrunk and grown back into a merge,

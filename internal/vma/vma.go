@@ -390,8 +390,15 @@ func (s *Space) Unmap(addr pgtable.VirtAddr, length uint64) error {
 }
 
 // Protect applies prot to [addr, addr+length), splitting VMAs at the
-// boundaries — mprotect. Fails if any byte of the range is unmapped.
+// boundaries — mprotect. Fails if addr is not page-aligned or any byte
+// of the range is unmapped; a zero length changes nothing.
 func (s *Space) Protect(addr pgtable.VirtAddr, length uint64, prot pgtable.Prot) error {
+	if uint64(addr)%mem.PageSize != 0 {
+		return fmt.Errorf("vma: protect address %#x unaligned", uint64(addr))
+	}
+	if length == 0 {
+		return nil
+	}
 	length = roundUp(length, mem.PageSize)
 	end := addr + pgtable.VirtAddr(length)
 	// Verify full coverage first.
@@ -432,27 +439,6 @@ func (s *Space) Protect(addr pgtable.VirtAddr, length uint64, prot pgtable.Prot)
 		}
 	}
 	s.vmas = out
-	return nil
-}
-
-// Lock marks [addr, addr+length) as mlocked. Fails on holes.
-func (s *Space) Lock(addr pgtable.VirtAddr, length uint64) error {
-	length = roundUp(length, mem.PageSize)
-	end := addr + pgtable.VirtAddr(length)
-	cur := addr
-	for cur < end {
-		v := s.Find(cur)
-		if v == nil {
-			return fmt.Errorf("vma: mlock range has hole at %#x", uint64(cur))
-		}
-		cur = v.End
-	}
-	for _, v := range s.vmas {
-		if v.End <= addr || v.Start >= end {
-			continue
-		}
-		v.Locked = true
-	}
 	return nil
 }
 

@@ -149,6 +149,20 @@ func TestProtectSplitsAndSetsProt(t *testing.T) {
 	if err := s.Protect(0x4000_0000_0000, 1<<20, rw); err == nil {
 		t.Fatal("protect over hole succeeded")
 	}
+	// mprotect's EINVAL and its zero-length no-op.
+	if err := s.Protect(mid+100, mem.PageSize, rw); err == nil {
+		t.Fatal("protect at an unaligned address succeeded")
+	}
+	n := len(s.VMAs())
+	if err := s.Protect(mid+mem.PageSize, 0, rw); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.VMAs()) != n || s.Find(mid).Prot != pgtable.ProtRead {
+		t.Fatal("zero-length protect changed the space")
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestProtectCreatesPermissionConflictForLargePages(t *testing.T) {
@@ -268,23 +282,6 @@ func TestGrowStack(t *testing.T) {
 	// Address already inside the stack: fine.
 	if !s.GrowStackTo(stack.End - 1) {
 		t.Fatal("address inside stack rejected")
-	}
-}
-
-func TestLock(t *testing.T) {
-	s := newSpace()
-	v, err := s.Map(0x2000_0000_0000, 2<<20, rw, KindAnon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Lock(v.Start, v.Len()); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Find(v.Start).Locked {
-		t.Fatal("VMA not locked")
-	}
-	if err := s.Lock(0x5000_0000_0000, 1<<20); err == nil {
-		t.Fatal("lock over hole accepted")
 	}
 }
 
