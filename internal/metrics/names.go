@@ -47,11 +47,8 @@ const (
 	BuddyFragRatio     = "buddy_fragmentation_ratio"
 
 	// pgtable_* — page-table construction and software walks.
-	PgtableWalksTotal       = "pgtable_walks_total"
-	PgtableWalkDepthLevels  = "pgtable_walk_depth_levels"
-	PgtableTablePages       = "pgtable_table_pages"
-	PgtableMappedSmallPages = "pgtable_mapped_small_pages"
-	PgtableMappedLargePages = "pgtable_mapped_large_pages"
+	PgtableWalksTotal      = "pgtable_walks_total"
+	PgtableWalkDepthLevels = "pgtable_walk_depth_levels"
 
 	// tlb_* — TLB reach model.
 	TLBSmallHitsTotal   = "tlb_small_hits_total"

@@ -374,16 +374,6 @@ func (t *Table) Instrument(walks *metrics.Counter, depth *metrics.Histogram) {
 	t.walkDepth = depth
 }
 
-// Observe registers the table's accounting with the metrics registry as
-// pull-mode gauges read at snapshot time: table pages and 4KB/large
-// leaf counts. Registering several tables is additive. No-op on a nil
-// registry.
-func (t *Table) Observe(reg *metrics.Registry) {
-	reg.GaugeFunc(metrics.PgtableTablePages, func() float64 { return float64(t.TablePages) })
-	reg.GaugeFunc(metrics.PgtableMappedSmallPages, func() float64 { return float64(t.Mapped4K) })
-	reg.GaugeFunc(metrics.PgtableMappedLargePages, func() float64 { return float64(t.Mapped2M + t.Mapped1G) })
-}
-
 // Walk resolves va. The boolean reports whether a mapping is present.
 // Walk also accumulates the WalkedSlots counter used as a page-walk cost
 // proxy by the TLB-miss model, and feeds the handles installed by
