@@ -91,6 +91,9 @@ bench-check:
 # target per run). Each target is package/Fuzz function:
 #  - mem/FuzzZoneRuns: the zone's bulk run operations (AllocRun,
 #    FreeRun) against block-at-a-time allocation and freeing;
+#  - kernel/FuzzPageCache: the run-based page cache, its in-place
+#    recycle loop above all, against a per-block cache with one gated
+#    allocation, drop or free per block;
 #  - pgtable/FuzzTable: the page table, UnmapRange and MapRun4K above
 #    all, against a leaf-by-leaf teardown and page-by-page mapping twin
 #    and a flat model of the live leaves;
@@ -108,7 +111,7 @@ bench-check:
 # (internal/<pkg>/testdata/fuzz/<target>); this explores further. A
 # failing input is written back under that directory.
 FUZZTIME ?= 30s
-FUZZ_TARGETS = mem/FuzzZoneRuns pgtable/FuzzTable buddy/FuzzAllocator vma/FuzzSpace sim/FuzzEngine metrics/FuzzParseExposition ledger/FuzzRead runner/FuzzCacheGet
+FUZZ_TARGETS = mem/FuzzZoneRuns kernel/FuzzPageCache pgtable/FuzzTable buddy/FuzzAllocator vma/FuzzSpace sim/FuzzEngine metrics/FuzzParseExposition ledger/FuzzRead runner/FuzzCacheGet
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 	  echo "fuzz: $$t for $(FUZZTIME)"; \

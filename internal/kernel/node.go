@@ -126,6 +126,23 @@ func (q *pcQueue) push(r mem.Run) {
 	q.runs = append(q.runs, r)
 }
 
+// pop removes the k oldest blocks, at most the head run's.
+//
+//detsim:hotpath
+func (q *pcQueue) pop(k uint64) {
+	if r := &q.runs[q.head]; k == r.Blocks {
+		q.head++
+	} else {
+		r.Base += mem.PFN(k << pcOrder)
+		r.Blocks -= k
+	}
+	if q.head == len(q.runs) {
+		q.runs = q.runs[:0]
+		q.head = 0
+	}
+	q.blocks -= k
+}
+
 const pcOrder = 3 // 32KB page-cache allocation units
 
 // NewNode boots a node on the given engine. The default memory manager
@@ -424,9 +441,12 @@ func (n *Node) SetReservedBytes(b uint64) { n.reservedPages = b / mem.PageSize }
 // count — it is reclaimable — and neither do boot-time reservations,
 // which subtract from the usable pool instead.
 func (n *Node) CommitPressure() float64 {
-	total := n.Mem.TotalPages()
-	free := n.Mem.FreePages()
-	cache := n.pageCachePagesTotal()
+	return n.commitPressure(n.Mem.TotalPages(), n.Mem.FreePages(), n.pageCachePagesTotal())
+}
+
+// commitPressure is CommitPressure's arithmetic over the node-wide sums
+// of managed, free and cached pages.
+func (n *Node) commitPressure(total, free, cache uint64) float64 {
 	used := total - free
 	nonEvict := int64(used) - int64(cache) - int64(n.reservedPages)
 	usable := int64(total) - int64(n.reservedPages)
@@ -456,8 +476,21 @@ func (n *Node) LoadFor(p *Process) fault.Load {
 	if alloc > 1 {
 		alloc = 1
 	}
-	pressure := n.CommitPressure()
-	if zp := n.Mem.Pressure(); zp > pressure {
+	// One pass over the zones gathers what CommitPressure and
+	// Mem.Pressure each walk them for: the integer sums, whose order
+	// does not matter, and the same maximum zone pressure.
+	var total, free, cache uint64
+	var zp float64
+	for i, z := range n.Mem.Zones {
+		total += z.Pages
+		free += z.FreePages()
+		cache += n.PageCachePages(i)
+		if p := z.Pressure(); p > zp {
+			zp = p
+		}
+	}
+	pressure := n.commitPressure(total, free, cache)
+	if zp > pressure {
 		pressure = zp
 	}
 	return fault.Load{
@@ -480,7 +513,9 @@ func (n *Node) LoadFor(p *Process) fault.Load {
 // until the recycle step, after which both zones are tried again. Zone
 // Failures would differ only if a zone passed the gate yet held no
 // order-3 block; nothing allocates below order 3, so every free block is
-// at least that large and the gate's margin guarantees one.
+// at least that large and the gate's margin guarantees one. Recycle
+// steps that get their dropped block straight back run in place
+// (recycleInPlace).
 //
 //detsim:hotpath
 func (n *Node) PageCacheAdd(zone int, bytes uint64) {
@@ -494,6 +529,9 @@ func (n *Node) PageCacheAdd(zone int, bytes uint64) {
 			blocks -= n.pageCacheFill(zone+1, blocks)
 		}
 		if blocks == 0 {
+			return
+		}
+		if blocks -= n.recycleInPlace(zone, blocks); blocks == 0 {
 			return
 		}
 		n.PCAllocFails++
@@ -522,12 +560,77 @@ func (n *Node) pageCacheFill(zid int, want uint64) uint64 {
 	}
 	z := n.Mem.Zones[zid]
 	var got uint64
-	n.pcRuns, got = z.AllocRun(pcOrder, want, z.WatermarkLow+mem.PagesPerOrder(pcOrder), n.pcRuns[:0])
+	n.pcRuns, got = z.AllocRun(pcOrder, want, pcReserve(z), n.pcRuns[:0])
 	q := &n.pageCache[z.ID]
 	for _, r := range n.pcRuns {
 		q.push(r)
 	}
 	return got
+}
+
+// pcReserve is the free pages a zone must hold for a page-cache fill to
+// take a block from it: its low watermark plus the block.
+func pcReserve(z *mem.Zone) uint64 { return z.WatermarkLow + mem.PagesPerOrder(pcOrder) }
+
+// recycleInPlace runs up to want consecutive recycle steps of
+// PageCacheAdd whose Mem.Alloc would get back the block the step drops,
+// and returns how many it ran. Each moves the fullest zone's oldest
+// block to the back of its queue and counts what the drop and the
+// allocation count; no free list changes (DESIGN.md §10 "Recycle in
+// place"). It runs only while both fill gates are shut, so the fills
+// between steps would do nothing and are skipped, and it stops at the
+// first block whose buddy is free.
+//
+//detsim:hotpath
+func (n *Node) recycleInPlace(zone int, want uint64) uint64 {
+	zones := n.Mem.Zones
+	for _, zid := range [2]int{zone, zone + 1} {
+		if z := zones[zid%len(zones)]; z.FreePages() >= pcReserve(z) {
+			return 0
+		}
+	}
+	best := n.fullestCache()
+	if best < 0 {
+		return 0
+	}
+	pref := zone
+	if pref >= len(zones) {
+		pref = 0 // as Mem.Alloc clamps it
+	}
+	// Mem.Alloc tries pref, then the other zones in ID order: it reaches
+	// best only when pref and every zone below best are empty at pcOrder.
+	if pref != best {
+		if zones[pref].CanAlloc(pcOrder) {
+			return 0
+		}
+		for _, z := range zones[:best] {
+			if z.CanAlloc(pcOrder) {
+				return 0
+			}
+		}
+	}
+	q, z := &n.pageCache[best], zones[best]
+	var done uint64
+	for done < want {
+		p := q.runs[q.head].Base
+		if !z.Recycle(p, pcOrder) {
+			break
+		}
+		q.pop(1)
+		q.push(mem.Run{Base: p, Blocks: 1})
+		done++
+	}
+	if pref != best {
+		zones[pref].Failures += done
+		for i, z := range zones[:best] {
+			if i != pref {
+				z.Failures += done
+			}
+		}
+	}
+	n.PCAllocFails += done
+	n.ReclaimedPages += done << pcOrder
+	return done
 }
 
 // PageCachePages returns cached pages in the zone.
@@ -542,16 +645,23 @@ func (n *Node) pageCachePagesTotal() uint64 {
 	return pages
 }
 
-// dropOneCacheBlock evicts one block from the fullest zone's cache.
-//
-//detsim:hotpath
-func (n *Node) dropOneCacheBlock() bool {
+// fullestCache returns the zone caching the most blocks, the lowest on
+// a tie, or -1 when the cache is empty.
+func (n *Node) fullestCache() int {
 	best := -1
 	for z := range n.pageCache {
 		if n.pageCache[z].blocks > 0 && (best < 0 || n.pageCache[z].blocks > n.pageCache[best].blocks) {
 			best = z
 		}
 	}
+	return best
+}
+
+// dropOneCacheBlock evicts one block from the fullest zone's cache.
+//
+//detsim:hotpath
+func (n *Node) dropOneCacheBlock() bool {
+	best := n.fullestCache()
 	if best < 0 {
 		return false
 	}
@@ -569,22 +679,12 @@ func (n *Node) evictFrom(zone int, count uint64) {
 	count = min(count, q.blocks)
 	z := n.Mem.Zones[zone]
 	for left := count; left > 0; {
-		r := &q.runs[q.head]
+		r := q.runs[q.head]
 		k := min(left, r.Blocks)
 		z.FreeRun(r.Base, k, pcOrder)
+		q.pop(k)
 		left -= k
-		if k == r.Blocks {
-			q.head++
-		} else {
-			r.Base += mem.PFN(k << pcOrder)
-			r.Blocks -= k
-		}
 	}
-	if q.head == len(q.runs) {
-		q.runs = q.runs[:0]
-		q.head = 0
-	}
-	q.blocks -= count
 	n.ReclaimedPages += count << pcOrder
 }
 

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -134,6 +135,79 @@ func samePageCache(t *testing.T, step int, n *Node, ref *refPageCache) {
 	}
 }
 
+// Operations of the page-cache twin driver.
+const (
+	pcFill      = iota // PageCacheAdd(zone, arg bytes)
+	pcAnonAlloc        // ungated Mem.Alloc(zone, order arg), held
+	pcAnonFree         // free held block arg mod the number held
+	pcKswapd           // one kswapd pass
+	pcDirect           // DirectReclaim(zone, order arg)
+	pcOps
+)
+
+// pcTwin is a node and the per-block reference driven by the same
+// operations, with the anonymous blocks the driver holds.
+type pcTwin struct {
+	n    *Node
+	ref  *refPageCache
+	held []heldBlock
+}
+
+type heldBlock struct {
+	pfn   mem.PFN
+	order int
+}
+
+func newPCTwin(cfg MachineConfig) *pcTwin {
+	return &pcTwin{n: NewNode(cfg, sim.NewEngine(), sim.NewRand(1)), ref: newRefPageCache(cfg)}
+}
+
+// apply runs one operation on the node and on the reference and fails
+// unless their results and states agree after it.
+func (w *pcTwin) apply(t *testing.T, step, op, zone int, arg uint64) {
+	t.Helper()
+	n, ref := w.n, w.ref
+	switch op {
+	case pcFill:
+		n.PageCacheAdd(zone, arg)
+		ref.add(zone, arg)
+	case pcAnonAlloc:
+		order := int(arg)
+		p, _, ok := n.Mem.Alloc(zone, order)
+		q, _, wantOK := ref.mem.Alloc(zone, order)
+		if p != q || ok != wantOK {
+			t.Fatalf("step %d: Alloc(%d, %d) = %d, %v; reference %d, %v", step, zone, order, p, ok, q, wantOK)
+		}
+		if ok {
+			w.held = append(w.held, heldBlock{p, order})
+		}
+	case pcAnonFree:
+		if len(w.held) == 0 {
+			return
+		}
+		i := int(arg % uint64(len(w.held)))
+		n.Mem.Free(w.held[i].pfn, w.held[i].order)
+		ref.mem.Free(w.held[i].pfn, w.held[i].order)
+		w.held = slices.Delete(w.held, i, i+1)
+	case pcKswapd:
+		n.kswapdPass()
+		ref.kswapdPass()
+	case pcDirect:
+		if got, want := n.DirectReclaim(zone, int(arg)), ref.directReclaim(zone, int(arg)); got != want {
+			t.Fatalf("step %d: DirectReclaim = %v, reference %v", step, got, want)
+		}
+	}
+	samePageCache(t, step, n, ref)
+	// LoadFor's one-pass snapshot against the pressures it replaces.
+	want := n.CommitPressure()
+	if zp := n.Mem.Pressure(); zp > want {
+		want = zp
+	}
+	if got := n.LoadFor(&Process{}).MemPressure; math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("step %d: LoadFor memory pressure %v, CommitPressure and Mem.Pressure give %v", step, got, want)
+	}
+}
+
 // TestPageCacheMatchesBlockReference drives the node's run-based page
 // cache and the per-block reference with the same random sequences of
 // page-cache fills, direct reclaim, kswapd passes, and ungated anonymous
@@ -143,50 +217,24 @@ func TestPageCacheMatchesBlockReference(t *testing.T) {
 	cfg.MemoryBytes = 256 << 20
 	cfg.KswapdBatchPages = 1024
 	for seed := uint64(1); seed <= 6; seed++ {
-		n := NewNode(cfg, sim.NewEngine(), sim.NewRand(seed))
-		ref := newRefPageCache(cfg)
+		w := newPCTwin(cfg)
 		r := sim.NewRand(seed)
-		type anon struct {
-			pfn   mem.PFN
-			order int
-		}
-		var held []anon
 		for step := 0; step < 1500; step++ {
 			zone := r.Intn(cfg.NumaZones)
 			switch x := r.Intn(100); {
 			case x < 45:
-				bytes := r.Uint64n(16 << 20)
-				n.PageCacheAdd(zone, bytes)
-				ref.add(zone, bytes)
+				w.apply(t, step, pcFill, zone, r.Uint64n(16<<20))
 			case x < 70:
-				order := 3 + r.Intn(mem.MaxOrder-2)
-				p, _, ok := n.Mem.Alloc(zone, order)
-				q, _, wantOK := ref.mem.Alloc(zone, order)
-				if p != q || ok != wantOK {
-					t.Fatalf("seed %d step %d: Alloc(%d, %d) = %d, %v; reference %d, %v", seed, step, zone, order, p, ok, q, wantOK)
-				}
-				if ok {
-					held = append(held, anon{p, order})
-				}
+				w.apply(t, step, pcAnonAlloc, zone, uint64(3+r.Intn(mem.MaxOrder-2)))
 			case x < 85:
-				if len(held) == 0 {
-					continue
-				}
-				i := r.Intn(len(held))
-				n.Mem.Free(held[i].pfn, held[i].order)
-				ref.mem.Free(held[i].pfn, held[i].order)
-				held = slices.Delete(held, i, i+1)
+				w.apply(t, step, pcAnonFree, zone, r.Uint64())
 			case x < 95:
-				n.kswapdPass()
-				ref.kswapdPass()
+				w.apply(t, step, pcKswapd, zone, 0)
 			default:
-				order := []int{pcOrder, mem.LargePageOrder}[r.Intn(2)]
-				if got, want := n.DirectReclaim(zone, order), ref.directReclaim(zone, order); got != want {
-					t.Fatalf("seed %d step %d: DirectReclaim = %v, reference %v", seed, step, got, want)
-				}
+				w.apply(t, step, pcDirect, zone, uint64([]int{pcOrder, mem.LargePageOrder}[r.Intn(2)]))
 			}
-			samePageCache(t, step, n, ref)
 		}
+		n, ref := w.n, w.ref
 		if n.PCAllocFails == 0 || n.ReclaimedPages == 0 {
 			t.Fatalf("seed %d: the sequence never recycled (%d) or reclaimed (%d)", seed, n.PCAllocFails, n.ReclaimedPages)
 		}
@@ -196,8 +244,8 @@ func TestPageCacheMatchesBlockReference(t *testing.T) {
 			for p, ok := z.AllocPages(pcOrder); ok; p, ok = z.AllocPages(pcOrder) {
 				got = append(got, p)
 			}
-			w := ref.mem.Zones[zi]
-			for p, ok := w.AllocPages(pcOrder); ok; p, ok = w.AllocPages(pcOrder) {
+			wz := ref.mem.Zones[zi]
+			for p, ok := wz.AllocPages(pcOrder); ok; p, ok = wz.AllocPages(pcOrder) {
 				want = append(want, p)
 			}
 			if !slices.Equal(got, want) {
@@ -205,4 +253,75 @@ func TestPageCacheMatchesBlockReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkPageCache decodes data three bytes per step (op, a, b) into
+// operations on a 32 MB node of two 16 MB zones and its per-block
+// reference. Bit 7 of op picks the zone and op&0x7f mod 5 the operation;
+// with x = a | b<<8, a fill caches x 32 KB blocks (x = 0 caches one),
+// an anonymous allocation takes order 3 + a mod 9, a free releases held
+// block x, and direct reclaim asks for order 3, or order 9 when a is
+// odd. In each 16 MB zone the low watermark is 32 pages, so a fill
+// leaves at most 39 pages free.
+func checkPageCache(t *testing.T, data []byte) {
+	const maxSteps = 200
+	cfg := DellR415()
+	cfg.MemoryBytes = 32 << 20
+	w := newPCTwin(cfg)
+	for step := 0; len(data) >= 3 && step < maxSteps; step++ {
+		op, a, b := data[0], data[1], data[2]
+		data = data[3:]
+		zone := int(op >> 7)
+		x := uint64(a) | uint64(b)<<8
+		switch kind := int(op&0x7f) % pcOps; kind {
+		case pcFill:
+			w.apply(t, step, kind, zone, x<<(mem.PageShift+pcOrder))
+		case pcAnonAlloc:
+			w.apply(t, step, kind, zone, uint64(pcOrder+int(a)%(mem.MaxOrder-2)))
+		case pcDirect:
+			w.apply(t, step, kind, zone, uint64([]int{pcOrder, mem.LargePageOrder}[a&1]))
+		default:
+			w.apply(t, step, kind, zone, x)
+		}
+	}
+}
+
+// FuzzPageCache checks the page cache, with its in-place recycle loop,
+// against the per-block reference on operation streams decoded from the
+// input. The seed corpus replays in plain `go test`; `make fuzz`
+// explores further.
+func FuzzPageCache(f *testing.F) {
+	// A fill of 2000 blocks into zone 0 caches 508 blocks in each zone,
+	// down to the gates, and recycles the other 984. The zones tie, so
+	// zone 0, the preferred zone, is the fullest, and every one of its
+	// blocks has a cached buddy: all 984 steps run in place.
+	f.Add([]byte{
+		0x00, 0xd0, 0x07, // fill zone 0 with 2000 blocks
+	})
+	// Zone 0's oldest cached block gets a free buddy: the first recycle
+	// step falls back (the freed block merges, and the allocation splits
+	// another), and the steps after it run in place.
+	f.Add([]byte{
+		0x81, 6, 0, // zone 1: anonymous order-9 block, so its cache stays smaller
+		0x01, 0, 0, // zone 0: anonymous order-3 block A = the zone's block 2048
+		0x00, 0xfb, 0x01, // fill zone 0 with 507 blocks, 2056 first, down to its gate
+		0x01, 0, 0, // zone 0: anonymous order-3 block B, leaving 24 pages free
+		0x02, 1, 0, // free A: the oldest cached block's buddy, 32 pages free
+		0x00, 0xd0, 0x07, // fill zone 0 with 2000 blocks: zone 1 caches 444, the rest recycle
+	})
+	// The preferred zone is full of anonymous memory, so Mem.Alloc
+	// fails there (one Failure per step) and takes the dropped block
+	// back from the fullest zone, in place. First the preferred zone
+	// comes after the fullest in ID order, then before it.
+	f.Add([]byte{
+		0x81, 8, 0, // zone 1: anonymous order-11 block
+		0x81, 8, 0, // zone 1: anonymous order-11 block, zone 1 full
+		0x80, 0xd0, 0x07, // fill zone 1 with 2000 blocks: zone 0 caches 508, the rest recycle
+	})
+	f.Add([]byte{
+		0x01, 8, 0, // zone 0: anonymous order-11 block
+		0x01, 8, 0, // zone 0: anonymous order-11 block, zone 0 full
+		0x00, 0xd0, 0x07, // fill zone 0 with 2000 blocks: zone 1 caches 508, the rest recycle
+	})
+	f.Fuzz(checkPageCache)
 }

@@ -144,20 +144,7 @@ func (z *Zone) FreeBlock(p PFN, order int) {
 		// Programmer error: order outside [0, MaxOrder].
 		panic(fmt.Sprintf("mem: FreeBlock order %d out of range [0,%d]", order, MaxOrder))
 	}
-	if p < z.Base || p+PFN(PagesPerOrder(order)) > z.Base+PFN(z.Pages) {
-		// Simulated-state violation: the block being freed does not lie
-		// inside this zone's managed span — an owner mixed up zones or
-		// freed a stale/offlined frame.
-		invariant.Failf("free_outside_zone", "mem",
-			"FreeBlock [%d,+2^%d) outside zone %d span [%d,%d)",
-			p, order, z.ID, z.Base, z.Base+PFN(z.Pages))
-	}
-	if uint64(p-z.Base)&(PagesPerOrder(order)-1) != 0 {
-		// Simulated-state violation: the freed address is not aligned to
-		// its order, so it cannot be a block this allocator handed out.
-		invariant.Failf("free_misaligned", "mem",
-			"FreeBlock(%d, order %d) misaligned within zone %d", p, order, z.ID)
-	}
+	z.checkFreed("FreeBlock", p, order)
 	z.Frees++
 	z.freePages += PagesPerOrder(order)
 	for order < MaxOrder {
@@ -172,6 +159,54 @@ func (z *Zone) FreeBlock(p PFN, order int) {
 		order++
 	}
 	z.free[order].push(p)
+}
+
+// checkFreed reports a block being freed that this zone cannot have
+// handed out: one outside its managed span or misaligned for its order.
+// op names the freeing call.
+func (z *Zone) checkFreed(op string, p PFN, order int) {
+	// p below Base wraps rel past Pages.
+	rel, n := uint64(p-z.Base), PagesPerOrder(order)
+	if rel >= z.Pages || z.Pages-rel < n || rel&(n-1) != 0 {
+		z.badFree(op, p, order)
+	}
+}
+
+// badFree raises the violation for a block checkFreed refused.
+func (z *Zone) badFree(op string, p PFN, order int) {
+	if p < z.Base || p+PFN(PagesPerOrder(order)) > z.Base+PFN(z.Pages) {
+		// Simulated-state violation: the block being freed does not lie
+		// inside this zone's managed span — an owner mixed up zones or
+		// freed a stale/offlined frame.
+		invariant.Failf("free_outside_zone", "mem",
+			"%s [%d,+2^%d) outside zone %d span [%d,%d)",
+			op, p, order, z.ID, z.Base, z.Base+PFN(z.Pages))
+	}
+	if uint64(p-z.Base)&(PagesPerOrder(order)-1) != 0 {
+		// Simulated-state violation: the freed address is not aligned to
+		// its order, so it cannot be a block this allocator handed out.
+		invariant.Failf("free_misaligned", "mem",
+			"%s(%d, order %d) misaligned within zone %d", op, p, order, z.ID)
+	}
+}
+
+// Recycle stands for FreeBlock(p, order) followed by AllocPages(order)
+// when that pair hands p back and leaves every free list as it was:
+// exactly when neither p nor its buddy is free, so the free pushes p
+// without merging and the allocation pops it off the top. It then
+// counts one free and one allocation and returns true; otherwise it
+// changes nothing and returns false. It checks p as FreeBlock does.
+//
+//detsim:hotpath
+func (z *Zone) Recycle(p PFN, order int) bool {
+	z.checkFreed("Recycle", p, order)
+	f := z.free[order]
+	if f.contains(p) || order < MaxOrder && f.contains(z.buddyOf(p, order)) {
+		return false
+	}
+	z.Frees++
+	z.Allocs++
+	return true
 }
 
 // FreeBlocksAt returns the number of free blocks at exactly the given

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -215,6 +216,8 @@ func TestZoneBoundsChecks(t *testing.T) {
 	}
 	mustPanic("FreeBlock outside zone", func() { z.FreeBlock(PFN(z.Pages)+100, 0) })
 	mustPanic("FreeBlock misaligned", func() { z.FreeBlock(1, 1) })
+	mustPanic("Recycle outside zone", func() { z.Recycle(PFN(z.Pages)+100, 3) })
+	mustPanic("Recycle misaligned", func() { z.Recycle(8, 4) })
 	mustPanic("AllocPages bad order", func() { z.AllocPages(MaxOrder + 1) })
 }
 
@@ -420,5 +423,71 @@ func TestZoneOfflineThenAllocStress(t *testing.T) {
 	}
 	if z.FreePages() != z.Pages {
 		t.Fatalf("free %d != pages %d after churn", z.FreePages(), z.Pages)
+	}
+}
+
+// TestRecycleMatchesFreeThenAlloc checks Recycle against the pair it
+// stands for, FreeBlock then AllocPages on a twin zone, over random
+// allocation states. Recycle must report true exactly when the pair
+// hands back the same block without a merge or a split, and leave the
+// twin's state; when it reports false the driver runs the pair on both
+// zones, as the page cache's recycle step falls back to it.
+func TestRecycleMatchesFreeThenAlloc(t *testing.T) {
+	type block struct {
+		p     PFN
+		order int
+	}
+	orders := []int{3, 4, 5, 6, MaxOrder}
+	r := sim.NewRand(0x4ec1)
+	var inPlace, fallback int
+	for seed := 0; seed < 40; seed++ {
+		pages := 4 * PagesPerOrder(MaxOrder)
+		z, twin := NewZone(0, 0, pages), NewZone(0, 0, pages)
+		var held []block
+		for step := 0; step < 400; step++ {
+			switch x := r.Intn(10); {
+			case x < 5:
+				order := orders[r.Intn(len(orders))]
+				p, ok := z.AllocPages(order)
+				twin.AllocPages(order)
+				if ok {
+					held = append(held, block{p, order})
+				}
+			case x < 7:
+				if len(held) == 0 {
+					continue
+				}
+				i := r.Intn(len(held))
+				z.FreeBlock(held[i].p, held[i].order)
+				twin.FreeBlock(held[i].p, held[i].order)
+				held = slices.Delete(held, i, i+1)
+			default:
+				if len(held) == 0 {
+					continue
+				}
+				i := r.Intn(len(held))
+				b := held[i]
+				splits, merges := twin.Splits, twin.Merges
+				twin.FreeBlock(b.p, b.order)
+				q, _ := twin.AllocPages(b.order)
+				pair := q == b.p && twin.Splits == splits && twin.Merges == merges
+				if got := z.Recycle(b.p, b.order); got != pair {
+					t.Fatalf("seed %d step %d: Recycle(%d, %d) = %v; FreeBlock then AllocPages gave %d with %d splits and %d merges",
+						seed, step, b.p, b.order, got, q, twin.Splits-splits, twin.Merges-merges)
+				}
+				if pair {
+					inPlace++
+				} else {
+					fallback++
+					z.FreeBlock(b.p, b.order)
+					z.AllocPages(b.order)
+					held[i].p = q
+				}
+			}
+			sameZoneState(t, step, z, twin)
+		}
+	}
+	if inPlace == 0 || fallback == 0 {
+		t.Fatalf("the sequences recycled %d blocks in place and fell back %d times; want both", inPlace, fallback)
 	}
 }
