@@ -59,8 +59,8 @@ var poolHolderRegistry = map[string]string{
 	modulePath + "/internal/linuxmm.Manager.regionPool": "the region pool itself; entries are detached by definition",
 	modulePath + "/internal/linuxmm.Manager.psPool":     "the procState pool itself; entries are detached by definition",
 	modulePath + "/internal/linuxmm.procState.regions":  "intra-aggregate: regions die with their procState; DetachReap pools both together",
-	modulePath + "/internal/linuxmm.procState.stack":    "intra-aggregate alias of regions[stackBase]; recycled with the procState",
-	modulePath + "/internal/linuxmm.procState.heap":     "intra-aggregate alias of regions[heapBase]; recycled with the procState",
+	modulePath + "/internal/linuxmm.procState.stack":    "intra-aggregate alias of the stack's entry in regions; recycled with the procState",
+	modulePath + "/internal/linuxmm.procState.heap":     "intra-aggregate alias of the heap's entry in regions; recycled with the procState",
 	modulePath + "/internal/linuxmm.touchCtx.p":         "per-call scratch (DESIGN.md §10); rebound at every TouchRange entry before use",
 	modulePath + "/internal/linuxmm.touchCtx.r":         "per-call scratch; rebound at every TouchRange entry before use",
 
@@ -68,7 +68,7 @@ var poolHolderRegistry = map[string]string{
 	modulePath + "/internal/core.Manager.regionPool": "the region pool itself; entries are detached by definition",
 	modulePath + "/internal/core.Manager.psPool":     "the procState pool itself; entries are detached by definition",
 	modulePath + "/internal/core.procState.regions":  "intra-aggregate: regions die with their procState; DetachReap pools both together",
-	modulePath + "/internal/core.procState.heap":     "intra-aggregate alias of regions[heapBase]; recycled with the procState",
+	modulePath + "/internal/core.procState.heap":     "intra-aggregate alias of the heap's entry in regions; recycled with the procState",
 
 	// -- scenario layers: holders cleared at process exit --------------
 	modulePath + "/internal/chaos.spikeProc.p":           "spike working set; the spike's exit event kills and forgets the process before any reap",

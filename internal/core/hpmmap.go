@@ -22,6 +22,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"hpmmap/internal/buddy"
@@ -251,8 +252,10 @@ type region struct {
 }
 
 type procState struct {
-	regions map[pgtable.VirtAddr]*region
-	order   []pgtable.VirtAddr
+	// regions is in mapping order. Starts are unique: Mmap places
+	// each region at the advancing cursor, and the heap lies in its own
+	// sub-range above the cursor's.
+	regions []*region
 	cursor  pgtable.VirtAddr
 	heap    *region
 	brk     pgtable.VirtAddr
@@ -282,7 +285,7 @@ func (m *Manager) newProcState() *procState {
 		m.psPool = m.psPool[:n-1]
 		return ps
 	}
-	return &procState{regions: make(map[pgtable.VirtAddr]*region)}
+	return &procState{}
 }
 
 // Attach implements kernel.MemoryManager: set up the lightweight address
@@ -303,11 +306,10 @@ func (m *Manager) Attach(p *kernel.Process) error {
 // registry entry (the hash-table delete of Figure 6).
 func (m *Manager) Detach(p *kernel.Process) {
 	ps := state(p)
-	for _, start := range ps.order {
-		m.release(p, ps.regions[start])
+	for _, r := range ps.regions {
+		m.release(p, r)
 	}
-	ps.regions = make(map[pgtable.VirtAddr]*region)
-	ps.order = nil
+	ps.regions = nil
 	m.registry.remove(p.PID)
 }
 
@@ -318,13 +320,12 @@ func (m *Manager) Detach(p *kernel.Process) {
 // post-exit calls fail loudly.
 func (m *Manager) DetachReap(p *kernel.Process) {
 	ps := state(p)
-	for _, start := range ps.order {
-		r := ps.regions[start]
+	for _, r := range ps.regions {
 		m.release(p, r)
 		m.regionPool = append(m.regionPool, r)
 	}
 	clear(ps.regions)
-	ps.order = ps.order[:0]
+	ps.regions = ps.regions[:0]
 	ps.cursor, ps.heap, ps.brk = 0, nil, 0
 	m.psPool = append(m.psPool, ps)
 	p.SetMMState(nil)
@@ -430,8 +431,7 @@ func (m *Manager) mapAt(p *kernel.Process, ps *procState, at pgtable.VirtAddr, l
 			}
 		}
 	}
-	ps.regions[at] = r
-	ps.order = append(ps.order, at)
+	ps.regions = append(ps.regions, r)
 	p.ResidentLarge += length
 	p.ResidentRemote += r.remote
 	m.BytesMapped += length
@@ -460,19 +460,14 @@ func (m *Manager) Mmap(p *kernel.Process, length uint64, prot pgtable.Prot, kind
 // Munmap implements kernel.MemoryManager.
 func (m *Manager) Munmap(p *kernel.Process, addr pgtable.VirtAddr, length uint64) (sim.Cycles, error) {
 	ps := state(p)
-	r := ps.regions[addr]
-	if r == nil || r.length != roundUp2M(length) {
+	i := slices.IndexFunc(ps.regions, func(r *region) bool { return r.start == addr })
+	if i < 0 || ps.regions[i].length != roundUp2M(length) {
 		return 0, fmt.Errorf("hpmmap: munmap %#x+%#x does not match a region", uint64(addr), length)
 	}
+	r := ps.regions[i]
 	blocks := len(r.blocks)
 	m.release(p, r)
-	delete(ps.regions, addr)
-	for i, s := range ps.order {
-		if s == addr {
-			ps.order = append(ps.order[:i], ps.order[i+1:]...)
-			break
-		}
-	}
+	ps.regions = slices.Delete(ps.regions, i, i+1)
 	if r != ps.heap {
 		m.regionPool = append(m.regionPool, r)
 	}
@@ -495,8 +490,7 @@ func (m *Manager) Brk(p *kernel.Process, newBrk pgtable.VirtAddr) (pgtable.VirtA
 	wantLen := roundUp2M(uint64(newBrk - heapBase))
 	if ps.heap == nil && wantLen > 0 {
 		ps.heap = &region{start: heapBase, kind: vma.KindHeap}
-		ps.regions[heapBase] = ps.heap
-		ps.order = append(ps.order, heapBase)
+		ps.regions = append(ps.regions, ps.heap)
 	}
 	var cost sim.Cycles
 	if ps.heap != nil && wantLen > ps.heap.length {
@@ -591,9 +585,8 @@ func (m *Manager) StackRange(p *kernel.Process, bytes uint64) (pgtable.VirtAddr,
 }
 
 func findRegion(ps *procState, va pgtable.VirtAddr) *region {
-	// Regions are few (tens); linear scan over the ordered list.
-	for _, start := range ps.order {
-		r := ps.regions[start]
+	// Regions are few (tens); linear scan in mapping order.
+	for _, r := range ps.regions {
 		if va >= r.start && va < r.start+pgtable.VirtAddr(r.length) {
 			return r
 		}

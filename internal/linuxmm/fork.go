@@ -2,6 +2,7 @@ package linuxmm
 
 import (
 	"fmt"
+	"slices"
 
 	"hpmmap/internal/fault"
 	"hpmmap/internal/kernel"
@@ -36,8 +37,7 @@ func (m *Manager) Fork(parent, child *kernel.Process) (sim.Cycles, error) {
 	}
 	pps := state(parent)
 	cps := state(child)
-	for _, start := range pps.starts {
-		pr := pps.regions[start]
+	for _, pr := range pps.regions {
 		if pr.down {
 			// The child gets a fresh stack from Attach; the parent's
 			// stack contents are copied eagerly (they are tiny).
@@ -69,19 +69,26 @@ func (m *Manager) Fork(parent, child *kernel.Process) (sim.Cycles, error) {
 func (m *Manager) Exec(p *kernel.Process) (sim.Cycles, error) {
 	ps := state(p)
 	released := 0
-	for _, start := range append([]pgtable.VirtAddr(nil), ps.starts...) {
-		r := ps.regions[start]
-		if r.down {
+	var err error
+	ps.regions = slices.DeleteFunc(ps.regions, func(r *region) bool {
+		switch {
+		case err != nil:
+			return false
+		case r.down:
 			r.touched = 0
-			continue
+			return false
 		}
 		m.releaseRegion(p, r)
-		ps.remove(start)
 		m.regionPool = append(m.regionPool, r)
 		released++
-		if err := p.Space.Unmap(r.start, r.length); err != nil {
-			return 0, err
+		// A heap left at its start by brk has no VMA to unmap.
+		if r.length > 0 {
+			err = p.Space.Unmap(r.start, r.length)
 		}
+		return true
+	})
+	if err != nil {
+		return 0, err
 	}
 	ps.heap = nil
 	if _, err := p.Space.SetBrk(p.Space.Layout().BrkStart); err != nil {

@@ -250,6 +250,21 @@ func TestMunmapReturnsMemory(t *testing.T) {
 	if _, err := e.node.Munmap(p, addr, 32<<20); err == nil {
 		t.Fatal("double munmap succeeded")
 	}
+	// Zero bytes fail too, and leave the region, even a heap left empty
+	// by a break at its start.
+	heap := p.Space.Layout().BrkStart
+	if _, _, err := e.node.Brk(p, heap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.node.Munmap(p, heap, 0); err == nil {
+		t.Fatal("zero-length munmap of the empty heap succeeded")
+	}
+	if _, _, err := e.node.Brk(p, heap+pgtable.VirtAddr(4<<20)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.node.TouchRange(p, heap, 4<<20); err != nil {
+		t.Fatalf("heap lost to a refused munmap: %v", err)
+	}
 }
 
 func TestExitReleasesEverything(t *testing.T) {
@@ -625,6 +640,11 @@ func TestForkIsCOWCheap(t *testing.T) {
 func TestExecDropsInheritedImage(t *testing.T) {
 	e := newEnv(t, ModeTHP, ModeTHP, 0, false)
 	parent := e.proc(t, true)
+	// A break set to the heap's start leaves a heap region with no VMA,
+	// which the child inherits and exec must drop without an unmap.
+	if _, _, err := e.node.Brk(parent, parent.Space.Layout().BrkStart); err != nil {
+		t.Fatal(err)
+	}
 	addr, _, _ := e.node.Mmap(parent, 128<<20, rw, vma.KindAnon)
 	if _, err := e.node.TouchRange(parent, addr, 128<<20); err != nil {
 		t.Fatal(err)

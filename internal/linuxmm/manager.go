@@ -10,6 +10,7 @@ package linuxmm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"hpmmap/internal/fault"
@@ -96,8 +97,8 @@ type Manager struct {
 	tc         touchCtx
 	regionPool []*region
 	// psPool recycles per-process state for the kernel's lifecycle fast
-	// path (DetachReap): the regions map and starts slice keep their
-	// capacity across pod/compile churn.
+	// path (DetachReap): the regions slice keeps its capacity across
+	// pod/compile churn.
 	psPool []*procState
 
 	// touchDetail is touchSmall's micro-fidelity path:
@@ -222,38 +223,34 @@ type smallBlock struct {
 
 // procState is the manager's per-process state.
 type procState struct {
-	mode    Mode
-	regions map[pgtable.VirtAddr]*region
-	starts  []pgtable.VirtAddr // sorted keys
+	mode Mode
+	// regions is sorted by start. Starts are unique: Mmap places each
+	// region with vma.FindUnmapped, outside every mapping, the stack
+	// lies above the mmap area and the heap starts at its bottom.
+	regions []*region
 	stack   *region
 	heap    *region
 	// mergeCursor remembers where khugepaged last worked in this process.
 	mergeCursor int
 }
 
-func (ps *procState) insert(r *region) {
-	ps.regions[r.start] = r
-	i := sort.Search(len(ps.starts), func(i int) bool { return ps.starts[i] >= r.start })
-	ps.starts = append(ps.starts, 0)
-	copy(ps.starts[i+1:], ps.starts[i:])
-	ps.starts[i] = r.start
+// search returns the position of the first region starting at or
+// above va.
+func (ps *procState) search(va pgtable.VirtAddr) int {
+	return sort.Search(len(ps.regions), func(i int) bool { return ps.regions[i].start >= va })
 }
 
-func (ps *procState) remove(start pgtable.VirtAddr) {
-	delete(ps.regions, start)
-	i := sort.Search(len(ps.starts), func(i int) bool { return ps.starts[i] >= start })
-	if i < len(ps.starts) && ps.starts[i] == start {
-		ps.starts = append(ps.starts[:i], ps.starts[i+1:]...)
-	}
+func (ps *procState) insert(r *region) {
+	ps.regions = slices.Insert(ps.regions, ps.search(r.start), r)
 }
 
 // findRegion returns the region containing va, or nil.
 func (ps *procState) findRegion(va pgtable.VirtAddr) *region {
-	i := sort.Search(len(ps.starts), func(i int) bool { return ps.starts[i] > va })
+	i := sort.Search(len(ps.regions), func(i int) bool { return ps.regions[i].start > va })
 	if i == 0 {
 		return nil
 	}
-	r := ps.regions[ps.starts[i-1]]
+	r := ps.regions[i-1]
 	if va < r.start+pgtable.VirtAddr(r.length) {
 		return r
 	}
@@ -277,7 +274,7 @@ func (m *Manager) newRegion() *region {
 }
 
 // newProcState returns per-process state from the recycle pool (keeping
-// its map and slice capacity) or a fresh struct.
+// its slice capacity) or a fresh struct.
 func (m *Manager) newProcState() *procState {
 	if n := len(m.psPool); n > 0 {
 		ps := m.psPool[n-1]
@@ -285,7 +282,7 @@ func (m *Manager) newProcState() *procState {
 		m.psPool = m.psPool[:n-1]
 		return ps
 	}
-	return &procState{regions: make(map[pgtable.VirtAddr]*region)}
+	return &procState{}
 }
 
 // Attach implements kernel.MemoryManager.
@@ -312,10 +309,11 @@ func (m *Manager) Attach(p *kernel.Process) error {
 // holds.
 func (m *Manager) Detach(p *kernel.Process) {
 	ps := state(p)
-	for _, start := range append([]pgtable.VirtAddr(nil), ps.starts...) {
-		m.releaseRegion(p, ps.regions[start])
-		ps.remove(start)
+	for _, r := range ps.regions {
+		m.releaseRegion(p, r)
 	}
+	clear(ps.regions)
+	ps.regions = ps.regions[:0]
 	for i, q := range m.procs {
 		if q == p {
 			m.procs = append(m.procs[:i], m.procs[i+1:]...)
@@ -332,13 +330,12 @@ func (m *Manager) Detach(p *kernel.Process) {
 // recycled state.
 func (m *Manager) DetachReap(p *kernel.Process) {
 	ps := state(p)
-	for _, start := range ps.starts {
-		r := ps.regions[start]
+	for _, r := range ps.regions {
 		m.releaseRegion(p, r)
 		m.regionPool = append(m.regionPool, r)
 	}
 	clear(ps.regions)
-	ps.starts = ps.starts[:0]
+	ps.regions = ps.regions[:0]
 	ps.stack, ps.heap = nil, nil
 	ps.mergeCursor = 0
 	ps.mode = 0
@@ -438,9 +435,14 @@ func (m *Manager) computeLargeSpan(ps *procState, r *region) {
 // demand-paged region is not exercised by the paper's workloads).
 func (m *Manager) Munmap(p *kernel.Process, addr pgtable.VirtAddr, length uint64) (sim.Cycles, error) {
 	ps := state(p)
-	r := ps.regions[addr]
+	i := ps.search(addr)
+	var r *region
+	if i < len(ps.regions) && ps.regions[i].start == addr {
+		r = ps.regions[i]
+	}
 	lengthOK := func() bool {
-		if r == nil {
+		// munmap of zero bytes is EINVAL, even on a heap left empty.
+		if r == nil || length == 0 {
 			return false
 		}
 		if r.length == roundUp(length, mem.PageSize) {
@@ -460,7 +462,7 @@ func (m *Manager) Munmap(p *kernel.Process, addr pgtable.VirtAddr, length uint64
 	length = r.length
 	pages := r.smallBytes/mem.PageSize + r.largeBytes/mem.LargePageSize
 	m.releaseRegion(p, r)
-	ps.remove(addr)
+	ps.regions = slices.Delete(ps.regions, i, i+1)
 	if r != ps.heap && r != ps.stack {
 		m.regionPool = append(m.regionPool, r)
 	}

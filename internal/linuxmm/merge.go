@@ -21,8 +21,8 @@ func (m *Manager) NextMergeCandidate() *kernel.Process {
 			continue
 		}
 		ps := state(p)
-		for _, start := range ps.starts {
-			if len(ps.regions[start].fallback) > 0 {
+		for _, r := range ps.regions {
+			if len(r.fallback) > 0 {
 				m.scanCursor = (m.scanCursor + i + 1) % n
 				return p
 			}
@@ -35,8 +35,7 @@ func (m *Manager) NextMergeCandidate() *kernel.Process {
 // returning the 512 small frames to the buddy.
 func (m *Manager) PerformMerge(p *kernel.Process) bool {
 	ps := state(p)
-	for _, start := range ps.starts {
-		r := ps.regions[start]
+	for _, r := range ps.regions {
 		if len(r.fallback) == 0 {
 			continue
 		}

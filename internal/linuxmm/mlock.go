@@ -20,8 +20,7 @@ import (
 func (m *Manager) MlockAll(p *kernel.Process) (sim.Cycles, error) {
 	ps := state(p)
 	var cost float64
-	for _, start := range ps.starts {
-		r := ps.regions[start]
+	for _, r := range ps.regions {
 		if r.hugetlb {
 			continue // hugetlb pages cannot swap; nothing to pin or split
 		}

@@ -26,11 +26,10 @@ func (m *Manager) swapOutCommodity(exclude *kernel.Process, want uint64) uint64 
 			continue
 		}
 		qs := state(q)
-		for _, start := range qs.starts {
+		for _, r := range qs.regions {
 			if released >= want {
 				break
 			}
-			r := qs.regions[start]
 			for released < want && len(r.smallBlocks) > 0 {
 				blk := r.smallBlocks[len(r.smallBlocks)-1]
 				pages := mem.PagesPerOrder(blk.order)

@@ -139,10 +139,11 @@ func (r *refSpace) mapAligned(addr, length uint64, prot pgtable.Prot, kind Kind,
 	return r.vmas[r.find(addr)], true
 }
 
-// unmap mirrors Space.Unmap: every region the range touches counts one
-// unmap, and one split per side it keeps.
+// unmap mirrors Space.Unmap: an unaligned address or a zero length
+// fails, as with munmap; otherwise every region the range touches
+// counts one unmap, and one split per side it keeps.
 func (r *refSpace) unmap(addr, length uint64) bool {
-	if addr%mem.PageSize != 0 {
+	if addr%mem.PageSize != 0 || length == 0 {
 		return false
 	}
 	end := addr + (length+mem.PageSize-1)/mem.PageSize*mem.PageSize
@@ -324,8 +325,8 @@ func compareSpace(t *testing.T, step int, name string, s *Space, ref *refSpace, 
 // other space. a and b form a page index into fuzzLayout, c a length of
 // 1 to 64 pages (times 16 with bit 6; bit 7 makes a fixed address, an
 // unmap or a protect unaligned), d the protection (bits 0-2), kind
-// (bits 3-5) and placement alignment (bits 6-7). a = 0xff makes a map
-// or a protect zero-length.
+// (bits 3-5) and placement alignment (bits 6-7). a = 0xff makes a map,
+// an unmap or a protect zero-length.
 func checkSpace(t *testing.T, data []byte) {
 	const maxSteps = 256
 	spaces := [2]*Space{NewSpace(fuzzLayout), NewSpace(fuzzLayout)}
@@ -367,6 +368,9 @@ func checkSpace(t *testing.T, data []byte) {
 				t.Fatalf("step %d: %s = %v, %v; reference %v, %v", step, desc, vmaOf(v), err, want, ok)
 			}
 		case 2:
+			if a == 0xff {
+				length = 0
+			}
 			desc = fmt.Sprintf("Unmap(%#x, %#x)", addr, length)
 			if err := s.Unmap(pgtable.VirtAddr(addr), length); (err == nil) != ref.unmap(addr, length) {
 				t.Fatalf("step %d: %s error %v differs from the reference", step, desc, err)
@@ -439,6 +443,13 @@ func FuzzSpace(f *testing.F) {
 		3, 3, 1, 0, 1, // Protect(BrkStart+259p, 1 page, r)
 		4, 0, 0, 0, 0, // LockAll
 		1, 5, 1, 0, 3, // MapAligned(BrkStart+261p, 1 page-100, rw, anon): abuts a locked region
+	})
+	// A zero-length unmap inside a region and one outside every region
+	// both fail and change nothing.
+	f.Add([]byte{
+		1, 0xfc, 0, 3, 3, // MapAligned(BrkStart+252p, 4 pages, rw, anon)
+		2, 0xff, 0, 0, 0, // Unmap(BrkStart+255p, 0): inside the region
+		2, 0xff, 1, 0, 0, // Unmap(BrkStart+511p, 0): nothing mapped there
 	})
 	// Top-down placement at mixed alignments (the 16-page and 2 MB ones
 	// leave gaps), a heap grown, shrunk and grown back into a merge,

@@ -350,10 +350,14 @@ func (s *Space) mergeAround(v *VMA) {
 func roundUp(v, to uint64) uint64 { return (v + to - 1) / to * to }
 
 // Unmap removes [addr, addr+length), splitting straddling VMAs. Removing
-// unmapped space is a no-op, as with munmap.
+// unmapped space is a no-op, as with munmap; an unaligned address or a
+// zero length fails, as munmap's EINVAL.
 func (s *Space) Unmap(addr pgtable.VirtAddr, length uint64) error {
 	if uint64(addr)%mem.PageSize != 0 {
 		return fmt.Errorf("vma: unmap address %#x unaligned", uint64(addr))
+	}
+	if length == 0 {
+		return fmt.Errorf("vma: zero-length unmap at %#x", uint64(addr))
 	}
 	length = roundUp(length, mem.PageSize)
 	end := addr + pgtable.VirtAddr(length)
