@@ -189,6 +189,8 @@ type Agent struct {
 	// skips them until recovery.
 	zoneDown []bool
 
+	// pods holds the started pods in admission order; evictionPass
+	// drops the finished ones.
 	pods        []*pod
 	stopped     bool
 	seq         int

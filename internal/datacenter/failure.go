@@ -18,6 +18,8 @@
 package datacenter
 
 import (
+	"slices"
+
 	"hpmmap/internal/invariant"
 	"hpmmap/internal/kernel"
 	"hpmmap/internal/sim"
@@ -212,10 +214,17 @@ func (a *Agent) zoneUsage(zone int, now sim.Cycles) uint64 {
 // lowers the zone's summed usage. Deterministic — selection draws
 // nothing; only restart backoff jitter consumes randomness, from its
 // own substream.
+//
+// The sweep first drops finished pods from a.pods, which every launch
+// and restart appends to. Every scan of the list skips them, and the
+// live pods keep their admission order, so the uint64 usage sums and
+// selectVictim's first-wins tie-break see what they saw on the full
+// list.
 func (a *Agent) evictionPass() {
 	if a.stopped {
 		return
 	}
+	a.pods = slices.DeleteFunc(a.pods, func(pd *pod) bool { return pd.done })
 	a.EvictionPasses++
 	a.m.evictPasses.Inc()
 	f := a.cfg.Failure

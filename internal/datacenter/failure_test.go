@@ -3,6 +3,8 @@ package datacenter
 import (
 	"testing"
 
+	"hpmmap/internal/kernel"
+	"hpmmap/internal/linuxmm"
 	"hpmmap/internal/sim"
 )
 
@@ -197,5 +199,77 @@ func TestZoneFailNilAndRangeSafe(t *testing.T) {
 		if down {
 			t.Fatalf("out-of-range ZoneFail marked zone %d down", z)
 		}
+	}
+}
+
+// TestPrunedPodsMatchAppendOnlyReference replays random sequences of
+// pod launches, evictions, crash-loop restarts, completions and zone
+// failures on a small overcommitted node. The test keeps every pod the
+// agent ever started in an append-only list, the list evictionPass
+// used to scan, and after every engine event checks zoneUsage for each
+// zone and selectVictim for each zone and node-wide against that list:
+// pruning finished pods must change neither.
+func TestPrunedPodsMatchAppendOnlyReference(t *testing.T) {
+	const horizon = 400_000_000 // cycles, ~0.18 s of 2.2 GHz time
+	var pruned bool
+	for seed := uint64(1); seed <= 4; seed++ {
+		cfg := kernel.DellR415()
+		cfg.MemoryBytes = 1 << 30
+		eng := sim.NewEngine()
+		node := kernel.NewNode(cfg, eng, sim.NewRand(seed))
+		node.SetDefaultMM(linuxmm.New(node, linuxmm.ModeTHP, linuxmm.ModeTHP, nil))
+		a := New(Config{
+			ChurnMeanPeriod: 1_100_000,
+			PodMeanLifetime: 22_000_000,
+			PodBytes:        16 << 20,
+			Failure:         FailureConfig{Overcommit: 2.5},
+		}, node, nil, seed)
+		a.Start()
+		r := sim.NewRand(seed ^ 0x9e37)
+		for i := 0; i < 4; i++ {
+			at := sim.Cycles(r.Uint64n(horizon))
+			zone := r.Intn(cfg.NumaZones)
+			eng.At(at, func() { a.ZoneFail(zone, true) })
+			eng.At(at+sim.Cycles(r.Uint64n(horizon/8)), func() { a.ZoneFail(zone, false) })
+		}
+
+		var all []*pod // every pod started, in admission order
+		seen := make(map[*pod]bool)
+		for eng.Now() < horizon && eng.Step() {
+			for _, pd := range a.pods {
+				if !seen[pd] {
+					seen[pd] = true
+					all = append(all, pd)
+				}
+			}
+			pruned = pruned || len(a.pods) < len(all)
+			now := eng.Now()
+			live := a.pods
+			for z := -1; z < cfg.NumaZones; z++ {
+				a.pods = all
+				wantVictim := a.selectVictim(z, now)
+				var wantUsage uint64
+				if z >= 0 {
+					wantUsage = a.zoneUsage(z, now)
+				}
+				a.pods = live
+				if got := a.selectVictim(z, now); got != wantVictim {
+					t.Fatalf("seed %d at cycle %d: zone %d victim %p, append-only list gives %p", seed, now, z, got, wantVictim)
+				}
+				if z >= 0 {
+					if got := a.zoneUsage(z, now); got != wantUsage {
+						t.Fatalf("seed %d at cycle %d: zone %d usage %d, append-only list gives %d", seed, now, z, got, wantUsage)
+					}
+				}
+			}
+		}
+		a.Stop()
+		if a.EvictionPasses == 0 || a.EvictedTotal() == 0 || a.RestartsTotal() == 0 || a.Completed == 0 || a.ZoneFailures == 0 {
+			t.Fatalf("seed %d: passes %d, evicted %d, restarts %d, completed %d, zone failures %d; want all non-zero",
+				seed, a.EvictionPasses, a.EvictedTotal(), a.RestartsTotal(), a.Completed, a.ZoneFailures)
+		}
+	}
+	if !pruned {
+		t.Fatal("no eviction pass dropped a finished pod")
 	}
 }
