@@ -305,6 +305,7 @@ func main() {
 	}
 
 	// Reject every bad flag value before anything opens.
+	art.CheckRunsScale(*runs, *scale)
 	var expNames, studyNames []string
 	for _, e := range exps {
 		expNames = append(expNames, e.name)

@@ -48,6 +48,7 @@ func main() {
 	skipFig7 := flag.Bool("skip-fig7", false, "skip the single-node sweep")
 	skipFig8 := flag.Bool("skip-fig8", false, "skip the cluster sweep")
 	flag.Parse()
+	art.CheckRunsScale(*runs, *scale)
 	sc := experiments.Scale(*scale)
 
 	var cache *runner.Cache

@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -88,6 +89,23 @@ func Register(tool string) *Artifacts {
 	flag.StringVar(&a.cpuProfile, "cpuprofile", "", "write a pprof CPU profile of the whole invocation to this file")
 	flag.StringVar(&a.memProfile, "memprofile", "", "write a pprof allocation profile (taken at exit) to this file")
 	return a
+}
+
+// CheckRunsScale exits 2 when runs is negative or scale is negative,
+// NaN or infinite, naming the flag, as the CLIs reject an unknown name.
+// Call it before Start, so that a rejected invocation opens nothing.
+func (a *Artifacts) CheckRunsScale(runs int, scale float64) {
+	var bad string
+	switch {
+	case runs < 0:
+		bad = fmt.Sprintf("-runs %d (want a count >= 0)", runs)
+	case !(scale >= 0) || math.IsInf(scale, 1):
+		bad = fmt.Sprintf("-scale %v (want a finite factor >= 0)", scale)
+	default:
+		return
+	}
+	fmt.Fprintf(os.Stderr, "%s: bad %s\n", a.tool, bad)
+	os.Exit(2)
 }
 
 // Start opens the ledger and the CPU profile and returns the run's

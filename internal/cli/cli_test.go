@@ -128,6 +128,22 @@ func TestEveryCLIWritesEveryArtifact(t *testing.T) {
 			[]string{`unknown -knob "nosuch"`, "thp-frag, reclaim-prob, reclaim-tail, merge-period, store-cycles, mem-latency, all"}},
 		{"faulttrace unknown -hist", "hpmmap-bench", []string{"-study", "faulttrace", "-hist", "stack"}, nil, 2,
 			[]string{`unknown -hist "stack"`, "small, large, merge, hugetlb-large, hugetlb-small"}},
+		{"datacenter negative -runs", "hpmmap-bench", []string{"-study", "datacenter", "-runs", "-1", "-scale", "0.1"}, nil, 2,
+			[]string{"bad -runs -1"}},
+		{"fig7 negative -runs", "hpmmap-bench", []string{"-exp", "fig7", "-runs", "-2"}, nil, 2,
+			[]string{"bad -runs -2"}},
+		{"bench negative -scale", "hpmmap-bench", []string{"-study", "datacenter", "-scale", "-1"}, nil, 2,
+			[]string{"bad -scale -1"}},
+		{"bench NaN -scale", "hpmmap-bench", []string{"-exp", "fig2", "-scale", "NaN"}, nil, 2,
+			[]string{"bad -scale NaN"}},
+		{"bench infinite -scale", "hpmmap-bench", []string{"-exp", "fig2", "-scale", "+Inf"}, nil, 2,
+			[]string{"bad -scale +Inf"}},
+		{"report negative -runs", "hpmmap-report", []string{"-runs", "-1"}, nil, 2,
+			[]string{"bad -runs -1"}},
+		{"report negative -scale", "hpmmap-report", []string{"-scale", "-0.5"}, nil, 2,
+			[]string{"bad -scale -0.5"}},
+		{"report NaN -scale", "hpmmap-report", []string{"-scale", "NaN"}, nil, 2,
+			[]string{"bad -scale NaN"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
