@@ -193,6 +193,42 @@ func TestEveryCLIWritesEveryArtifact(t *testing.T) {
 	}
 }
 
+// TestOutCSVsMatchGolden runs both weak-scaling figures with -out at a
+// small scale and compares each CSV with its committed golden, byte for
+// byte. Fig. 8 runs LAMMPS, the one benchmark whose cluster input fits
+// the pools below full scale. Regenerate a golden (only for a change
+// that deliberately alters a result and says so) by running the case's
+// arguments with -out testdata and renaming the CSV to <name>.golden.
+func TestOutCSVsMatchGolden(t *testing.T) {
+	cases := []struct {
+		csv  string
+		args []string
+	}{
+		{"fig7.csv", []string{"-exp", "fig7", "-bench", "miniMD", "-cores", "1,2", "-runs", "1", "-scale", "0.05"}},
+		{"fig8.csv", []string{"-exp", "fig8", "-bench", "LAMMPS", "-runs", "1", "-scale", "0.05"}},
+	}
+	for _, c := range cases {
+		t.Run(c.csv, func(t *testing.T) {
+			dir := t.TempDir()
+			if _, stderr, code := run(t, "hpmmap-bench", append(c.args, "-out", dir)...); code != 0 {
+				t.Fatalf("exit %d; stderr:\n%s", code, stderr)
+			}
+			got, err := os.ReadFile(filepath.Join(dir, c.csv))
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden := filepath.Join("testdata", c.csv+".golden")
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s diverged from %s\n--- got ---\n%s\n--- want ---\n%s", c.csv, golden, got, want)
+			}
+		})
+	}
+}
+
 // TestCutShortRunKeepsPartialArtifacts: a run ended by -timeout or by
 // SIGINT exits non-zero and still leaves a parseable partial metrics
 // snapshot, its ledger and a CPU profile behind.
