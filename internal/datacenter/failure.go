@@ -69,11 +69,6 @@ type FailureConfig struct {
 	// — kubelet's housekeeping interval, scaled to the churn rate.
 	EvictPeriod sim.Cycles
 
-	// EvictUsageFrac is the per-zone high-water mark: a sweep evicts
-	// while a zone's usage exceeds EvictUsageFrac × budget. Zero selects
-	// 1.0 (evict only genuine budget overruns).
-	EvictUsageFrac float64
-
 	// EvictCommitPressure is the node-wide leg: a sweep also evicts
 	// while kernel.Node.CommitPressure exceeds it. Zero selects 0.95.
 	EvictCommitPressure float64
@@ -109,9 +104,6 @@ func (f FailureConfig) withDefaults(cfg Config) FailureConfig {
 		} else {
 			f.EvictPeriod = 550_000_000
 		}
-	}
-	if f.EvictUsageFrac <= 0 {
-		f.EvictUsageFrac = 1.0
 	}
 	if f.EvictCommitPressure <= 0 {
 		f.EvictCommitPressure = 0.95
@@ -207,7 +199,7 @@ func (a *Agent) zoneUsage(zone int, now sim.Cycles) uint64 {
 }
 
 // evictionPass is one eviction-manager sweep: drain every zone back
-// under its usage high-water mark, then relieve node commit pressure,
+// under its hugepage budget, then relieve node commit pressure,
 // lowest-priority victims first. The pressure leg evicts at most one
 // pod per sweep (kubelet's eviction manager pace) — the zone legs are
 // the bulk path, and they converge because every eviction strictly
@@ -230,9 +222,8 @@ func (a *Agent) evictionPass() {
 	f := a.cfg.Failure
 	now := a.eng.Now()
 	evicted := 0
-	highWater := uint64(float64(a.budget) * f.EvictUsageFrac)
 	for z := range a.allocated {
-		for a.zoneUsage(z, now) > highWater {
+		for a.zoneUsage(z, now) > a.budget {
 			pd := a.selectVictim(z, now)
 			if pd == nil {
 				break // nothing evictable: the overrun is not pod-driven
