@@ -72,19 +72,39 @@ func profileOf(p string) (experiments.Profile, error) {
 	return 0, fmt.Errorf("hpmmap: unknown profile %q", p)
 }
 
-// benchCell routes one facade benchmark run through the experiment
-// runner: a single-cell plan on the bounded executor, so the facade gets
-// the same context cancellation, panic containment and seed derivation
-// as the figure harnesses.
-func benchCell(o BenchmarkOptions, exp string,
-	exec func(ctx context.Context, seed uint64) (experiments.RunOutcome, error)) (experiments.RunOutcome, error) {
+// RunBenchmark executes one single-node benchmark run (the unit of the
+// paper's Figure 7) at the benchmark's base input. Ranks defaults to 1.
+func RunBenchmark(o BenchmarkOptions) (BenchmarkResult, error) {
+	if o.Ranks == 0 {
+		o.Ranks = 1
+	}
+	return runBenchmark(o, "bench", experiments.ExecuteSingleNode)
+}
+
+// RunClusterBenchmark executes one multi-node run at the benchmark's
+// base input: 4 ranks per node on the 8-node Sandia testbed model.
+// Figure 8 runs larger cluster inputs, so this is not one of its cells.
+func RunClusterBenchmark(o BenchmarkOptions) (BenchmarkResult, error) {
+	return runBenchmark(o, "cluster", experiments.ExecuteCluster)
+}
+
+// runBenchmark routes one facade benchmark run on rig through the
+// experiment runner: a single-cell plan named exp on the bounded
+// executor, so the facade gets the same context cancellation, panic
+// containment and seed derivation as the figure harnesses. Seed opens
+// the cell's deterministic substream (same options, same result).
+func runBenchmark(o BenchmarkOptions, exp string, rig func(experiments.SingleRun) (experiments.RunOutcome, error)) (BenchmarkResult, error) {
+	spec, ok := workload.ByName(o.Benchmark)
+	if !ok {
+		return BenchmarkResult{}, fmt.Errorf("hpmmap: unknown benchmark %q", o.Benchmark)
+	}
 	kind, err := managerKind(o.Manager)
 	if err != nil {
-		return experiments.RunOutcome{}, err
+		return BenchmarkResult{}, err
 	}
 	prof, err := profileOf(o.Profile)
 	if err != nil {
-		return experiments.RunOutcome{}, err
+		return BenchmarkResult{}, err
 	}
 	plan := runner.Plan{Name: exp, Seed: o.Seed, Cells: []runner.Cell{{
 		Exp: exp, Bench: o.Benchmark, Profile: prof.String(),
@@ -92,93 +112,25 @@ func benchCell(o BenchmarkOptions, exp string,
 	}}}
 	outs, err := runner.Run(runner.Options{Workers: o.Workers, Context: o.Context}, plan,
 		func(ctx context.Context, _ int, _ runner.Cell, seed uint64) (experiments.RunOutcome, error) {
-			return exec(ctx, seed)
+			return rig(experiments.SingleRun{
+				Bench:   spec,
+				Kind:    kind,
+				Profile: prof,
+				Ranks:   o.Ranks,
+				Seed:    seed,
+				Scale:   experiments.Scale(o.Scale),
+				Context: ctx,
+			})
 		})
 	if err != nil {
-		return experiments.RunOutcome{}, err
-	}
-	return outs[0], nil
-}
-
-// RunBenchmark executes one single-node benchmark run (a cell of the
-// paper's Figure 7). The run executes through the experiment runner:
-// Seed opens the cell's deterministic substream (same options, same
-// result) and Context/Workers are passed through to the executor.
-func RunBenchmark(o BenchmarkOptions) (BenchmarkResult, error) {
-	spec, ok := workload.ByName(o.Benchmark)
-	if !ok {
-		return BenchmarkResult{}, fmt.Errorf("hpmmap: unknown benchmark %q", o.Benchmark)
-	}
-	kind, err := managerKind(o.Manager)
-	if err != nil {
 		return BenchmarkResult{}, err
 	}
-	prof, err := profileOf(o.Profile)
-	if err != nil {
-		return BenchmarkResult{}, err
-	}
-	if o.Ranks == 0 {
-		o.Ranks = 1
-	}
-	out, err := benchCell(o, "bench", func(ctx context.Context, seed uint64) (experiments.RunOutcome, error) {
-		return experiments.ExecuteSingleNode(experiments.SingleRun{
-			Bench:   spec,
-			Kind:    kind,
-			Profile: prof,
-			Ranks:   o.Ranks,
-			Seed:    seed,
-			Scale:   experiments.Scale(o.Scale),
-			Context: ctx,
-		})
-	})
-	if err != nil {
-		return BenchmarkResult{}, err
-	}
-	res := BenchmarkResult{RuntimeSeconds: out.RuntimeSec, MeanPressure: out.MeanPressure}
-	for _, rr := range out.Result.Ranks {
+	res := BenchmarkResult{RuntimeSeconds: outs[0].RuntimeSec, MeanPressure: outs[0].MeanPressure}
+	for _, rr := range outs[0].Result.Ranks {
 		r := reportOf(rr.Faults)
 		res.Faults.Faults += r.Faults
 		res.Faults.Cycles += r.Cycles
 		res.Faults.Stalls += r.Stalls
-	}
-	return res, nil
-}
-
-// RunClusterBenchmark executes one multi-node run (a cell of Figure 8):
-// 4 ranks per node on the 8-node Sandia testbed model. Like RunBenchmark
-// it executes through the experiment runner.
-func RunClusterBenchmark(o BenchmarkOptions) (BenchmarkResult, error) {
-	spec, ok := workload.ByName(o.Benchmark)
-	if !ok {
-		return BenchmarkResult{}, fmt.Errorf("hpmmap: unknown benchmark %q", o.Benchmark)
-	}
-	kind, err := managerKind(o.Manager)
-	if err != nil {
-		return BenchmarkResult{}, err
-	}
-	prof, err := profileOf(o.Profile)
-	if err != nil {
-		return BenchmarkResult{}, err
-	}
-	out, err := benchCell(o, "cluster", func(ctx context.Context, seed uint64) (experiments.RunOutcome, error) {
-		return experiments.ExecuteCluster(experiments.ClusterRun{
-			Bench:   spec,
-			Kind:    kind,
-			Profile: prof,
-			Ranks:   o.Ranks,
-			Seed:    seed,
-			Scale:   experiments.Scale(o.Scale),
-			Context: ctx,
-		})
-	})
-	if err != nil {
-		return BenchmarkResult{}, err
-	}
-	res := BenchmarkResult{RuntimeSeconds: out.RuntimeSec}
-	for _, rr := range out.Result.Ranks {
-		r := reportOf(rr.Faults)
-		res.Faults.Faults += r.Faults
-		res.Faults.Cycles += r.Cycles
 	}
 	return res, nil
 }

@@ -14,7 +14,6 @@ import (
 
 	"hpmmap/internal/experiments"
 	"hpmmap/internal/fault"
-	"hpmmap/internal/workload"
 )
 
 // BenchmarkFig2THPFaults regenerates Figure 2: THP fault-handling cycles
@@ -87,22 +86,6 @@ func BenchmarkFig5HugeTLBTimeline(b *testing.B) {
 	}
 }
 
-// fig7Cell runs one Figure 7 cell (bench, profile, manager, 8 cores).
-func fig7Cell(b *testing.B, bench string, prof experiments.Profile, kind experiments.ManagerKind, seed uint64) float64 {
-	b.Helper()
-	spec, ok := workload.ByName(bench)
-	if !ok {
-		b.Fatalf("unknown bench %q", bench)
-	}
-	out, err := experiments.ExecuteSingleNode(experiments.SingleRun{
-		Bench: spec, Kind: kind, Profile: prof, Ranks: 8, Seed: seed,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return out.RuntimeSec
-}
-
 // BenchmarkFig7SingleNode regenerates the 8-core column of every Figure 7
 // panel: four benchmarks x two commodity profiles x three managers.
 func BenchmarkFig7SingleNode(b *testing.B) {
@@ -110,10 +93,19 @@ func BenchmarkFig7SingleNode(b *testing.B) {
 		for _, prof := range []experiments.Profile{experiments.ProfileA, experiments.ProfileB} {
 			b.Run(fmt.Sprintf("%s/profile%s", bench, prof), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					seed := uint64(i)*3 + 101
-					hp := fig7Cell(b, bench, prof, experiments.HPMMAP, seed)
-					th := fig7Cell(b, bench, prof, experiments.THP, seed+1)
-					ht := fig7Cell(b, bench, prof, experiments.HugeTLBfs, seed+2)
+					panels, err := experiments.Fig7(experiments.Fig7Options{
+						Benches:    []string{bench},
+						Profiles:   []experiments.Profile{prof},
+						CoreCounts: []int{8},
+						Runs:       1,
+						Seed:       uint64(i) + 101,
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					hp := panels[0].Series[0].Points[0].MeanSec
+					th := panels[0].Series[1].Points[0].MeanSec
+					ht := panels[0].Series[2].Points[0].MeanSec
 					b.ReportMetric(hp, "hpmmap-sec")
 					b.ReportMetric(th, "thp-sec")
 					b.ReportMetric(ht, "hugetlbfs-sec")
@@ -131,40 +123,24 @@ func BenchmarkFig8Scaling(b *testing.B) {
 	for _, bench := range []string{"HPCCG", "miniFE", "LAMMPS"} {
 		for _, prof := range []experiments.Profile{experiments.ProfileC, experiments.ProfileD} {
 			b.Run(fmt.Sprintf("%s/profile%s", bench, prof), func(b *testing.B) {
-				base, _ := workload.ByName(bench)
-				spec := base.ScaleWork(clusterFactor(bench))
 				for i := 0; i < b.N; i++ {
-					seed := uint64(i)*5 + 301
-					run := func(kind experiments.ManagerKind, s uint64) float64 {
-						out, err := experiments.ExecuteCluster(experiments.ClusterRun{
-							Bench: spec, Kind: kind, Profile: prof, Ranks: 32, Seed: s,
-						})
-						if err != nil {
-							b.Fatal(err)
-						}
-						return out.RuntimeSec
+					panels, err := experiments.Fig8(experiments.Fig7Options{
+						Benches:    []string{bench},
+						Profiles:   []experiments.Profile{prof},
+						CoreCounts: []int{32},
+						Runs:       1,
+						Seed:       uint64(i) + 301,
+					})
+					if err != nil {
+						b.Fatal(err)
 					}
-					hp := run(experiments.HPMMAP, seed)
-					th := run(experiments.THP, seed+1)
-					b.ReportMetric(hp, "hpmmap-sec")
-					b.ReportMetric(th, "thp-sec")
-					b.ReportMetric(100*(th-hp)/th, "vs-thp-%")
+					b.ReportMetric(panels[0].Series[0].Points[0].MeanSec, "hpmmap-sec")
+					b.ReportMetric(panels[0].Series[1].Points[0].MeanSec, "thp-sec")
+					b.ReportMetric(100*experiments.Fig8Improvement(panels[0], 32), "vs-thp-%")
 				}
 			})
 		}
 	}
-}
-
-func clusterFactor(bench string) float64 {
-	switch bench {
-	case "HPCCG":
-		return 3.3
-	case "miniFE":
-		return 3.2
-	case "LAMMPS":
-		return 1.55
-	}
-	return 3.0
 }
 
 // BenchmarkAblationEagerMapping isolates HPMMAP's on-request allocation

@@ -144,6 +144,42 @@ func main() {
 		}
 	}
 
+	// weakScaling runs Fig. 7 or Fig. 8 — one study on two rigs — and
+	// writes its table and its CSV, whose axis column is named axis.
+	// counts overrides the figure's core (rank) counts.
+	weakScaling := func(name, axis string, run func(experiments.Fig7Options) ([]experiments.Fig7Panel, error),
+		write func(io.Writer, []experiments.Fig7Panel), counts []int) error {
+		panels, err := run(experiments.Fig7Options{
+			Runs:       *runs,
+			Seed:       *seed,
+			Scale:      sc,
+			Progress:   progress,
+			Benches:    splitList(*benches),
+			CoreCounts: counts,
+			Workers:    *workers,
+			Context:    ctx,
+			Cache:      cache,
+			Obs:        art.Observe(name),
+		})
+		if err != nil {
+			return err
+		}
+		write(os.Stdout, panels)
+		lines := []string{"bench,profile,manager," + axis + ",mean_sec,stdev_sec"}
+		for _, p := range panels {
+			for _, s := range p.Series {
+				for _, pt := range s.Points {
+					lines = append(lines, fmt.Sprintf("%s,%s,%s,%d,%.3f,%.3f",
+						p.Bench, p.Profile, s.Kind, pt.Cores, pt.MeanSec, pt.StdevSec))
+				}
+			}
+		}
+		if err := writeOut(*outDir, name+".csv", csvLines(lines)); err != nil {
+			return err
+		}
+		return art.Flush()
+	}
+
 	// The experiments, in the order -exp all runs them.
 	exps := []struct {
 		name string
@@ -190,42 +226,15 @@ func main() {
 			return art.Flush()
 		}},
 		{"fig7", func() error {
-			opts := experiments.Fig7Options{
-				Runs:     *runs,
-				Seed:     *seed,
-				Scale:    sc,
-				Progress: progress,
-				Benches:  splitList(*benches),
-				Workers:  *workers,
-				Context:  ctx,
-				Cache:    cache,
-				Obs:      art.Observe("fig7"),
-			}
+			var counts []int
 			for _, c := range splitList(*cores) {
 				v, err := strconv.Atoi(c)
 				if err != nil {
 					return fmt.Errorf("bad -cores entry %q", c)
 				}
-				opts.CoreCounts = append(opts.CoreCounts, v)
+				counts = append(counts, v)
 			}
-			panels, err := experiments.Fig7(opts)
-			if err != nil {
-				return err
-			}
-			experiments.WriteFig7(os.Stdout, panels)
-			lines := []string{"bench,profile,manager,cores,mean_sec,stdev_sec"}
-			for _, p := range panels {
-				for _, s := range p.Series {
-					for _, pt := range s.Points {
-						lines = append(lines, fmt.Sprintf("%s,%s,%s,%d,%.3f,%.3f",
-							p.Bench, p.Profile, s.Kind, pt.Cores, pt.MeanSec, pt.StdevSec))
-					}
-				}
-			}
-			if err := writeOut(*outDir, "fig7.csv", csvLines(lines)); err != nil {
-				return err
-			}
-			return art.Flush()
+			return weakScaling("fig7", "cores", experiments.Fig7, experiments.WriteFig7, counts)
 		}},
 		{"noise", func() error {
 			points, err := experiments.NoiseStudy(experiments.NoiseStudyOptions{
@@ -259,34 +268,7 @@ func main() {
 			return art.Flush()
 		}},
 		{"fig8", func() error {
-			panels, err := experiments.Fig8(experiments.Fig8Options{
-				Runs:     *runs,
-				Seed:     *seed,
-				Scale:    sc,
-				Progress: progress,
-				Benches:  splitList(*benches),
-				Workers:  *workers,
-				Context:  ctx,
-				Cache:    cache,
-				Obs:      art.Observe("fig8"),
-			})
-			if err != nil {
-				return err
-			}
-			experiments.WriteFig8(os.Stdout, panels)
-			lines := []string{"bench,profile,manager,ranks,mean_sec,stdev_sec"}
-			for _, p := range panels {
-				for _, s := range p.Series {
-					for _, pt := range s.Points {
-						lines = append(lines, fmt.Sprintf("%s,%s,%s,%d,%.3f,%.3f",
-							p.Bench, p.Profile, s.Kind, pt.Ranks, pt.MeanSec, pt.StdevSec))
-					}
-				}
-			}
-			if err := writeOut(*outDir, "fig8.csv", csvLines(lines)); err != nil {
-				return err
-			}
-			return art.Flush()
+			return weakScaling("fig8", "ranks", experiments.Fig8, experiments.WriteFig8, nil)
 		}},
 	}
 	studies := []struct {

@@ -119,7 +119,7 @@ func main() {
 	}
 	if !*skipFig8 {
 		section("Figure 8 — 8-node scaling study")
-		panels, err := experiments.Fig8(experiments.Fig8Options{
+		panels, err := experiments.Fig8(experiments.Fig7Options{
 			Runs: *runs, Seed: *seed, Scale: sc,
 			Workers: *workers, Context: ctx, Cache: cache, Progress: progress,
 			Obs: art.Observe("fig8"),

@@ -242,6 +242,24 @@ func TestRunClusterBenchmarkFacade(t *testing.T) {
 	if res.Faults.Faults != 0 {
 		t.Fatalf("hpmmap cluster run faulted: %+v", res.Faults)
 	}
+	// Under THP the ranks' faults stall behind the kernel builds, and
+	// the report must add those stalls up like RunBenchmark's does.
+	for _, prof := range []string{"C", "D"} {
+		res, err := RunClusterBenchmark(BenchmarkOptions{
+			Benchmark: "HPCCG",
+			Manager:   ManagerTHP,
+			Profile:   prof,
+			Ranks:     8,
+			Seed:      3,
+			Scale:     0.1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Faults.Faults == 0 || res.Faults.Stalls == 0 {
+			t.Fatalf("thp cluster run under profile %s: %+v", prof, res.Faults)
+		}
+	}
 }
 
 func TestRunFaultStudyFacade(t *testing.T) {

@@ -56,15 +56,15 @@ func TestFig7IdenticalAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestFig8IdenticalAcrossWorkerCounts(t *testing.T) {
-	opts := func(workers int) Fig8Options {
-		return Fig8Options{
-			Benches:  []string{"LAMMPS"},
-			Profiles: []Profile{ProfileC},
-			Ranks:    []int{4, 8},
-			Runs:     2,
-			Seed:     202,
-			Scale:    0.25,
-			Workers:  workers,
+	opts := func(workers int) Fig7Options {
+		return Fig7Options{
+			Benches:    []string{"LAMMPS"},
+			Profiles:   []Profile{ProfileC},
+			CoreCounts: []int{4, 8},
+			Runs:       2,
+			Seed:       202,
+			Scale:      0.25,
+			Workers:    workers,
 		}
 	}
 	serial, err := Fig8(opts(1))

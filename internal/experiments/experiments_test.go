@@ -284,12 +284,12 @@ func TestFig8HeadlineShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node full-scale runs")
 	}
-	panels, err := Fig8(Fig8Options{
-		Benches:  []string{"HPCCG"},
-		Profiles: []Profile{ProfileC},
-		Ranks:    []int{4, 8, 32},
-		Runs:     2,
-		Seed:     13,
+	panels, err := Fig8(Fig7Options{
+		Benches:    []string{"HPCCG"},
+		Profiles:   []Profile{ProfileC},
+		CoreCounts: []int{4, 8, 32},
+		Runs:       2,
+		Seed:       13,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -303,10 +303,10 @@ func TestFig8HeadlineShapes(t *testing.T) {
 	for _, s := range p.Series {
 		var r4, r8 float64
 		for _, pt := range s.Points {
-			if pt.Ranks == 4 {
+			if pt.Cores == 4 {
 				r4 = pt.MeanSec
 			}
-			if pt.Ranks == 8 {
+			if pt.Cores == 8 {
 				r8 = pt.MeanSec
 			}
 		}
@@ -318,8 +318,11 @@ func TestFig8HeadlineShapes(t *testing.T) {
 
 func TestExecuteClusterValidation(t *testing.T) {
 	spec, _ := workload.ByName("HPCCG")
-	if _, err := ExecuteCluster(ClusterRun{Bench: spec, Kind: THP, Profile: ProfileC, Ranks: 5, Seed: 1, Scale: 0.25}); err == nil {
+	if _, err := ExecuteCluster(SingleRun{Bench: spec, Kind: THP, Profile: ProfileC, Ranks: 5, Seed: 1, Scale: 0.25}); err == nil {
 		t.Fatal("non-multiple-of-4 ranks accepted")
+	}
+	if _, err := ExecuteCluster(SingleRun{Bench: spec, Kind: THP, Profile: ProfileC, Ranks: 4, Seed: 1, Scale: 0.25, Audit: true}); err == nil {
+		t.Fatal("a cluster run asking for the single-node auditor accepted")
 	}
 }
 
@@ -517,13 +520,13 @@ func TestFig7QuickPath(t *testing.T) {
 }
 
 func TestFig8QuickPath(t *testing.T) {
-	panels, err := Fig8(Fig8Options{
-		Benches:  []string{"LAMMPS"},
-		Profiles: []Profile{ProfileC},
-		Ranks:    []int{4},
-		Runs:     1,
-		Seed:     3,
-		Scale:    0.25,
+	panels, err := Fig8(Fig7Options{
+		Benches:    []string{"LAMMPS"},
+		Profiles:   []Profile{ProfileC},
+		CoreCounts: []int{4},
+		Runs:       1,
+		Seed:       3,
+		Scale:      0.25,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -531,7 +534,7 @@ func TestFig8QuickPath(t *testing.T) {
 	if len(panels) != 1 || len(panels[0].Series) != 2 {
 		t.Fatalf("panels: %+v", panels)
 	}
-	if _, err := Fig8(Fig8Options{Benches: []string{"bogus"}, Scale: 0.25}); err == nil {
+	if _, err := Fig8(Fig7Options{Benches: []string{"bogus"}, Scale: 0.25}); err == nil {
 		t.Fatal("bogus bench accepted")
 	}
 }

@@ -112,14 +112,14 @@ func renderGoldenArtifacts(t *testing.T, workers int, cache *runner.Cache) map[s
 		return nil
 	})
 	render("fig8.txt", func(w *bytes.Buffer) error {
-		panels, err := Fig8(Fig8Options{
-			Benches:  []string{"LAMMPS"},
-			Profiles: []Profile{ProfileC},
-			Ranks:    []int{4},
-			Runs:     1,
-			Seed:     202,
-			Scale:    0.25,
-			Workers:  workers,
+		panels, err := Fig8(Fig7Options{
+			Benches:    []string{"LAMMPS"},
+			Profiles:   []Profile{ProfileC},
+			CoreCounts: []int{4},
+			Runs:       1,
+			Seed:       202,
+			Scale:      0.25,
+			Workers:    workers,
 		})
 		if err != nil {
 			return err

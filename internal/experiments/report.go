@@ -36,21 +36,7 @@ func WriteTimelines(w io.Writer, title string, tls []Timeline, width, height int
 // paper's headline averages.
 func WriteFig7(w io.Writer, panels []Fig7Panel) {
 	for _, p := range panels {
-		fmt.Fprintf(w, "=== Figure 7: %s, commodity profile %s ===\n", p.Bench, p.Profile)
-		fmt.Fprintf(w, "%-22s", "Cores")
-		if len(p.Series) > 0 {
-			for _, pt := range p.Series[0].Points {
-				fmt.Fprintf(w, " %14d", pt.Cores)
-			}
-		}
-		fmt.Fprintln(w)
-		for _, s := range p.Series {
-			fmt.Fprintf(w, "%-22s", s.Kind.String())
-			for _, pt := range s.Points {
-				fmt.Fprintf(w, " %8.1f±%-5.1f", pt.MeanSec, pt.StdevSec)
-			}
-			fmt.Fprintln(w)
-		}
+		writePanel(w, "Figure 7", "Cores", p)
 	}
 	// Statistical resolution of the headline comparison at 8 cores.
 	resolved, total := 0, 0
@@ -98,25 +84,31 @@ func filterPanels(panels []Fig7Panel, prof Profile) []Fig7Panel {
 }
 
 // WriteFig8 renders the scaling study.
-func WriteFig8(w io.Writer, panels []Fig8Panel) {
+func WriteFig8(w io.Writer, panels []Fig7Panel) {
 	for _, p := range panels {
-		fmt.Fprintf(w, "=== Figure 8: %s, commodity profile %s ===\n", p.Bench, p.Profile)
-		fmt.Fprintf(w, "%-22s", "Ranks")
-		if len(p.Series) > 0 {
-			for _, pt := range p.Series[0].Points {
-				fmt.Fprintf(w, " %14d", pt.Ranks)
-			}
-		}
-		fmt.Fprintln(w)
-		for _, s := range p.Series {
-			fmt.Fprintf(w, "%-22s", s.Kind.String())
-			for _, pt := range s.Points {
-				fmt.Fprintf(w, " %8.1f±%-5.1f", pt.MeanSec, pt.StdevSec)
-			}
-			fmt.Fprintln(w)
-		}
+		writePanel(w, "Figure 8", "Ranks", p)
 		if imp := Fig8Improvement(p, 32); imp != 0 {
 			fmt.Fprintf(w, "HPMMAP vs THP at 32 ranks: %+.1f%%\n", 100*imp)
 		}
+	}
+}
+
+// writePanel renders one weak-scaling panel as a table: a row per
+// manager, a column per x-axis point (axis names it).
+func writePanel(w io.Writer, fig, axis string, p Fig7Panel) {
+	fmt.Fprintf(w, "=== %s: %s, commodity profile %s ===\n", fig, p.Bench, p.Profile)
+	fmt.Fprintf(w, "%-22s", axis)
+	if len(p.Series) > 0 {
+		for _, pt := range p.Series[0].Points {
+			fmt.Fprintf(w, " %14d", pt.Cores)
+		}
+	}
+	fmt.Fprintln(w)
+	for _, s := range p.Series {
+		fmt.Fprintf(w, "%-22s", s.Kind.String())
+		for _, pt := range s.Points {
+			fmt.Fprintf(w, " %8.1f±%-5.1f", pt.MeanSec, pt.StdevSec)
+		}
+		fmt.Fprintln(w)
 	}
 }

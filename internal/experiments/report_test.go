@@ -77,12 +77,12 @@ func TestWriteFig7AndImprovements(t *testing.T) {
 }
 
 func TestWriteFig8(t *testing.T) {
-	panels := []Fig8Panel{{
+	panels := []Fig7Panel{{
 		Bench:   "HPCCG",
 		Profile: ProfileC,
-		Series: []Fig8Series{
-			{Kind: HPMMAP, Points: []Fig8Point{{Ranks: 32, MeanSec: 200, StdevSec: 1}}},
-			{Kind: THP, Points: []Fig8Point{{Ranks: 32, MeanSec: 225, StdevSec: 2}}},
+		Series: []Fig7Series{
+			{Kind: HPMMAP, Points: []Fig7Point{{Cores: 32, MeanSec: 200, StdevSec: 1}}},
+			{Kind: THP, Points: []Fig7Point{{Cores: 32, MeanSec: 225, StdevSec: 2}}},
 		},
 	}}
 	var b strings.Builder

@@ -443,7 +443,9 @@ func runToCompletion(ctx context.Context, eng *sim.Engine, done *bool) (err erro
 	return nil
 }
 
-// SingleRun describes one measured application execution.
+// SingleRun describes one measured application execution, on one node
+// (ExecuteSingleNode) or on the cluster (ExecuteCluster, which takes
+// only the weak-scaling fields).
 type SingleRun struct {
 	Bench   workload.AppSpec
 	Kind    ManagerKind
@@ -479,8 +481,9 @@ type SingleRun struct {
 	Audit bool
 	// Series, when non-nil, samples the standard probe set (commit
 	// pressure, memory pressure, free bytes, fragmentation, page-cache
-	// pages, cumulative Linux-manager fault/reclaim tallies) on the run's
-	// existing quarter-second diagnostic ticker. The piggyback schedules
+	// pages, cumulative Linux-manager fault/reclaim tallies) on the
+	// single-node run's existing quarter-second diagnostic ticker (for
+	// the cluster, see ExecuteCluster). The piggyback schedules
 	// no extra engine events and the probes draw no randomness, so a
 	// sampled run is byte-identical to an unsampled one apart from the
 	// timeline_samples_total counter the sampler itself registers.

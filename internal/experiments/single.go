@@ -9,11 +9,15 @@ import (
 	"hpmmap/internal/workload"
 )
 
-// Fig7Options configures the single-node weak-scaling study.
+// Fig7Options configures a weak-scaling study: Fig. 7 on one node or
+// Fig. 8 on the cluster. Zero axes and a zero seed take the figure's
+// defaults.
 type Fig7Options struct {
-	Benches    []string  // default: HPCCG, CoMD, miniMD, miniFE
-	Profiles   []Profile // default: A, B
-	CoreCounts []int     // default: 1, 2, 4, 8
+	Benches  []string
+	Profiles []Profile
+	// CoreCounts is the x axis: cores on one node (Fig. 7), total ranks
+	// at 4 per node on the cluster (Fig. 8).
+	CoreCounts []int
 	Managers   []ManagerKind
 	Runs       int // default: 10, as in the paper
 	Seed       uint64
@@ -44,18 +48,20 @@ type Fig7Options struct {
 	Obs *runner.Observations
 }
 
-func (o *Fig7Options) defaults() {
+// defaults fills o's zero axes and seed from d, and its zero Runs and
+// Scale with the paper's 10 runs at full size.
+func (o *Fig7Options) defaults(d Fig7Options) {
 	if len(o.Benches) == 0 {
-		o.Benches = []string{"HPCCG", "CoMD", "miniMD", "miniFE"}
+		o.Benches = d.Benches
 	}
 	if len(o.Profiles) == 0 {
-		o.Profiles = []Profile{ProfileA, ProfileB}
+		o.Profiles = d.Profiles
 	}
 	if len(o.CoreCounts) == 0 {
-		o.CoreCounts = []int{1, 2, 4, 8}
+		o.CoreCounts = d.CoreCounts
 	}
 	if len(o.Managers) == 0 {
-		o.Managers = []ManagerKind{HPMMAP, THP, HugeTLBfs}
+		o.Managers = d.Managers
 	}
 	if o.Runs == 0 {
 		o.Runs = 10
@@ -64,17 +70,17 @@ func (o *Fig7Options) defaults() {
 		o.Scale = 1
 	}
 	if o.Seed == 0 {
-		o.Seed = 0x7e57
+		o.Seed = d.Seed
 	}
 }
 
-// Fig7Point is one (cores, manager) cell: mean ± stdev over the runs.
+// Fig7Point is one (cores, manager) cell, (ranks, manager) in Fig. 8:
+// mean ± stdev over the runs.
 type Fig7Point struct {
-	Cores       int
-	MeanSec     float64
-	StdevSec    float64
-	Runs        []float64
-	FaultTotals uint64
+	Cores    int
+	MeanSec  float64
+	StdevSec float64
+	Runs     []float64
 }
 
 // Fig7Series is one manager's curve in one panel.
@@ -94,7 +100,6 @@ type Fig7Panel struct {
 // chaos-study run.
 type runtimeCell struct {
 	RuntimeSec float64 `json:"runtime_sec"`
-	Faults     uint64  `json:"faults"`
 }
 
 // runtimeSuffix is the progress-line suffix of a runtimeCell.
@@ -116,28 +121,61 @@ func progressLines[T any](p func(string), suffix func(T) string) func(runner.Eve
 	}
 }
 
+// weakScaling is what tells Figs. 7 and 8 apart: the plan name, the
+// defaults, the benchmark input and the rig. Everything else — the
+// grid, the cell function and the reducer — is runWeakScaling's.
+type weakScaling struct {
+	// name is the plan name, the cells' Exp and the error prefix.
+	name     string
+	defaults Fig7Options
+	// work scales a benchmark's base input (AppSpec.ScaleWork; a factor
+	// of 1 leaves it as it is).
+	work func(bench string) float64
+	// rig runs one cell: ExecuteSingleNode or ExecuteCluster.
+	rig func(SingleRun) (RunOutcome, error)
+}
+
 // Fig7 runs the single-node experiments of the paper's Figure 7: each
 // benchmark in weak-scaling mode on 1, 2, 4 and 8 cores, under commodity
 // profiles A and B, for each memory manager, averaging the given number
-// of runs. The grid executes as one runner plan: independent cells on a
-// bounded worker pool with coordinate-derived seeds, so the panels are
-// identical at any Workers setting.
+// of runs.
 func Fig7(o Fig7Options) ([]Fig7Panel, error) {
-	o.defaults()
+	return runWeakScaling(o, weakScaling{
+		name: "fig7",
+		defaults: Fig7Options{
+			Benches:    []string{"HPCCG", "CoMD", "miniMD", "miniFE"},
+			Profiles:   []Profile{ProfileA, ProfileB},
+			CoreCounts: []int{1, 2, 4, 8},
+			Managers:   []ManagerKind{HPMMAP, THP, HugeTLBfs},
+			Seed:       0x7e57,
+		},
+		work: func(string) float64 { return 1 },
+		rig:  ExecuteSingleNode,
+	})
+}
+
+// runWeakScaling runs the grid o.Benches × o.Profiles × o.Managers ×
+// o.CoreCounts × o.Runs on g's rig and reduces it to one panel per
+// (bench, profile), in that order. The grid executes as one runner
+// plan: independent cells on a bounded worker pool with
+// coordinate-derived seeds, so the panels are identical at any Workers
+// setting.
+func runWeakScaling(o Fig7Options, g weakScaling) ([]Fig7Panel, error) {
+	o.defaults(g.defaults)
 	specs := make(map[string]workload.AppSpec, len(o.Benches))
 	for _, bench := range o.Benches {
 		spec, ok := workload.ByName(bench)
 		if !ok {
 			return nil, fmt.Errorf("experiments: unknown benchmark %q", bench)
 		}
-		specs[bench] = spec
+		specs[bench] = spec.ScaleWork(g.work(bench))
 	}
 
 	type cellMeta struct {
 		prof Profile
 		kind ManagerKind
 	}
-	plan := runner.Plan{Name: "fig7", Seed: o.Seed, Inputs: fmt.Sprintf("scale=%g", o.Scale)}
+	plan := runner.Plan{Name: g.name, Seed: o.Seed, Inputs: fmt.Sprintf("scale=%g", o.Scale)}
 	var metas []cellMeta
 	for _, bench := range o.Benches {
 		for _, prof := range o.Profiles {
@@ -145,7 +183,7 @@ func Fig7(o Fig7Options) ([]Fig7Panel, error) {
 				for _, cores := range o.CoreCounts {
 					for run := 0; run < o.Runs; run++ {
 						plan.Cells = append(plan.Cells, runner.Cell{
-							Exp: "fig7", Bench: bench, Profile: prof.String(),
+							Exp: g.name, Bench: bench, Profile: prof.String(),
 							Manager: kind.Key(), Cores: cores, Run: run,
 						})
 						metas = append(metas, cellMeta{prof: prof, kind: kind})
@@ -163,7 +201,7 @@ func Fig7(o Fig7Options) ([]Fig7Panel, error) {
 		Obs:      o.Obs,
 	}, plan, func(ctx context.Context, idx int, cell runner.Cell, seed uint64) (runtimeCell, error) {
 		reg, tr := o.Obs.Cell(idx, cell.String())
-		out, err := ExecuteSingleNode(SingleRun{
+		out, err := g.rig(SingleRun{
 			Bench:   specs[cell.Bench],
 			Kind:    metas[idx].kind,
 			Profile: metas[idx].prof,
@@ -178,14 +216,10 @@ func Fig7(o Fig7Options) ([]Fig7Panel, error) {
 		if err != nil {
 			return runtimeCell{}, err
 		}
-		cc := runtimeCell{RuntimeSec: out.RuntimeSec}
-		for _, rr := range out.Result.Ranks {
-			cc.Faults += rr.Faults.TotalFaults()
-		}
-		return cc, nil
+		return runtimeCell{RuntimeSec: out.RuntimeSec}, nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("fig7: %w", err)
+		return nil, fmt.Errorf("%s: %w", g.name, err)
 	}
 
 	// Reduce in declaration order (results are indexed by cell position,
@@ -199,21 +233,18 @@ func Fig7(o Fig7Options) ([]Fig7Panel, error) {
 				series := Fig7Series{Kind: kind}
 				for _, cores := range o.CoreCounts {
 					var sample stats.Sample
-					var faults uint64
 					var runs []float64
 					for run := 0; run < o.Runs; run++ {
 						cc := results[i]
 						i++
 						sample.Add(cc.RuntimeSec)
 						runs = append(runs, cc.RuntimeSec)
-						faults += cc.Faults
 					}
 					series.Points = append(series.Points, Fig7Point{
-						Cores:       cores,
-						MeanSec:     sample.Mean(),
-						StdevSec:    sample.Stdev(),
-						Runs:        runs,
-						FaultTotals: faults / uint64(o.Runs),
+						Cores:    cores,
+						MeanSec:  sample.Mean(),
+						StdevSec: sample.Stdev(),
+						Runs:     runs,
 					})
 				}
 				panel.Series = append(panel.Series, series)
