@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: verify build test race vet lint lint-fast lint-audit bench bench-check fuzz chaos datacenter eviction
+.PHONY: verify build test race vet lint lint-fast bench bench-check fuzz chaos datacenter eviction
 
 verify: build test race vet lint
 
@@ -27,8 +27,9 @@ vet:
 
 # The detsim determinism-and-invariant analyzer suite (wallclock,
 # randsource, maporder, panicsite, metricname, streamcarve,
-# poolescape, hotpath; see ANALYSIS.md), run through the go command's
-# vet harness. Manual invocation:
+# poolescape, hotpath, and allowaudit, which fails on a stale
+# //detsim:allow directive; see ANALYSIS.md), run through the go
+# command's vet harness. Manual invocation:
 #   go build -o bin/hpmmap-vet ./cmd/hpmmap-vet
 #   go vet -vettool=$(pwd)/bin/hpmmap-vet ./...
 lint:
@@ -51,16 +52,6 @@ lint-fast:
 	if [ -z "$$pkgs" ]; then echo "lint-fast: no changed Go packages"; exit 0; fi; \
 	echo "lint-fast:$$pkgs"; \
 	$(GO) vet -vettool=$(abspath bin/hpmmap-vet) $$pkgs
-
-# //detsim:allow hygiene: list every directive in the tree with its
-# reason, then fail on stale ones (directives that no longer suppress
-# any finding) via the opt-in allowaudit analyzer. The analyzer flag
-# deliberately busts the vet result cache, so the audit always
-# re-analyzes the full tree.
-lint-audit:
-	$(GO) build -o bin/hpmmap-vet ./cmd/hpmmap-vet
-	bin/hpmmap-vet -list-allows
-	$(GO) vet -vettool=$(abspath bin/hpmmap-vet) -allowaudit.enable ./...
 
 # The benchmark (BENCHMARK.json; see benchmark/README.md): every
 # workload interleaved, with end-to-end and per-layer numbers and their

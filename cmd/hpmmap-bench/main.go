@@ -45,9 +45,8 @@
 // backoff distribution, per-class fault tails and victim interference,
 // and -out also writes a long-format eviction.csv. All studies
 // run with the runner's degradation machinery: failed cells become
-// annotated holes (-fail-fast reverts to abort-on-first-error),
-// -cell-timeout bounds a cell's wall clock and -retries re-runs
-// host-transient failures.
+// annotated holes (-fail-fast reverts to abort-on-first-error) and
+// -cell-timeout bounds a cell's wall clock.
 //
 // In the calibration studies (single.go) a shared flag left at its zero
 // value keeps the study's own default, and none of them uses
@@ -123,7 +122,6 @@ func main() {
 		intensities = flag.String("intensities", "", "chaos study: comma-separated chaos intensities in [0,1] (default 0,0.25,0.5,0.75,1)")
 		chaosPoison = flag.Int("chaos-poison", -1, "chaos study: inject a deliberate invariant violation into this plan cell (>= 1) to drill the quarantine path; -1 = off")
 		cellTimeout = flag.Duration("cell-timeout", 0, "chaos study: per-cell wall-clock budget (0 = none)")
-		retries     = flag.Int("retries", 0, "chaos study: retries for cell failures marked host-transient (no simulation failure is; cache I/O never fails a cell)")
 		failFast    = flag.Bool("fail-fast", false, "chaos study: abort on the first cell failure instead of quarantining it as an annotated hole")
 	)
 	flag.Parse()
@@ -308,7 +306,7 @@ func main() {
 		churns: splitList(*churns), overcommits: splitList(*overcommits),
 		intensities: splitList(*intensities),
 		audit:       *audit, poison: *chaosPoison,
-		cellTimeout: *cellTimeout, retries: *retries, failFast: *failFast,
+		cellTimeout: *cellTimeout, failFast: *failFast,
 		outDir: *outDir, plotW: *plotW, plotH: *plotH,
 		kind: managerChoices[oneOf("manager", *manager, keys(managerChoices, experiments.ManagerKind.Key))],
 		knob: *knobFlag,
@@ -383,7 +381,6 @@ type studyArgs struct {
 	audit                            bool
 	poison                           int
 	cellTimeout                      time.Duration
-	retries                          int
 	failFast                         bool
 	outDir                           string
 	plotW, plotH                     int
@@ -459,7 +456,7 @@ func unitInterval(v float64) bool { return v >= 0 && v <= 1 }
 
 // runChaosStudy drives the contention-storm study (-study chaos):
 // chaos intensity x manager, with the runner's degradation machinery
-// (quarantined holes, retries, per-cell timeouts) and optionally the
+// (quarantined holes, per-cell timeouts) and optionally the
 // invariant auditor. A study with quarantined cells exits non-zero
 // after rendering the partial figure and flushing its artifacts.
 func runChaosStudy(a studyArgs) error {
@@ -467,10 +464,8 @@ func runChaosStudy(a studyArgs) error {
 		Seed: a.seed, Scale: a.scale, Runs: a.runs,
 		Workers: a.workers, Context: a.ctx, Progress: a.progress,
 		Cache: a.cache, Obs: a.art.Observe("chaos"),
-		Audit: a.audit, PoisonCell: a.poison,
-		CellTimeout: a.cellTimeout, Retries: a.retries,
-		DisableContinueOnError: a.failFast,
-		Bench:                  a.bench(),
+		Audit: a.audit, PoisonCell: a.poison, Bench: a.bench(),
+		CellTimeout: a.cellTimeout, DisableContinueOnError: a.failFast,
 	}
 	var err error
 	if o.Cores, err = a.ranks(); err != nil {
@@ -513,8 +508,7 @@ func runDatacenterStudy(a studyArgs) error {
 		Seed: a.seed, Scale: a.scale, Runs: a.runs,
 		Workers: a.workers, Context: a.ctx, Progress: a.progress,
 		Cache: a.cache, Obs: a.art.Observe("datacenter"), Audit: a.audit,
-		CellTimeout: a.cellTimeout, Retries: a.retries,
-		Bench: a.bench(),
+		CellTimeout: a.cellTimeout, Bench: a.bench(),
 	}
 	var err error
 	if o.Ranks, err = a.ranks(); err != nil {
@@ -547,8 +541,7 @@ func runEvictionStudy(a studyArgs) error {
 		Seed: a.seed, Scale: a.scale, Runs: a.runs,
 		Workers: a.workers, Context: a.ctx, Progress: a.progress,
 		Cache: a.cache, Obs: a.art.Observe("eviction"), Audit: a.audit,
-		CellTimeout: a.cellTimeout, Retries: a.retries,
-		Bench: a.bench(),
+		CellTimeout: a.cellTimeout, Bench: a.bench(),
 	}
 	var err error
 	if o.Ranks, err = a.ranks(); err != nil {

@@ -2,7 +2,7 @@
 // ledgers (internal/ledger JSONL journals) and metrics snapshots:
 //
 //	hpmmap-ledger summary run.jsonl
-//	    Per-plan rollup: cell outcomes, retry/timeout/cache traffic,
+//	    Per-plan rollup: cell outcomes, timeout/cache traffic,
 //	    host wall/alloc totals, and the straggler-cell table.
 //
 //	hpmmap-ledger diff [-regress-pct P] old new
@@ -102,7 +102,7 @@ type planStats struct {
 	cells                   int
 	workers                 int
 	ok, quarantined, failed int
-	retries, timeouts       int
+	timeouts                int
 	cacheHits, cacheMisses  int
 	wallUS                  int64
 	allocBytes              uint64
@@ -146,8 +146,6 @@ func fold(recs []ledger.Record) (plans []*planStats, corrupt uint64) {
 			cur.cellWallUS[r.I] = r.WallUS
 			cur.wallUS += r.WallUS
 			cur.allocBytes += r.AllocBytes
-		case ledger.TypeCellRetry:
-			cur.retries++
 		case ledger.TypeCellTimeout:
 			cur.timeouts++
 		case ledger.TypeCacheHit:
@@ -179,8 +177,8 @@ func summary(w io.Writer, path string, stragglers int) error {
 			fmt.Fprintf(w, ", scale %g", p.scale)
 		}
 		fmt.Fprintln(w)
-		fmt.Fprintf(w, "  retries %d, timeouts %d, cache %d hits / %d misses\n",
-			p.retries, p.timeouts, p.cacheHits, p.cacheMisses)
+		fmt.Fprintf(w, "  timeouts %d, cache %d hits / %d misses\n",
+			p.timeouts, p.cacheHits, p.cacheMisses)
 		if p.wallUS > 0 {
 			fmt.Fprintf(w, "  host: workers %d, wall %s, alloc %s\n",
 				p.workers, (time.Duration(p.wallUS) * time.Microsecond).Round(time.Millisecond),
@@ -494,8 +492,6 @@ func formatRecord(r ledger.Record) string {
 	case ledger.TypeCellHost:
 		return fmt.Sprintf("    #%-4d worker %d, %s, %s", r.I, r.Worker,
 			(time.Duration(r.WallUS) * time.Microsecond).Round(time.Millisecond), formatBytes(r.AllocBytes))
-	case ledger.TypeCellRetry:
-		return fmt.Sprintf("  ~ #%-4d retry %d: %s", r.I, r.Attempt, r.Err)
 	case ledger.TypeCellTimeout:
 		return fmt.Sprintf("  ! #%-4d timed out", r.I)
 	case ledger.TypeCacheHit:

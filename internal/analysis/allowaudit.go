@@ -8,25 +8,22 @@ import (
 	"golang.org/x/tools/go/analysis"
 )
 
-// AllowauditAnalyzer is the stale-directive sweep behind
-// `make lint-audit`. Every //detsim:allow directive exists to suppress
-// a specific finding; when the annotated line stops triggering any
-// analyzer (the code moved, the rule changed, the construct was
-// fixed), the directive becomes a silent hole that would mask the next
-// real finding on that line. This analyzer runs the full suite (via
-// Requires), reads back each analyzer's directiveIndex result — in
-// which allowed() marks every directive it consumed — and reports
-// directives nothing consumed.
-//
-// It is opt-in (-allowaudit.enable, set by `make lint-audit`) so the
-// plain `make lint` diagnostic stream stays focused on code findings;
-// the audit is a maintenance sweep, not a build gate.
+// AllowauditAnalyzer is the stale-directive sweep. Every
+// //detsim:allow directive exists to suppress a specific finding; when
+// the annotated line stops triggering any analyzer (the code moved,
+// the rule changed, the construct was fixed), the directive becomes a
+// silent hole that would mask the next real finding on that line. This
+// analyzer runs the full suite (via Requires), reads back each
+// analyzer's directiveIndex result — in which allowed() marks every
+// directive it consumed — and reports directives nothing consumed. It
+// runs in every `make lint`, so a stale directive fails the build like
+// any other finding.
 var AllowauditAnalyzer = &analysis.Analyzer{
 	Name: "allowaudit",
-	Doc: "report stale //detsim:allow directives (opt-in: -allowaudit.enable)\n\n" +
+	Doc: "report stale //detsim:allow directives\n\n" +
 		"A //detsim:allow whose line no longer triggers any detsim\n" +
-		"analyzer is a silent suppression hole; `make lint-audit` enables\n" +
-		"this analyzer to flag them for deletion.",
+		"analyzer is a silent suppression hole; this analyzer flags it\n" +
+		"for deletion.",
 	Requires: allowauditDeps,
 	Run:      runAllowaudit,
 }
@@ -45,17 +42,7 @@ var allowauditDeps = []*analysis.Analyzer{
 	HotpathAnalyzer,
 }
 
-var allowauditEnable bool
-
-func init() {
-	AllowauditAnalyzer.Flags.BoolVar(&allowauditEnable, "enable", false,
-		"report stale //detsim:allow directives (used by `make lint-audit`)")
-}
-
 func runAllowaudit(pass *analysis.Pass) (interface{}, error) {
-	if !allowauditEnable {
-		return nil, nil
-	}
 	if !strings.HasPrefix(normalizePkgPath(pass.Pkg.Path()), modulePath) {
 		return nil, nil
 	}

@@ -20,8 +20,8 @@
 //     only by the sanctioned, reap-disciplined holders
 //   - hotpath:     //detsim:hotpath functions stay free of allocating
 //     constructs (DESIGN.md §10)
-//   - allowaudit:  opt-in (-allowaudit.enable) stale-directive sweep
-//     backing `make lint-audit`
+//   - allowaudit:  no stale //detsim:allow directive: each one still
+//     suppresses a finding
 //
 // The suite runs as `cmd/hpmmap-vet` (a go/analysis unitchecker driven
 // by `go vet -vettool=`) and as the `lint` leg of `make verify`. Every
@@ -217,7 +217,7 @@ func funcDisplayName(stack []ast.Node) string {
 
 // Analyzers returns the full detsim suite in stable order. allowaudit
 // runs last: it depends on every other analyzer's directiveIndex
-// result and is a no-op unless enabled with -allowaudit.enable.
+// result.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		WallclockAnalyzer,

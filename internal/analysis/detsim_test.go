@@ -99,9 +99,6 @@ func TestHotpath(t *testing.T) {
 // // want comment cannot coexist with the directive — so this test
 // asserts on raw diagnostics instead of golden comments.
 func TestAllowaudit(t *testing.T) {
-	allowauditEnable = true
-	defer func() { allowauditEnable = false }()
-
 	diags := atest.Diagnostics(t, "testdata", AllowauditAnalyzer, "hpmmap/internal/pgtable")
 	if len(diags) != 1 {
 		t.Fatalf("allowaudit returned %d diagnostics, want exactly 1 (the stale directive): %+v", len(diags), diags)
@@ -113,16 +110,6 @@ func TestAllowaudit(t *testing.T) {
 	}
 	if filepath.Base(d.File) != "allowaudit.go" || d.Line != 21 {
 		t.Errorf("stale directive reported at %s:%d, want allowaudit.go:21", d.File, d.Line)
-	}
-}
-
-func TestAllowauditDisabledIsNoOp(t *testing.T) {
-	if allowauditEnable {
-		t.Fatal("allowaudit enable flag leaked from another test")
-	}
-	diags := atest.Diagnostics(t, "testdata", AllowauditAnalyzer, "hpmmap/internal/pgtable")
-	if len(diags) != 0 {
-		t.Fatalf("allowaudit reported %d diagnostics while disabled, want 0: %+v", len(diags), diags)
 	}
 }
 

@@ -83,7 +83,7 @@ type Run struct {
 func Register(tool string) *Artifacts {
 	a := &Artifacts{tool: tool}
 	flag.StringVar(&a.metrics, "metrics", "", `write each experiment's merged metric snapshot to this file ("-" = stdout; .prom = OpenMetrics, .json = JSON, else text)`)
-	flag.StringVar(&a.ledger, "ledger", "", "write a JSONL run ledger to this file: canonical records (manifest/cell_start/cell_finish/plan_end) plus a host annex (timings, retries, cache traffic); inspect with hpmmap-ledger")
+	flag.StringVar(&a.ledger, "ledger", "", "write a JSONL run ledger to this file: canonical records (manifest/cell_start/cell_finish/plan_end) plus a host annex (timings, timeouts, cache traffic); inspect with hpmmap-ledger")
 	flag.StringVar(&a.trace, "trace-out", "", "write each experiment's Chrome trace-event JSON (Perfetto-loadable) to this file")
 	flag.StringVar(&a.series, "series", "", "sample each cell's memory-state time series and write a long-format CSV to this file; sampling bypasses -cache-dir both ways")
 	flag.StringVar(&a.cpuProfile, "cpuprofile", "", "write a pprof CPU profile of the whole invocation to this file")

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -45,6 +46,9 @@ func tool(t *testing.T, name string) string {
 		t.Skip("go command not found; cannot build the CLIs")
 	}
 	buildOnce.Do(func() {
+		if errBuild = readSources(); errBuild != nil {
+			return
+		}
 		if binDir, errBuild = os.MkdirTemp("", "hpmmap-cli-test"); errBuild != nil {
 			return
 		}
@@ -61,6 +65,34 @@ func tool(t *testing.T, name string) string {
 		t.Fatalf("building the CLIs: %v", errBuild)
 	}
 	return filepath.Join(binDir, name)
+}
+
+// readSources reads every non-test .go file of the module. go test
+// keys its cached result on the files the test process opens, not on
+// those the child go build reads, so without this an edit to a CLI or
+// a package it imports would replay a stale pass.
+func readSources() error {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		return err
+	}
+	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if path != root && (name == "vendor" || name == "testdata" || name == "benchmark" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		_, err = os.ReadFile(path)
+		return err
+	})
 }
 
 // run executes a CLI and returns its stdout, stderr and exit code.

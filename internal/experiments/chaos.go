@@ -65,9 +65,6 @@ type ChaosStudyOptions struct {
 	DisableContinueOnError bool
 	// CellTimeout bounds one cell's wall clock (0 = none).
 	CellTimeout time.Duration
-	// Retries re-runs cell failures marked runner.Transient (see
-	// runner.Options.Retries; no simulation error is transient).
-	Retries int
 	// PoisonCell, when > 0, arms the chaos injector's InjectViolation
 	// hook in that plan cell — the end-to-end drill for the containment
 	// path. The zero value (and -1) poisons nothing; defaults() maps
@@ -202,7 +199,6 @@ func ChaosStudyRun(o ChaosStudyOptions) (ChaosStudy, error) {
 		Progress:        progressLines(o.Progress, runtimeSuffix),
 		ContinueOnError: !o.DisableContinueOnError,
 		CellTimeout:     o.CellTimeout,
-		Retries:         o.Retries,
 		Metrics:         o.Obs.PlanRegistry(),
 		Cache:           o.Cache,
 		Obs:             o.Obs,

@@ -65,9 +65,6 @@ type DatacenterStudyOptions struct {
 	Audit bool
 	// CellTimeout bounds one cell's wall clock (0 = none).
 	CellTimeout time.Duration
-	// Retries re-runs cell failures marked runner.Transient (see
-	// runner.Options.Retries; no simulation error is transient).
-	Retries int
 }
 
 func (o *DatacenterStudyOptions) defaults() {
@@ -239,7 +236,6 @@ func runMixed(o DatacenterStudyOptions, g mixedGrid) (DatacenterStudy, error) {
 		Context:     o.Context,
 		Progress:    progressLines(o.Progress, g.progress),
 		CellTimeout: o.CellTimeout,
-		Retries:     o.Retries,
 		Metrics:     o.Obs.PlanRegistry(),
 		Cache:       o.Cache,
 		Obs:         o.Obs,

@@ -68,9 +68,6 @@ type EvictionStudyOptions struct {
 	Audit bool
 	// CellTimeout bounds one cell's wall clock (0 = none).
 	CellTimeout time.Duration
-	// Retries re-runs cell failures marked runner.Transient (see
-	// runner.Options.Retries; no simulation error is transient).
-	Retries int
 }
 
 func (o *EvictionStudyOptions) defaults() {
@@ -110,8 +107,7 @@ func EvictionStudyRun(o EvictionStudyOptions) (DatacenterStudy, error) {
 		Ranks: o.Ranks, Runs: o.Runs, Seed: o.Seed, Scale: o.Scale,
 		PodBytes: o.PodBytes, ResidentBytes: o.ResidentBytes,
 		Progress: o.Progress, Workers: o.Workers, Context: o.Context,
-		Cache: o.Cache, Obs: o.Obs, Audit: o.Audit,
-		CellTimeout: o.CellTimeout, Retries: o.Retries,
+		Cache: o.Cache, Obs: o.Obs, Audit: o.Audit, CellTimeout: o.CellTimeout,
 	}, mixedGrid{
 		name: "eviction",
 		inputs: fmt.Sprintf("scale=%g audit=%t churn=%g pod=%d resident=%d",

@@ -110,7 +110,9 @@ func (p Profile) String() string {
 // preserved. 1.0 reproduces the paper's configuration.
 type Scale float64
 
-// scaleBytes scales a byte quantity, keeping 256MB granularity sanity.
+// bytes scales a byte quantity by s, truncating toward zero. It keeps
+// no granularity: callers that need section alignment round the result
+// themselves (offlineBytes).
 func (s Scale) bytes(b uint64) uint64 {
 	v := uint64(float64(b) * float64(s))
 	return v

@@ -38,18 +38,6 @@ func (l *Ledger) CellHost(idx, worker int, wall time.Duration, allocBytes uint64
 	l.flushLocked()
 }
 
-// CellRetry records one host-transient re-run of a cell. attempt is
-// 1-based: the first retry is attempt 1.
-func (l *Ledger) CellRetry(idx, attempt int, errText string) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.write(Record{T: TypeCellRetry, I: idx, Attempt: attempt, Err: errText})
-	l.flushLocked()
-}
-
 // CellTimeout records a cell cancelled by the runner's CellTimeout.
 func (l *Ledger) CellTimeout(idx int) {
 	if l == nil {

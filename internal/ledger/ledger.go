@@ -1,12 +1,10 @@
 // Package ledger is the runner's durable run journal: a structured
 // JSONL file recording what a plan execution did — the manifest (plan
 // name, seeds, scale, model version, flag set), one event per runner
-// lifecycle transition (cell start/finish/retry/timeout/quarantine,
-// cache hit/miss/corrupt), and per-cell host wall-time and allocation
+// lifecycle transition (cell start/finish/timeout/quarantine, cache
+// hit/miss/corrupt), and per-cell host wall-time and allocation
 // deltas. It is the cross-run record the experiment CLIs emit with
-// -ledger and cmd/hpmmap-ledger summarises, diffs and tails; ROADMAP
-// item 4's multi-process coordinator reads this format instead of
-// inventing its own protocol.
+// -ledger and cmd/hpmmap-ledger summarises, diffs and tails.
 //
 // The design contract is a strict split between two record classes:
 //
@@ -19,13 +17,13 @@
 //     and with a cold or warm result cache. Determinism tests pin this
 //     half (see Canonical and internal/experiments' ledger tests).
 //   - The host annex (everything else: host_manifest, cell_host,
-//     cell_retry, cell_timeout, cache_hit/miss/corrupt) carries
-//     wall-clock times, worker IDs, allocation deltas and cache
-//     traffic. Host records stream live in arrival order — this is
-//     what `hpmmap-ledger watch` tails — and are excluded from every
-//     byte-identity contract. host.go is the only file of this package
-//     allowed to touch the wall clock (enforced by the detsim
-//     wallclock analyzer; see ANALYSIS.md).
+//     cell_timeout, cache_hit/miss/corrupt) carries wall-clock times,
+//     worker IDs, allocation deltas and cache traffic. Host records
+//     stream live in arrival order — this is what `hpmmap-ledger
+//     watch` tails — and are excluded from every byte-identity
+//     contract. host.go is the only file of this package allowed to
+//     touch the wall clock (enforced by the detsim wallclock analyzer;
+//     see ANALYSIS.md).
 //
 // A nil *Ledger is the valid no-op sink, mirroring the metrics layer:
 // every method accepts a nil receiver and does nothing, so the runner
@@ -68,8 +66,6 @@ const (
 	// TypeCellHost carries one cell's host-side cost: wall microseconds,
 	// process-wide allocation delta, and the worker that ran it.
 	TypeCellHost = "cell_host"
-	// TypeCellRetry records one host-transient re-run of a cell.
-	TypeCellRetry = "cell_retry"
 	// TypeCellTimeout records a cell cancelled by Options.CellTimeout.
 	TypeCellTimeout = "cell_timeout"
 	// TypeCacheHit / TypeCacheMiss record result-cache traffic for one
@@ -126,9 +122,9 @@ type Record struct {
 	// Status is the cell outcome on cell_finish (Status* constants).
 	Status string `json:"status,omitempty"`
 	// Err is the first line of the cell error (cell_finish with a
-	// non-ok status, cell_retry). First line only: panic errors carry a
-	// host stack trace on the following lines, and the canonical
-	// projection must not absorb goroutine IDs and addresses.
+	// non-ok status). First line only: panic errors carry a host stack
+	// trace on the following lines, and the canonical projection must
+	// not absorb goroutine IDs and addresses.
 	Err string `json:"err,omitempty"`
 
 	// OK/Quarantined/Failed are the plan_end tallies.
@@ -149,8 +145,6 @@ type Record struct {
 	Worker     int    `json:"worker,omitempty"`
 	WallUS     int64  `json:"wall_us,omitempty"`
 	AllocBytes uint64 `json:"alloc_bytes,omitempty"`
-	// Attempt is the retry ordinal (cell_retry, 1-based).
-	Attempt int `json:"attempt,omitempty"`
 	// Count is the corrupt-entry tally (cache_corrupt).
 	Count uint64 `json:"count,omitempty"`
 }

@@ -26,7 +26,7 @@ func drive(l *Ledger, perm []int, hostNoise bool) {
 		if hostNoise {
 			l.CellHost(i, i%2, time.Duration(i+1)*time.Millisecond, uint64(i)*4096)
 			if i == 2 {
-				l.CellRetry(i, 1, "transient: disk hiccup")
+				l.CellTimeout(i)
 				l.CacheMiss(i)
 			} else {
 				l.CacheHit(i)
@@ -155,7 +155,7 @@ func TestRecordStream(t *testing.T) {
 	for _, r := range recs {
 		count[r.T]++
 	}
-	if count[TypeCellHost] != 4 || count[TypeCellRetry] != 1 || count[TypeCacheHit] != 3 ||
+	if count[TypeCellHost] != 4 || count[TypeCellTimeout] != 1 || count[TypeCacheHit] != 3 ||
 		count[TypeCacheMiss] != 1 || count[TypeCacheCorrupt] != 1 {
 		t.Fatalf("host record counts: %v", count)
 	}
@@ -167,7 +167,6 @@ func TestNilLedgerIsNoop(t *testing.T) {
 	l.CellStart(0, "x", 1)
 	l.CellFinish(0, StatusOK, "")
 	l.CellHost(0, 0, time.Second, 1)
-	l.CellRetry(0, 1, "e")
 	l.CellTimeout(0)
 	l.CacheHit(0)
 	l.CacheMiss(0)

@@ -5,39 +5,13 @@ import (
 	"fmt"
 )
 
-// This file is the runner's graceful-degradation surface: transient-error
-// marking (bounded retry), per-cell failure records, and the aggregate
-// GridError returned by ContinueOnError runs. The design target is the
-// robustness acceptance bar of the chaos study: one poisoned cell in a
-// 96-cell grid must never take down the process or discard the other 95
-// results — it becomes an annotated hole in the figure plus a structured
-// error report.
-
-// transientErr marks an error as host-transient: caused by the machine
-// running the experiment, not by the simulation. Only transient errors
-// are retried — retrying a deterministic simulation error would
-// re-execute the identical failure. No simulator code marks errors
-// transient today (cache I/O never fails a cell).
-type transientErr struct{ err error }
-
-func (t *transientErr) Error() string { return t.err.Error() }
-func (t *transientErr) Unwrap() error { return t.err }
-
-// Transient marks err as host-transient, making it eligible for the
-// bounded retry of Options.Retries. Returns nil for a nil err.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientErr{err: err}
-}
-
-// IsTransient reports whether err (or anything it wraps) was marked by
-// Transient.
-func IsTransient(err error) bool {
-	var t *transientErr
-	return errors.As(err, &t)
-}
+// This file is the runner's graceful-degradation surface: per-cell
+// failure records and the aggregate GridError returned by
+// ContinueOnError runs. The design target is the robustness acceptance
+// bar of the chaos study: one poisoned cell in a 96-cell grid must
+// never take down the process or discard the other 95 results — it
+// becomes an annotated hole in the figure plus a structured error
+// report.
 
 // CellError records one failed cell of a ContinueOnError run.
 type CellError struct {
@@ -45,9 +19,9 @@ type CellError struct {
 	Index int
 	// Cell identifies the failed coordinates.
 	Cell Cell
-	// Err is the cell's final error (after any retries), with the
-	// original cause chain preserved — errors.As can recover structured
-	// payloads such as *invariant.Violation through it.
+	// Err is the cell's error, with the original cause chain
+	// preserved — errors.As can recover structured payloads such as
+	// *invariant.Violation through it.
 	Err error
 }
 

@@ -27,8 +27,10 @@ func degradePlan(n int) Plan {
 func TestContinueOnErrorQuarantinesFailures(t *testing.T) {
 	plan := degradePlan(8)
 	boom := errors.New("cell exploded")
+	var calls [8]atomic.Int32
 	res, err := Run(Options{Workers: 3, ContinueOnError: true}, plan,
 		func(ctx context.Context, idx int, c Cell, seed uint64) (int, error) {
+			calls[idx].Add(1)
 			if idx == 2 || idx == 5 {
 				return 0, boom
 			}
@@ -61,6 +63,13 @@ func TestContinueOnErrorQuarantinesFailures(t *testing.T) {
 	}
 	if !strings.Contains(ge.Error(), "2 of 8 cells failed") {
 		t.Fatalf("summary = %q", ge.Error())
+	}
+	// A failed cell is a hole, not a re-run: every cell function,
+	// failing or not, runs exactly once.
+	for i := range calls {
+		if n := calls[i].Load(); n != 1 {
+			t.Fatalf("cell %d ran %d times, want 1", i, n)
+		}
 	}
 }
 
@@ -102,57 +111,6 @@ func TestFirstErrorStillCancelsWithoutContinue(t *testing.T) {
 	}
 	if ran.Load() == 64 {
 		t.Fatal("fail-fast mode ran every cell after the first error")
-	}
-}
-
-func TestTransientRetries(t *testing.T) {
-	plan := degradePlan(1)
-	attempts := 0
-	res, err := Run(Options{Retries: 3}, plan,
-		func(ctx context.Context, idx int, c Cell, seed uint64) (int, error) {
-			attempts++
-			if attempts < 3 {
-				return 0, Transient(errors.New("flaky disk"))
-			}
-			return 7, nil
-		})
-	if err != nil || res[0] != 7 {
-		t.Fatalf("res=%v err=%v", res, err)
-	}
-	if attempts != 3 {
-		t.Fatalf("attempts = %d, want 3", attempts)
-	}
-}
-
-func TestDeterministicErrorsNotRetried(t *testing.T) {
-	plan := degradePlan(1)
-	attempts := 0
-	_, err := Run(Options{Retries: 5}, plan,
-		func(ctx context.Context, idx int, c Cell, seed uint64) (int, error) {
-			attempts++
-			return 0, errors.New("simulation diverged")
-		})
-	if err == nil {
-		t.Fatal("want error")
-	}
-	if attempts != 1 {
-		t.Fatalf("deterministic error retried %d times", attempts-1)
-	}
-}
-
-func TestRetriesExhaustedReportsTransient(t *testing.T) {
-	plan := degradePlan(1)
-	attempts := 0
-	_, err := Run(Options{Retries: 2}, plan,
-		func(ctx context.Context, idx int, c Cell, seed uint64) (int, error) {
-			attempts++
-			return 0, Transient(errors.New("still flaky"))
-		})
-	if err == nil || !IsTransient(err) {
-		t.Fatalf("want transient-marked error after exhausted retries, got %v", err)
-	}
-	if attempts != 3 {
-		t.Fatalf("attempts = %d, want 3 (1 + 2 retries)", attempts)
 	}
 }
 
@@ -200,17 +158,10 @@ func TestPanicPreservesErrorPayload(t *testing.T) {
 func TestRunnerMetrics(t *testing.T) {
 	obs := NewObservations(0)
 	plan := degradePlan(4)
-	attempts := make([]int, 4)
-	_, err := Run(Options{Workers: 1, ContinueOnError: true, Retries: 1, Metrics: obs.PlanRegistry()}, plan,
+	_, err := Run(Options{Workers: 1, ContinueOnError: true, Metrics: obs.PlanRegistry()}, plan,
 		func(ctx context.Context, idx int, c Cell, seed uint64) (int, error) {
-			attempts[idx]++
-			switch idx {
-			case 1:
+			if idx == 1 {
 				return 0, errors.New("hard failure")
-			case 2:
-				if attempts[2] == 1 {
-					return 0, Transient(errors.New("transient once"))
-				}
 			}
 			return idx, nil
 		})
@@ -221,8 +172,10 @@ func TestRunnerMetrics(t *testing.T) {
 	if got := snap.CounterValue(metrics.RunnerCellsFailedTotal); got != 1 {
 		t.Fatalf("runner_cells_failed_total = %d, want 1", got)
 	}
-	if got := snap.CounterValue(metrics.RunnerCellRetriesTotal); got != 1 {
-		t.Fatalf("runner_cell_retries_total = %d, want 1", got)
+	// No cell is ever re-run; the counter stays registered at 0 because
+	// recorded snapshots carry it.
+	if m, ok := snap.Get(metrics.RunnerCellRetriesTotal); !ok || m.Value != 0 {
+		t.Fatalf("runner_cell_retries_total = %+v (present %t), want present at 0", m, ok)
 	}
 }
 
@@ -273,10 +226,11 @@ func TestCacheCorruptEntryDetected(t *testing.T) {
 // Unwrap() exposes every cell failure in ascending Index order no
 // matter which worker finished first, and errors.Is / errors.As reach
 // a cause buried in ANY cell — a sentinel in one, a structured
-// invariant violation in another, a transient mark in a third.
+// invariant violation in another, a plain error in a third.
 func TestGridErrorMultiCauseUnwrap(t *testing.T) {
 	plan := degradePlan(6)
 	sentinel := errors.New("disk on fire")
+	flaky := errors.New("flaky mount")
 	var release sync.WaitGroup
 	release.Add(1)
 	_, err := Run(Options{Workers: 6, ContinueOnError: true}, plan,
@@ -298,7 +252,7 @@ func TestGridErrorMultiCauseUnwrap(t *testing.T) {
 				}()
 			case 5:
 				defer release.Done()
-				return 0, Transient(errors.New("flaky mount"))
+				return 0, flaky
 			}
 			return idx, nil
 		})
@@ -328,8 +282,8 @@ func TestGridErrorMultiCauseUnwrap(t *testing.T) {
 	if v, ok := invariant.As(err); !ok || v.Check != "unwrap_check" {
 		t.Fatal("errors.As missed the invariant violation in cell 3")
 	}
-	if !IsTransient(err) {
-		t.Fatal("IsTransient missed the transient mark in cell 5")
+	if !errors.Is(err, flaky) {
+		t.Fatal("errors.Is missed the plain error of cell 5")
 	}
 }
 

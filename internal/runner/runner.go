@@ -23,8 +23,7 @@
 //     recovery). Options.ContinueOnError flips the policy: failed cells
 //     are quarantined as holes and reported together in a *GridError
 //     while every other cell still runs. Options.CellTimeout bounds a
-//     cell's wall clock; Options.Retries re-runs host-transient
-//     failures (marked via Transient).
+//     cell's wall clock.
 //   - Per-cell results can be memoized on disk (Options.Cache) and
 //     instrumented (Options.Obs: Observations hands each cell a private
 //     metrics registry and Chrome tracer, then merges them in cell-index
@@ -121,22 +120,15 @@ type Event struct {
 	// failed cell is finished, just not successful — so Failed is what
 	// distinguishes "10/10" from "10/10 with holes" in a progress line.
 	Failed int
-	// Retries counts host-transient cell re-runs so far across the
-	// plan. A retried cell never double-counts toward Done; this is the
-	// only place retry churn surfaces in progress.
-	Retries int
 }
 
-// String renders a progress line with done/total and ETA; failed and
-// retried cells are called out distinctly so a grid with quarantined
-// holes never reads as clean.
+// String renders a progress line with done/total and ETA; failed cells
+// are called out distinctly so a grid with quarantined holes never
+// reads as clean.
 func (e Event) String() string {
 	s := fmt.Sprintf("%s %d/%d", e.Plan, e.Done, e.Total)
 	if e.Failed > 0 {
 		s += fmt.Sprintf(" [%d failed]", e.Failed)
-	}
-	if e.Retries > 0 {
-		s += fmt.Sprintf(" [%d retried]", e.Retries)
 	}
 	s += fmt.Sprintf(" (ETA %s) %s", e.ETA.Round(time.Second), e.Cell)
 	if e.Err != nil {
@@ -166,30 +158,6 @@ type Options struct {
 	// promptly rather than at its natural end.
 	CellTimeout time.Duration
 
-	// Retries re-runs a failed cell up to this many additional times —
-	// but only for errors marked host-transient via Transient. No
-	// simulator code marks an error transient (cache I/O never fails a
-	// cell), so today only test cell functions are retried. Simulation
-	// errors are deterministic: re-running them reproduces the identical
-	// failure, so they are never retried. Retried cells reuse the same
-	// coordinate-derived seed, preserving the determinism contract.
-	// Attempts are separated by a deterministic exponential host-side
-	// backoff (RetryBackoffBase·2^attempt, capped at RetryBackoffCap) so
-	// a congested filesystem gets room to recover; the wait is
-	// wall-clock only and never touches simulated state, so results stay
-	// byte-identical with or without it. Cancelling the context cuts the
-	// wait short.
-	Retries int
-
-	// RetryBackoffBase is the delay before the first retry; each further
-	// attempt doubles it. Zero selects 50ms. Negative disables the
-	// backoff entirely (retries re-run immediately — the pre-backoff
-	// behavior, used by tests that drill the retry loop itself).
-	RetryBackoffBase time.Duration
-
-	// RetryBackoffCap bounds the exponential backoff. Zero selects 2s.
-	RetryBackoffCap time.Duration
-
 	// ContinueOnError quarantines failed cells instead of cancelling
 	// the plan: every remaining cell still runs, the zero value stands
 	// in for each failed cell's result, and Run returns a *GridError
@@ -201,7 +169,9 @@ type Options struct {
 	// Metrics, when non-nil, receives the runner's own plan-level
 	// counters (runner_cells_failed_total, runner_cell_retries_total,
 	// and runner_cache_corrupt_total when Cache is set) as pull sources
-	// — typically Observations.PlanRegistry().
+	// — typically Observations.PlanRegistry(). No cell is ever re-run,
+	// so runner_cell_retries_total always reads 0; it stays registered
+	// because recorded snapshots carry it.
 	Metrics *metrics.Registry
 
 	// Cache, when non-nil, memoizes successful cells under a key of the
@@ -218,8 +188,8 @@ type Options struct {
 	// snapshots, and writes the run journal to the collector's ledger
 	// (SetLedger) — a canonical manifest + cell-lifecycle stream
 	// (byte-identical at any worker count; see internal/ledger) plus a
-	// host annex of wall-times, worker IDs, allocation deltas, retries,
-	// timeouts and cache traffic.
+	// host annex of wall-times, worker IDs, allocation deltas, timeouts
+	// and cache traffic.
 	Obs *Observations
 }
 
@@ -264,11 +234,11 @@ func Run[T any](opts Options, plan Plan, fn CellFunc[T]) ([]T, error) {
 		done     int
 		start    = time.Now()
 
-		cellsFailed, cellRetries atomic.Uint64
+		cellsFailed atomic.Uint64
 	)
 	if opts.Metrics != nil {
 		opts.Metrics.CounterFunc(metrics.RunnerCellsFailedTotal, func() uint64 { return cellsFailed.Load() })
-		opts.Metrics.CounterFunc(metrics.RunnerCellRetriesTotal, func() uint64 { return cellRetries.Load() })
+		opts.Metrics.CounterFunc(metrics.RunnerCellRetriesTotal, func() uint64 { return 0 })
 		if opts.Cache != nil {
 			opts.Metrics.CounterFunc(metrics.RunnerCacheCorruptTotal, opts.Cache.CorruptCount)
 		}
@@ -304,16 +274,15 @@ func Run[T any](opts Options, plan Plan, fn CellFunc[T]) ([]T, error) {
 			Done: done, Total: len(plan.Cells),
 			Elapsed: elapsed, ETA: eta,
 			Result: res, Err: err,
-			Failed:  int(cellsFailed.Load()),
-			Retries: int(cellRetries.Load()),
+			Failed: int(cellsFailed.Load()),
 		})
 	}
 
-	// runOnce executes one attempt of one cell, containing panics so
-	// one bad cell cannot take down the process. A recovered error
-	// payload (e.g. a structured *invariant.Violation raised by a
-	// simulated-state audit) is preserved in the wrap chain, so callers
-	// can errors.As through the cell error to the original cause.
+	// runOnce executes one cell, containing panics so one bad cell
+	// cannot take down the process. A recovered error payload (e.g. a
+	// structured *invariant.Violation raised by a simulated-state audit)
+	// is preserved in the wrap chain, so callers can errors.As through
+	// the cell error to the original cause.
 	runOnce := func(idx int) (out T, err error) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -340,54 +309,7 @@ func Run[T any](opts Options, plan Plan, fn CellFunc[T]) ([]T, error) {
 		return out, err
 	}
 
-	// runCell adds the bounded retry: only host-transient failures
-	// (marked via Transient) re-run, and only while the plan is live.
-	// Attempts back off exponentially (deterministic schedule: base·2^n,
-	// capped) on the host clock — the transient class is I/O congestion,
-	// and hammering a struggling filesystem converts one transient into
-	// many. Simulated time is untouched; cancellation cuts the wait.
-	backoffBase, backoffCap := opts.RetryBackoffBase, opts.RetryBackoffCap
-	if backoffBase == 0 {
-		backoffBase = 50 * time.Millisecond
-	}
-	if backoffCap <= 0 {
-		backoffCap = 2 * time.Second
-	}
-	retryWait := func(attempt int) bool {
-		if backoffBase < 0 {
-			return true // backoff disabled: retry immediately
-		}
-		delay := backoffBase
-		for i := 0; i < attempt && delay < backoffCap; i++ {
-			delay *= 2
-		}
-		if delay > backoffCap {
-			delay = backoffCap
-		}
-		t := time.NewTimer(delay)
-		defer t.Stop()
-		select {
-		case <-t.C:
-			return true
-		case <-ctx.Done():
-			return false
-		}
-	}
-	runCell := func(idx int) (out T, err error) {
-		for attempt := 0; ; attempt++ {
-			out, err = runOnce(idx)
-			if err == nil || attempt >= opts.Retries || !IsTransient(err) || ctx.Err() != nil {
-				return out, err
-			}
-			cellRetries.Add(1)
-			led.CellRetry(idx, attempt+1, ledger.FirstLine(err))
-			if !retryWait(attempt) {
-				return out, err
-			}
-		}
-	}
-
-	// execute puts the result cache in front of runCell. Series sampling
+	// execute puts the result cache in front of runOnce. Series sampling
 	// bypasses the cache both ways: a hit would replay no samples, and a
 	// sampled cell's snapshot (which carries timeline_samples_total)
 	// must never overwrite an unsampled entry.
@@ -410,7 +332,7 @@ func Run[T any](opts Options, plan Plan, fn CellFunc[T]) ([]T, error) {
 			}
 			led.CacheMiss(idx)
 		}
-		out, err := runCell(idx)
+		out, err := runOnce(idx)
 		if err != nil {
 			return out, err
 		}

@@ -195,17 +195,15 @@ func TestEventString(t *testing.T) {
 			t.Fatalf("event %q missing %q", s, want)
 		}
 	}
-	// A clean event carries no degradation markers.
-	for _, not := range []string{"failed", "retried"} {
-		if strings.Contains(s, not) {
-			t.Fatalf("clean event %q mentions %q", s, not)
-		}
+	// A clean event carries no degradation marker.
+	if strings.Contains(s, "failed") {
+		t.Fatalf("clean event %q mentions %q", s, "failed")
 	}
-	// Quarantined and retried cells are called out distinctly from the
-	// done/total count.
-	e.Failed, e.Retries = 2, 5
+	// Quarantined cells are called out distinctly from the done/total
+	// count.
+	e.Failed = 2
 	s = e.String()
-	for _, want := range []string{"3/10", "[2 failed]", "[5 retried]"} {
+	for _, want := range []string{"3/10", "[2 failed]"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("degraded event %q missing %q", s, want)
 		}
