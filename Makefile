@@ -94,6 +94,8 @@ bench-check:
 #    interval slice, region for region and counter for counter;
 #  - sim/FuzzEngine: the pooled event queue against the container/heap
 #    engine it replaced;
+#  - sim/FuzzBoxMullerCos: Normal's branch-free cosine against
+#    math.Cos, bit for bit, at any angle in [0, 2π);
 #  - metrics/FuzzParseExposition, ledger/FuzzRead and
 #    runner/FuzzCacheGet: the decoders of on-disk bytes never panic,
 #    and what they accept round-trips through WriteOpenMetrics, Marshal
@@ -102,7 +104,7 @@ bench-check:
 # (internal/<pkg>/testdata/fuzz/<target>); this explores further. A
 # failing input is written back under that directory.
 FUZZTIME ?= 30s
-FUZZ_TARGETS = mem/FuzzZoneRuns kernel/FuzzPageCache pgtable/FuzzTable buddy/FuzzAllocator vma/FuzzSpace sim/FuzzEngine metrics/FuzzParseExposition ledger/FuzzRead runner/FuzzCacheGet
+FUZZ_TARGETS = mem/FuzzZoneRuns kernel/FuzzPageCache pgtable/FuzzTable buddy/FuzzAllocator vma/FuzzSpace sim/FuzzEngine sim/FuzzBoxMullerCos metrics/FuzzParseExposition ledger/FuzzRead runner/FuzzCacheGet
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 	  echo "fuzz: $$t for $(FUZZTIME)"; \

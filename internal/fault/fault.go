@@ -164,11 +164,10 @@ func (c *CostParams) Clear4KCycles(load Load) float64 {
 	return lines * c.StoreCycles * (1 + c.BandwidthContention*load.BandwidthLoad)
 }
 
-// SmallFault returns the cycles to service a 4KB anonymous fault.
+// SmallFault returns the cycles to service a 4KB anonymous fault: one
+// Normal(SmallFaultMean, SmallFaultStdev) draw, floored at TrapOverhead.
 func (c *CostParams) SmallFault(r *sim.Rand, load Load) sim.Cycles {
-	base := c.TrapOverhead + c.SmallBase + c.Clear4KCycles(load)
-	base *= 1 + c.LockContention*load.AllocContention
-	return r.CyclesNormal(base, c.SmallJitter*(1+load.AllocContention), c.TrapOverhead)
+	return r.CyclesNormal(c.SmallFaultMean(load), c.SmallFaultStdev(load), c.TrapOverhead)
 }
 
 // LargeFault returns the cycles to service a THP 2MB fault.
@@ -185,9 +184,9 @@ func (c *CostParams) LargeFault(r *sim.Rand, load Load, needCompaction bool) sim
 	return r.CyclesNormal(base, base*0.12, c.TrapOverhead)
 }
 
-// SmallFaultMean returns the expected small-fault cost under load — the
-// aggregate fault path charges n faults as Normal(n*mean, sqrt(n)*stdev)
-// instead of drawing n times.
+// SmallFaultMean returns the mean small-fault cost under load, which
+// SmallFault draws around. The aggregate fault path charges n faults as
+// Normal(n*mean, sqrt(n)*stdev) instead of drawing n times.
 func (c *CostParams) SmallFaultMean(load Load) float64 {
 	base := c.TrapOverhead + c.SmallBase + c.Clear4KCycles(load)
 	return base * (1 + c.LockContention*load.AllocContention)
@@ -231,35 +230,10 @@ func (c *CostParams) HugeTLBLargeFault(r *sim.Rand, load Load) sim.Cycles {
 	return r.CyclesNormal(base, base*0.3, c.TrapOverhead)
 }
 
-// HugeTLBSmallFault returns the cycles for a 4KB fault in a hugetlb-
-// configured system, where small pages are scarce under load: with
-// probability rising in pressure the fault performs direct reclaim with a
-// heavy-tailed stall.
-func (c *CostParams) HugeTLBSmallFault(r *sim.Rand, load Load) (sim.Cycles, bool) {
-	svc, stall, stalled := c.HugeTLBSmallFaultParts(r, load)
-	return svc + stall, stalled
-}
-
-// HugeTLBSmallFaultParts is HugeTLBSmallFault with the service cost and
-// the reclaim stall returned separately, for callers that attribute the
-// stall to a different cause than the fault itself. Draw order is
-// identical to HugeTLBSmallFault (which delegates here), so switching
-// between the two never perturbs the random stream.
-func (c *CostParams) HugeTLBSmallFaultParts(r *sim.Rand, load Load) (svc, stall sim.Cycles, stalled bool) {
-	svc = c.SmallFault(r, load)
-	if p := c.reclaimProb(load.MemPressure); p > 0 && r.Bool(p) {
-		s := r.Pareto(c.ReclaimParetoXm, c.ReclaimParetoAlpha)
-		s *= 1 + c.BandwidthContention*load.BandwidthLoad
-		if s > c.ReclaimCap {
-			s = c.ReclaimCap
-		}
-		return svc, sim.Cycles(s), true
-	}
-	return svc, 0, false
-}
-
-// DirectReclaim returns a heavy-tailed direct reclaim stall for the
-// generic allocation path (used when a zone allocation fails outright).
+// DirectReclaim returns a heavy-tailed direct reclaim stall: the stall
+// of a zone allocation that fails outright, and of a 4KB fault in a
+// HugeTLBfs-configured system that enters reclaim (with probability
+// ReclaimProb, since small pages are scarce there under load).
 func (c *CostParams) DirectReclaim(r *sim.Rand, load Load) sim.Cycles {
 	stall := r.Pareto(c.ReclaimParetoXm, c.ReclaimParetoAlpha)
 	stall *= 1 + c.BandwidthContention*load.BandwidthLoad
@@ -271,9 +245,7 @@ func (c *CostParams) DirectReclaim(r *sim.Rand, load Load) sim.Cycles {
 
 // ReclaimProb returns the per-fault probability of entering direct
 // reclaim at the given memory pressure.
-func (c *CostParams) ReclaimProb(pressure float64) float64 { return c.reclaimProb(pressure) }
-
-func (c *CostParams) reclaimProb(pressure float64) float64 {
+func (c *CostParams) ReclaimProb(pressure float64) float64 {
 	if pressure <= c.ReclaimThreshold {
 		return 0
 	}

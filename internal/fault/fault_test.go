@@ -103,12 +103,23 @@ func TestHugeTLBLargeCalibration(t *testing.T) {
 	}
 }
 
+// hugeTLBSmallFault composes a 4KB fault in a HugeTLBfs-configured
+// system as linuxmm charges one: the small-fault service, then with
+// probability ReclaimProb a direct-reclaim stall.
+func hugeTLBSmallFault(c *CostParams, r *sim.Rand, load Load) (sim.Cycles, bool) {
+	cost := c.SmallFault(r, load)
+	if p := c.ReclaimProb(load.MemPressure); p > 0 && r.Bool(p) {
+		return cost + c.DirectReclaim(r, load), true
+	}
+	return cost, false
+}
+
 func TestHugeTLBSmallReclaimStorms(t *testing.T) {
 	c := DefaultCostParams()
 	// Unloaded: cheap, never stalls.
 	r := sim.NewRand(7)
 	for i := 0; i < 5000; i++ {
-		cost, stalled := c.HugeTLBSmallFault(r, noLoad)
+		cost, stalled := hugeTLBSmallFault(&c, r, noLoad)
 		if stalled {
 			t.Fatal("unloaded hugetlb small fault entered reclaim")
 		}
@@ -122,7 +133,7 @@ func TestHugeTLBSmallReclaimStorms(t *testing.T) {
 	const n = 50000
 	heavy := Load{MemPressure: 0.97, BandwidthLoad: 0.6, AllocContention: 0.4}
 	for i := 0; i < n; i++ {
-		cost, stalled := c.HugeTLBSmallFault(r, heavy)
+		cost, stalled := hugeTLBSmallFault(&c, r, heavy)
 		if stalled {
 			stalls++
 		}
@@ -149,13 +160,13 @@ func TestHugeTLBSmallReclaimStorms(t *testing.T) {
 
 func TestReclaimProbabilityShape(t *testing.T) {
 	c := DefaultCostParams()
-	if p := c.reclaimProb(0.2); p != 0 {
+	if p := c.ReclaimProb(0.2); p != 0 {
 		t.Fatalf("reclaim below threshold: %v", p)
 	}
-	if p := c.reclaimProb(1.0); math.Abs(p-c.ReclaimProbAtFull) > 1e-12 {
+	if p := c.ReclaimProb(1.0); math.Abs(p-c.ReclaimProbAtFull) > 1e-12 {
 		t.Fatalf("reclaim at full pressure %v, want %v", p, c.ReclaimProbAtFull)
 	}
-	mid := c.reclaimProb(0.8)
+	mid := c.ReclaimProb(0.8)
 	if mid <= 0 || mid >= c.ReclaimProbAtFull {
 		t.Fatalf("reclaim at 0.8 pressure %v out of range", mid)
 	}

@@ -15,24 +15,27 @@ import (
 )
 
 // refTouchSmallDetail is the per-page loop touchSmallDetail replaced:
-// draw, charge and map one page at a time.
-func refTouchSmallDetail(m *Manager, tc *touchCtx, kind fault.Kind, va pgtable.VirtAddr, pages uint64) {
-	p, r := tc.p, tc.r
+// draw, charge and map one page at a time, composing each fault from
+// SmallFault and, on HugeTLBfs, the reclaim probability, a Bool and the
+// stall, all computed per page. It returns the number of stalls drawn.
+func refTouchSmallDetail(m *Manager, tc *touchCtx, kind fault.Kind, va pgtable.VirtAddr, pages uint64) (stalls int) {
+	p, r, c := tc.p, tc.r, m.node.Costs()
 	for i := uint64(0); i < pages; i++ {
 		pva := va + pgtable.VirtAddr(i*mem.PageSize)
-		var cost, stall sim.Cycles
+		cost := c.SmallFault(m.rand, tc.load)
+		var stall sim.Cycles
 		stalled := false
 		if kind == fault.KindHugeTLBSmall {
-			var svc sim.Cycles
-			svc, stall, stalled = m.node.Costs().HugeTLBSmallFaultParts(m.rand, tc.load)
-			cost = svc + stall
-		} else {
-			cost = m.node.Costs().SmallFault(m.rand, tc.load)
+			if pr := c.ReclaimProb(tc.load.MemPressure); pr > 0 && m.rand.Bool(pr) {
+				stall, stalled = c.DirectReclaim(m.rand, tc.load), true
+				stalls++
+			}
 		}
-		tc.charge(m, kind, cost, pva, stalled)
+		tc.charge(m, kind, cost+stall, pva, stalled)
 		p.Account.Reattribute(timeline.FaultCause(kind), timeline.CauseReclaimStorm, stall)
 		mapSmallDetail(p, pva, r)
 	}
+	return stalls
 }
 
 // mapSmallDetail installs one 4KB PTE with a synthetic frame drawn from
@@ -75,6 +78,8 @@ type detailTwins struct {
 	envs  [2]*env
 	procs [][2]*kernel.Process
 	regs  map[*kernel.Process][][2]uint64 // twin 0's process → its regions (addr, length)
+	// stalls counts the per-page reclaim stalls the reference drew.
+	stalls int
 }
 
 func newDetailTwins(t *testing.T, hpc, commodity Mode, hugetlbBytes uint64) *detailTwins {
@@ -82,7 +87,9 @@ func newDetailTwins(t *testing.T, hpc, commodity Mode, hugetlbBytes uint64) *det
 	for i := range d.envs {
 		d.envs[i] = newEnv(t, hpc, commodity, hugetlbBytes, true)
 	}
-	d.envs[1].mgr.touchDetail = refTouchSmallDetail
+	d.envs[1].mgr.touchDetail = func(m *Manager, tc *touchCtx, kind fault.Kind, va pgtable.VirtAddr, pages uint64) {
+		d.stalls += refTouchSmallDetail(m, tc, kind, va, pages)
+	}
 	return d
 }
 
@@ -286,6 +293,7 @@ func TestDetailTouchMatchesPerPageReference(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var storms, splits, large uint64
+			stalls := 0
 			for seed := uint64(1); seed <= 10; seed++ {
 				d := newDetailTwins(t, tc.hpc, tc.commodity, tc.hugetlb)
 				d.run(sim.NewRand(seed), 200)
@@ -293,10 +301,17 @@ func TestDetailTouchMatchesPerPageReference(t *testing.T) {
 				storms += m.StormsHPC
 				splits += m.SplitOnMlock
 				large += m.LargeFaults
+				stalls += d.stalls
 			}
-			t.Logf("HPC reclaim storms %d, mlock splits %d, large faults %d", storms, splits, large)
+			t.Logf("HPC reclaim storms %d, mlock splits %d, large faults %d, per-page reclaim stalls %d", storms, splits, large, stalls)
 			if storms == 0 {
 				t.Fatal("no HPC reclaim storm: the sequences never charged a storm fault")
+			}
+			// The per-call reclaim probability is checked against the
+			// per-page one only where a page drew a stall, which the
+			// reference charges as a stalled KindHugeTLBSmall record.
+			if tc.hpc == ModeHugeTLB && stalls == 0 {
+				t.Fatal("no per-page reclaim stall: the HugeTLBfs sequences never drew one in a detail touch")
 			}
 		})
 	}

@@ -541,24 +541,30 @@ func sqrt(x float64) float64 {
 // each of the pages 4KB faults from va, then maps them as one run.
 // Nothing a charge reaches reads the page table, so this leaves the
 // state that mapping each page right after its charge would (DESIGN.md
-// §10 "Detail touch").
+// §10 "Detail touch"). The load is fixed for the call, so the service
+// cost's mean and deviation and the HugeTLBfs reclaim probability are
+// computed once; each page draws what SmallFault, then on HugeTLBfs
+// Bool(ReclaimProb) and DirectReclaim, would, in the same order.
 //
 //detsim:hotpath
 func (m *Manager) touchSmallDetail(tc *touchCtx, kind fault.Kind, va pgtable.VirtAddr, pages uint64) {
 	p := tc.p
+	c := m.node.Costs()
+	mean, stdev := c.SmallFaultMean(tc.load), c.SmallFaultStdev(tc.load)
+	var reclaimP float64
+	if kind == fault.KindHugeTLBSmall {
+		reclaimP = c.ReclaimProb(tc.load.MemPressure)
+	}
 	for i := uint64(0); i < pages; i++ {
 		pva := va + pgtable.VirtAddr(i*mem.PageSize)
-		var cost, stall sim.Cycles
-		stalled := false
-		if kind == fault.KindHugeTLBSmall {
-			var svc sim.Cycles
-			svc, stall, stalled = m.node.Costs().HugeTLBSmallFaultParts(m.rand, tc.load)
-			cost = svc + stall
-		} else {
-			cost = m.node.Costs().SmallFault(m.rand, tc.load)
+		cost := m.rand.CyclesNormal(mean, stdev, c.TrapOverhead)
+		if reclaimP > 0 && m.rand.Bool(reclaimP) {
+			stall := c.DirectReclaim(m.rand, tc.load)
+			tc.charge(m, kind, cost+stall, pva, true)
+			p.Account.Reattribute(timeline.FaultCause(kind), timeline.CauseReclaimStorm, stall)
+			continue
 		}
-		tc.charge(m, kind, cost, pva, stalled)
-		p.Account.Reattribute(timeline.FaultCause(kind), timeline.CauseReclaimStorm, stall)
+		tc.charge(m, kind, cost, pva, false)
 	}
 	mapSmallRun(p, tc.r, va, pages)
 }

@@ -20,6 +20,21 @@ func BenchmarkMapUnmap4K(b *testing.B) {
 	}
 }
 
+// BenchmarkUnmapRange4K maps a 2MB range as 512 4KB pages and tears it
+// down with one UnmapRange, the teardown of a process exit at micro
+// fidelity; ns/op covers one MapRun4K and one UnmapRange.
+func BenchmarkUnmapRange4K(b *testing.B) {
+	t := New()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		t.MapRun4K(0, 512, mem.PFN(i), ProtRead|ProtWrite)
+		t.UnmapRange(0, mem.LargePageSize)
+	}
+	if t.Mapped4K != 0 {
+		b.Fatalf("%d pages left mapped", t.Mapped4K)
+	}
+}
+
 func BenchmarkMapUnmap2M(b *testing.B) {
 	t := New()
 	b.ReportAllocs()

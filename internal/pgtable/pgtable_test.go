@@ -297,6 +297,49 @@ func TestUnmapRange(t *testing.T) {
 	}
 }
 
+// TestUnmapRange4KMatchesPerPageUnmap checks UnmapRange's PT loop
+// against one Unmap per 4KB page that starts in the range, on a table of
+// four PTs with a hole every seventh page: from a misaligned start, over
+// a partial first and last PT, and over whole PTs.
+func TestUnmapRange4KMatchesPerPageUnmap(t *testing.T) {
+	page := func(i uint64) VirtAddr { return VirtAddr(0x4000_0000 + i*mem.PageSize) }
+	for _, tc := range []struct {
+		name   string
+		start  VirtAddr
+		length uint64
+	}{
+		{"misaligned start", page(5) + 123, 40 * mem.PageSize},
+		{"partial first and last PT", page(300), 900 * mem.PageSize},
+		{"whole PTs", page(512), 1024 * mem.PageSize},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var pts [2]*Table
+			for i := range pts {
+				pts[i] = New()
+				for p := uint64(0); p < 4*512; p++ {
+					if p%7 == 3 {
+						continue
+					}
+					if err := pts[i].Map(page(p), mem.PFN(p), Page4K, ProtRead); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			pts[0].UnmapRange(tc.start, tc.length)
+			end := uint64(tc.start) + tc.length
+			for va := (tc.start + mem.PageSize - 1) &^ (mem.PageSize - 1); uint64(va) < end; va += mem.PageSize {
+				_, _ = pts[1].Unmap(va, Page4K) // a hole is refused and changes nothing
+			}
+			if got, want := appendLeaves(nil, pts[0]), appendLeaves(nil, pts[1]); !slices.Equal(got, want) {
+				t.Fatalf("UnmapRange left %d leaves, per-page Unmap %d", len(got), len(want))
+			}
+			if got, want := tableCounters(pts[0]), tableCounters(pts[1]); got != want {
+				t.Fatalf("UnmapRange counters %v, per-page Unmap %v (Mapped4K/2M/1G, TablePages, Map/Unmap/SplitOps, WalkedSlots)", got, want)
+			}
+		})
+	}
+}
+
 // TestUnmapRangeAllocationFree checks that tearing down one 2MB range
 // allocates nothing, however many other leaves the table holds.
 func TestUnmapRangeAllocationFree(t *testing.T) {

@@ -7,10 +7,7 @@
 // the responsibility of the machine configuration (see internal/kernel).
 package sim
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Cycles is a point in (or duration of) simulated time, in CPU cycles.
 type Cycles uint64
@@ -294,12 +291,4 @@ func (t *Ticker) Stop() {
 	}
 	t.stopped = true
 	t.eng.Cancel(t.next)
-}
-
-// SaturatingAdd returns a+b clamped to the maximum Cycles value.
-func SaturatingAdd(a, b Cycles) Cycles {
-	if a > math.MaxUint64-b {
-		return math.MaxUint64
-	}
-	return a + b
 }

@@ -187,16 +187,6 @@ func TestTickerStopIsIdempotent(t *testing.T) {
 	}
 }
 
-func TestSaturatingAdd(t *testing.T) {
-	if got := SaturatingAdd(1, 2); got != 3 {
-		t.Fatalf("SaturatingAdd(1,2) = %d", got)
-	}
-	max := Cycles(^uint64(0))
-	if got := SaturatingAdd(max-1, 5); got != max {
-		t.Fatalf("SaturatingAdd overflow = %d, want max", got)
-	}
-}
-
 func TestCyclesSeconds(t *testing.T) {
 	c := Cycles(2_200_000_000)
 	if s := c.Seconds(2.2e9); s < 0.999 || s > 1.001 {

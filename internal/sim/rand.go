@@ -110,8 +110,57 @@ func (r *Rand) Normal(mean, stdev float64) float64 {
 		u1 = r.Float64()
 	}
 	u2 := r.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
+	z := math.Sqrt(-2*math.Log(u1)) * boxMullerCos(2*math.Pi*u2)
 	return mean + stdev*z
+}
+
+// Go's math.cos kernel (Cephes sin.c): π/4 in three parts for the
+// Cody–Waite reduction, and the sine and cosine polynomial coefficients.
+const (
+	pi4A = 7.85398125648498535156e-1  // 0x3fe921fb40000000
+	pi4B = 3.77489470793079817668e-8  // 0x3e64442d00000000
+	pi4C = 2.69515142907905952645e-15 // 0x3ce8469898cc5170
+)
+
+var (
+	sinCoef = [...]float64{
+		1.58962301576546568060e-10, // 0x3de5d8fd1fd19ccd
+		-2.50507477628578072866e-8, // 0xbe5ae5e5a9291f5d
+		2.75573136213857245213e-6,  // 0x3ec71de3567d48a1
+		-1.98412698295895385996e-4, // 0xbf2a01a019bfdf03
+		8.33333333332211858878e-3,  // 0x3f8111111110f7d0
+		-1.66666666666666307295e-1, // 0xbfc5555555555548
+	}
+	cosCoef = [...]float64{
+		-1.13585365213876817300e-11, // 0xbda8fa49a0861a9b
+		2.08757008419747316778e-9,   // 0x3e21ee9d7b4e3f05
+		-2.75573141792967388112e-7,  // 0xbe927e4f7eac4bc6
+		2.48015872888517045348e-5,   // 0x3efa01a019c844f5
+		-1.38888888888730564116e-3,  // 0xbf56c16c16c14f91
+		4.16666666666665929218e-2,   // 0x3fa555555555554b
+	}
+)
+
+// boxMullerCos returns math.Cos(x) bit for bit for x in [0, 2π), the
+// angles Normal draws. It is the portable math.cos with the same
+// reduction, coefficients and operation order, but where math.cos
+// branches on the octant, which a uniformly random angle mispredicts,
+// it evaluates both polynomials and selects the octant's result and
+// sign with bit operations. Outside [0, 2π) the result is wrong: the
+// selection assumes an octant index from 0 to 8.
+func boxMullerCos(x float64) float64 {
+	j := uint64(x * (4 / math.Pi)) // octant, 0–7
+	j += j & 1                     // map zeros to origin: odd octants round up, 7 to 8
+	y := float64(j)
+	z := ((x - y*pi4A) - y*pi4B) - y*pi4C // extended-precision x − j·π/4
+	zz := z * z
+	sin := z + z*zz*((((((sinCoef[0]*zz)+sinCoef[1])*zz+sinCoef[2])*zz+sinCoef[3])*zz+sinCoef[4])*zz+sinCoef[5])
+	cos := 1.0 - 0.5*zz + zz*zz*((((((cosCoef[0]*zz)+cosCoef[1])*zz+cosCoef[2])*zz+cosCoef[3])*zz+cosCoef[4])*zz+cosCoef[5])
+	// j is 0, 2, 4, 6 or 8: j = 2 and 6 take the sine polynomial, and
+	// j = 2 and 4 negate, which is math.cos's y = -y, a sign-bit flip.
+	useSin := -(j >> 1 & 1)
+	neg := (j + 2) & 4 << 61
+	return math.Float64frombits((math.Float64bits(sin)&useSin | math.Float64bits(cos)&^useSin) ^ neg)
 }
 
 // PositiveNormal samples Normal(mean, stdev) truncated below at min.
@@ -134,12 +183,6 @@ func (r *Rand) Exponential(mean float64) float64 {
 		u = r.Float64()
 	}
 	return -mean * math.Log(u)
-}
-
-// LogNormal returns a log-normally distributed value parameterized by the
-// underlying normal's mu and sigma.
-func (r *Rand) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.Normal(mu, sigma))
 }
 
 // Pareto returns a Pareto(xm, alpha) heavy-tailed value; used for reclaim

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -168,15 +169,6 @@ func TestParetoLowerBound(t *testing.T) {
 	}
 }
 
-func TestLogNormalPositive(t *testing.T) {
-	r := NewRand(41)
-	for i := 0; i < 1000; i++ {
-		if v := r.LogNormal(1, 2); v <= 0 {
-			t.Fatalf("LogNormal non-positive: %v", v)
-		}
-	}
-}
-
 func TestJitterBounds(t *testing.T) {
 	r := NewRand(43)
 	base := Cycles(1000)
@@ -213,4 +205,128 @@ func TestCyclesNormalFloor(t *testing.T) {
 			t.Fatalf("CyclesNormal below floor: %d", v)
 		}
 	}
+}
+
+// refNormal is Normal as it drew before boxMullerCos: the same draws and
+// arithmetic through math.Cos. Normal must match it bit for bit, or every
+// cost the simulator draws moves.
+func refNormal(r *Rand, mean, stdev float64) float64 {
+	if stdev <= 0 {
+		return mean
+	}
+	u1 := r.Float64()
+	for u1 == 0 {
+		u1 = r.Float64()
+	}
+	u2 := r.Float64()
+	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
+	return mean + stdev*z
+}
+
+// checkCos fails unless boxMullerCos(x) has the bits of math.Cos(x).
+func checkCos(t testing.TB, what string, x float64) {
+	got, want := boxMullerCos(x), math.Cos(x)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s: boxMullerCos(%v) = %v (%#x), math.Cos %v (%#x)",
+			what, x, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// TestBoxMullerCosMatchesMathCos compares boxMullerCos with math.Cos bit
+// for bit on a 2^20-point grid of [0, 2π), around every octant boundary,
+// at the largest angle Normal can draw and at 10^7 drawn angles.
+func TestBoxMullerCosMatchesMathCos(t *testing.T) {
+	for k := 0; k < 1<<20; k++ {
+		checkCos(t, "grid", 2*math.Pi*(float64(k)/(1<<20)))
+	}
+	// Near kπ/4 the reduction's octant index steps from k−1 to k; the 32
+	// floats on each side of the boundary must cover that step.
+	octant := func(x float64) uint64 { return uint64(x * (4 / math.Pi)) }
+	for k := 0; k <= 8; k++ {
+		b := float64(k) * (math.Pi / 4)
+		seen := map[uint64]bool{}
+		for _, dir := range []float64{math.Inf(-1), math.Inf(1)} {
+			x := b
+			for i := 0; i <= 32; i++ {
+				if x >= 0 && x < 2*math.Pi {
+					checkCos(t, fmt.Sprintf("octant boundary %d", k), x)
+					seen[octant(x)] = true
+				}
+				x = math.Nextafter(x, dir)
+			}
+		}
+		if k > 0 && k < 8 && (!seen[uint64(k-1)] || !seen[uint64(k)]) {
+			t.Fatalf("the floats around %dπ/4 reach octants %v, want %d and %d", k, seen, k-1, k)
+		}
+	}
+	// The largest angle Normal draws, u2 = 1 − 2^-53, is in octant 7,
+	// which the odd-octant rounding takes to 8: the reduction subtracts
+	// 2π and the selection must read 8 as octant 0.
+	x := 2 * math.Pi * math.Nextafter(1, 0)
+	if j := octant(x); j != 7 {
+		t.Fatalf("octant of 2π·(1−2^-53) = %d, want 7", j)
+	}
+	checkCos(t, "largest u2", x)
+	r := NewRand(0xc05)
+	for i := 0; i < 10_000_000; i++ {
+		checkCos(t, "draw", 2*math.Pi*r.Float64())
+	}
+}
+
+// TestBoxMullerCosConstants pins the copy's constants to the bits of Go's
+// math.cos, listed beside them in its source. The low bits of the
+// high-order coefficients reach a result bit on almost no angle, so the
+// comparison with math.Cos alone would miss a change there.
+func TestBoxMullerCosConstants(t *testing.T) {
+	got := append(append([]float64{pi4A, pi4B, pi4C}, sinCoef[:]...), cosCoef[:]...)
+	want := []uint64{
+		0x3fe921fb40000000, 0x3e64442d00000000, 0x3ce8469898cc5170,
+		0x3de5d8fd1fd19ccd, 0xbe5ae5e5a9291f5d, 0x3ec71de3567d48a1,
+		0xbf2a01a019bfdf03, 0x3f8111111110f7d0, 0xbfc5555555555548,
+		0xbda8fa49a0861a9b, 0x3e21ee9d7b4e3f05, 0xbe927e4f7eac4bc6,
+		0x3efa01a019c844f5, 0xbf56c16c16c14f91, 0x3fa555555555554b,
+	}
+	for i, v := range got {
+		if math.Float64bits(v) != want[i] {
+			t.Errorf("constant %d = %#x, want %#x", i, math.Float64bits(v), want[i])
+		}
+	}
+}
+
+// TestNormalMatchesMathCosReference draws 10^6 values each from Normal
+// and CyclesNormal on three seeds and compares them bit for bit with
+// refNormal, which draws through math.Cos.
+func TestNormalMatchesMathCosReference(t *testing.T) {
+	for _, seed := range []uint64{1, 0x7e57, 0xfa01} {
+		a, b := NewRand(seed), NewRand(seed)
+		for i := 0; i < 1_000_000; i++ {
+			if got, want := a.Normal(100, 15), refNormal(b, 100, 15); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %#x draw %d: Normal = %v, reference %v", seed, i, got, want)
+			}
+			want := refNormal(b, 2000, 950)
+			if want < 450 {
+				want = 450
+			}
+			if got := a.CyclesNormal(2000, 950, 450); got != Cycles(want) {
+				t.Fatalf("seed %#x draw %d: CyclesNormal = %d, reference %d", seed, i, got, Cycles(want))
+			}
+		}
+	}
+}
+
+// FuzzBoxMullerCos compares boxMullerCos with math.Cos bit for bit at any
+// angle in [0, 2π); an input outside it is folded in with math.Mod.
+func FuzzBoxMullerCos(f *testing.F) {
+	for k := 0; k < 8; k++ {
+		f.Add(float64(k) * (math.Pi / 4))
+	}
+	f.Add(2 * math.Pi * math.Nextafter(1, 0))
+	f.Add(math.SmallestNonzeroFloat64)
+	f.Fuzz(func(t *testing.T, x float64) {
+		x = math.Abs(math.Mod(x, 2*math.Pi))
+		if math.IsNaN(x) {
+			return
+		}
+		checkCos(t, "fuzz", x)
+	})
 }
