@@ -36,9 +36,10 @@ const goldenDir = "testdata/golden"
 // hot-path layer: THP and HugeTLBfs micro-fidelity fault tables (fig2,
 // fig3), their per-fault records and timelines (fig2 CSV, fig4, fig5),
 // the aggregate-fidelity weak-scaling grid (fig7), the multi-node study
-// (fig8), the chaos sweep, the barrier attribution report, the
-// datacenter agent's pod churn, touch tails and OOM kills, and its
-// failure domain's evictions, restarts and zone outages.
+// (fig8), the chaos sweep, the barrier attribution report, the noise
+// study at its defaults, the datacenter agent's pod churn, touch tails
+// and OOM kills, and its failure domain's evictions, restarts and zone
+// outages.
 func renderGoldenArtifacts(t *testing.T, workers int, cache *runner.Cache) map[string][]byte {
 	t.Helper()
 	out := make(map[string][]byte)
@@ -153,6 +154,14 @@ func renderGoldenArtifacts(t *testing.T, workers int, cache *runner.Cache) map[s
 			return err
 		}
 		return WriteAttributionStudy(w, cells)
+	})
+	render("noise.txt", func(w *bytes.Buffer) error {
+		points, err := NoiseStudy(NoiseStudyOptions{Scale: 1, Workers: workers})
+		if err != nil {
+			return err
+		}
+		w.WriteString(WriteNoiseStudy(points))
+		return nil
 	})
 	dc, err := DatacenterStudyRun(DatacenterStudyOptions{
 		Churns:      []float64{0, 200},
