@@ -126,7 +126,7 @@ func NoiseStudy(o NoiseStudyOptions) ([]NoisePoint, error) {
 		base, noisy := secs[i], secs[i+1]
 		i += 2
 		slow := noisy - base
-		expected := o.Prob * float64(spec.Iterations) * float64(o.DurationCycles) / 2.2e9
+		expected := o.Prob * float64(spec.Iterations) * float64(o.DurationCycles) / dellMachine().ClockHz
 		amp := 0.0
 		if expected > 0 {
 			amp = slow / expected
