@@ -73,7 +73,7 @@ func snapshotFiles(t *testing.T, dir string, scale uint64) (prom, jsonPath strin
 	t.Helper()
 	r := metrics.NewRegistry()
 	r.Counter(metrics.SimEventsTotal).Add(100 * scale)
-	r.Gauge(metrics.KernelCommitPressure).Set(0.5)
+	r.GaugeFunc(metrics.KernelCommitPressure, func() float64 { return 0.5 })
 	h := r.Histogram(metrics.FaultSmallCycles)
 	h.Observe(10 * scale)
 	snap := r.Snapshot()

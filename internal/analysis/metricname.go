@@ -14,7 +14,6 @@ import (
 // points whose name argument is contract-bound.
 var metricRegistrationMethods = map[string]bool{
 	"Counter":     true,
-	"Gauge":       true,
 	"Histogram":   true,
 	"CounterFunc": true,
 	"GaugeFunc":   true,
@@ -31,7 +30,7 @@ var metricRegistrationMethods = map[string]bool{
 var MetricnameAnalyzer = &analysis.Analyzer{
 	Name: "metricname",
 	Doc: "require metric registrations to use internal/metrics name constants\n\n" +
-		"Registry.Counter/Gauge/Histogram/CounterFunc/GaugeFunc must be\n" +
+		"Registry.Counter/Histogram/CounterFunc/GaugeFunc must be\n" +
 		"passed a constant from internal/metrics/names.go so the\n" +
 		"OBSERVABILITY.md contract stays closed; string literals and\n" +
 		"foreign constants are reported.",

@@ -52,30 +52,3 @@ var panicAllowlist = map[string]int{
 	// internal/tlb — 1: invalid entry-size configuration.
 	"hpmmap/internal/tlb.MustNew": 1,
 }
-
-// panicAllowlistBySubsystem mirrors the DESIGN.md §8 "programmer
-// errors" column for the regression test: package path -> sanctioned
-// site count.
-func panicAllowlistBySubsystem() map[string]int {
-	out := make(map[string]int)
-	for key, n := range panicAllowlist {
-		// key is "path/to/pkg.Func[...]" — the package path is
-		// everything before the first '.' after the last '/'.
-		slash := -1
-		for i := len(key) - 1; i >= 0; i-- {
-			if key[i] == '/' {
-				slash = i
-				break
-			}
-		}
-		dot := slash
-		for i := slash + 1; i < len(key); i++ {
-			if key[i] == '.' {
-				dot = i
-				break
-			}
-		}
-		out[key[:dot]] += n
-	}
-	return out
-}

@@ -272,9 +272,6 @@ func (a *Allocator) regionOf(addr uint64) *region {
 	return nil
 }
 
-// Owns reports whether addr falls inside the managed pool.
-func (a *Allocator) Owns(addr uint64) bool { return a.regionOf(addr) != nil }
-
 // LargestFreeBlock returns the size of the largest currently free block.
 func (a *Allocator) LargestFreeBlock() uint64 {
 	var best uint64

@@ -433,21 +433,3 @@ func (a *Agent) reschedule(pd *pod) {
 		a.m.rescheduled.Inc()
 	}
 }
-
-// EvictedTotal sums evictions across priority classes.
-func (a *Agent) EvictedTotal() uint64 {
-	var t uint64
-	for _, v := range a.Evicted {
-		t += v
-	}
-	return t
-}
-
-// RestartsTotal sums crash-loop restarts across priority classes.
-func (a *Agent) RestartsTotal() uint64 {
-	var t uint64
-	for _, v := range a.Restarts {
-		t += v
-	}
-	return t
-}

@@ -264,12 +264,21 @@ func TestPrunedPodsMatchAppendOnlyReference(t *testing.T) {
 			}
 		}
 		a.Stop()
-		if a.EvictionPasses == 0 || a.EvictedTotal() == 0 || a.RestartsTotal() == 0 || a.Completed == 0 || a.ZoneFailures == 0 {
+		if a.EvictionPasses == 0 || sumClasses(a.Evicted) == 0 || sumClasses(a.Restarts) == 0 || a.Completed == 0 || a.ZoneFailures == 0 {
 			t.Fatalf("seed %d: passes %d, evicted %d, restarts %d, completed %d, zone failures %d; want all non-zero",
-				seed, a.EvictionPasses, a.EvictedTotal(), a.RestartsTotal(), a.Completed, a.ZoneFailures)
+				seed, a.EvictionPasses, sumClasses(a.Evicted), sumClasses(a.Restarts), a.Completed, a.ZoneFailures)
 		}
 	}
 	if !pruned {
 		t.Fatal("no eviction pass dropped a finished pod")
 	}
+}
+
+// sumClasses sums a per-priority-class counter.
+func sumClasses(byClass [NumPriorities]uint64) uint64 {
+	var t uint64
+	for _, v := range byClass {
+		t += v
+	}
+	return t
 }

@@ -52,23 +52,6 @@ func Reserve(node *mem.NodeMemory, totalBytes uint64) (*Pools, error) {
 	return p, nil
 }
 
-// TotalPages returns the reserved page count across zones.
-func (p *Pools) TotalPages() int {
-	t := 0
-	for i := range p.zones {
-		t += p.zones[i].total
-	}
-	return t
-}
-
-// FreePages returns the free pool pages in the zone.
-func (p *Pools) FreePages(zone int) int {
-	if zone < 0 || zone >= len(p.zones) {
-		return 0
-	}
-	return len(p.zones[zone].pages)
-}
-
 // FreePagesTotal returns free pool pages across all zones.
 func (p *Pools) FreePagesTotal() int {
 	t := 0

@@ -6,17 +6,20 @@ import (
 	"hpmmap/internal/mem"
 )
 
+// freePages returns the free pool pages in the zone.
+func (p *Pools) freePages(zone int) int { return len(p.zones[zone].pages) }
+
 func TestReserveSplitsEvenly(t *testing.T) {
 	node := mem.NewNodeMemory(2, 4<<30)
 	p, err := Reserve(node, 2<<30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.TotalPages() != 1024 {
-		t.Fatalf("reserved %d pages, want 1024", p.TotalPages())
+	if p.FreePagesTotal() != 1024 {
+		t.Fatalf("reserved %d pages, want 1024", p.FreePagesTotal())
 	}
-	if p.FreePages(0) != 512 || p.FreePages(1) != 512 {
-		t.Fatalf("per-zone %d/%d, want 512/512", p.FreePages(0), p.FreePages(1))
+	if p.freePages(0) != 512 || p.freePages(1) != 512 {
+		t.Fatalf("per-zone %d/%d, want 512/512", p.freePages(0), p.freePages(1))
 	}
 	// The reservation visibly removes memory from the buddy.
 	if node.FreePages() != (2<<30)/mem.PageSize {
@@ -37,22 +40,22 @@ func TestAllocPrefersZoneThenFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perZone := p.FreePages(0)
+	perZone := p.freePages(0)
 	// Drain zone 0.
 	for i := 0; i < perZone; i++ {
 		if _, z, err := p.Alloc2M(0); err != nil || z != 0 {
 			t.Fatalf("alloc: %v zone %d", err, z)
 		}
 	}
-	if p.FreePages(0) != 0 {
+	if p.freePages(0) != 0 {
 		t.Fatal("zone 0 not drained")
 	}
 	// Next allocation falls back to zone 1 and reports it.
 	if _, z, err := p.Alloc2M(0); err != nil || z != 1 {
 		t.Fatalf("fallback: %v zone %d", err, z)
 	}
-	if p.FreePages(1) != perZone-1 {
-		t.Fatalf("zone 1 free %d", p.FreePages(1))
+	if p.freePages(1) != perZone-1 {
+		t.Fatalf("zone 1 free %d", p.freePages(1))
 	}
 }
 
@@ -82,9 +85,9 @@ func TestFreeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := p.FreePages(0)
+	before := p.freePages(0)
 	p.Free2M(pfn, 0)
-	if p.FreePages(0) != before+1 {
+	if p.freePages(0) != before+1 {
 		t.Fatal("free did not return page")
 	}
 }

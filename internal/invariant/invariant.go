@@ -178,18 +178,6 @@ func (a *Auditor) AddCheck(name string, fn func() error) {
 	a.checks = append(a.checks, Check{Name: name, Fn: fn})
 }
 
-// Checks returns the registered check names in registration order.
-func (a *Auditor) Checks() []string {
-	if a == nil {
-		return nil
-	}
-	names := make([]string, len(a.checks))
-	for i, c := range a.checks {
-		names[i] = c.Name
-	}
-	return names
-}
-
 // Observe registers the auditor's metrics (invariant_checks_total,
 // invariant_violations_total) with the registry. Nil-safe on both
 // sides.

@@ -181,8 +181,8 @@ func TestPinnedVsFloatingPlacement(t *testing.T) {
 	// A floating task must land on an idle core (6..11).
 	f := n.NewTask(p, -1, 0.5)
 	n.Run(f, 10, 0, func(sim.Cycles) {})
-	if f.Core() < 6 {
-		t.Fatalf("floating task placed on busy core %d", f.Core())
+	if f.cur < 6 {
+		t.Fatalf("floating task placed on busy core %d", f.cur)
 	}
 	eng.RunUntil(1 << 40)
 }
@@ -206,7 +206,7 @@ func TestSleepLeavesRunqueue(t *testing.T) {
 	tk := n.NewTask(p, 0, 0.5)
 	woke := false
 	n.Sleep(tk, 5000, func() { woke = true })
-	if n.RunnableOn(0) != 0 {
+	if n.cores[0].runnable != 0 {
 		t.Fatal("sleeping task on runqueue")
 	}
 	eng.RunUntil(1 << 40)
@@ -215,18 +215,22 @@ func TestSleepLeavesRunqueue(t *testing.T) {
 	}
 }
 
+// TestCPULoad: 24 floating tasks on 12 idle cores leave two on every
+// runqueue.
 func TestCPULoad(t *testing.T) {
 	n, eng := newTestNode(t)
 	p, _ := n.NewProcess("app", false, 0)
-	if n.CPULoad() != 0 {
-		t.Fatal("idle load nonzero")
-	}
 	for i := 0; i < 24; i++ {
 		tk := n.NewTask(p, -1, 0.3)
 		n.Run(tk, 1_000_000, 0, func(sim.Cycles) {})
 	}
-	if l := n.CPULoad(); l != 2.0 {
-		t.Fatalf("load %v with 24 tasks on 12 cores", l)
+	if len(n.cores) != 12 {
+		t.Fatalf("%d cores, want 12", len(n.cores))
+	}
+	for i := range n.cores {
+		if r := n.cores[i].runnable; r != 2 {
+			t.Fatalf("core %d has %d runnable tasks with 24 tasks on 12 cores", i, r)
+		}
 	}
 	eng.RunUntil(1 << 40)
 }

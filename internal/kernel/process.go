@@ -82,9 +82,6 @@ type Process struct {
 	Exited bool
 }
 
-// Node returns the owning node.
-func (p *Process) Node() *Node { return p.node }
-
 // MMState returns manager-private state installed by SetMMState.
 func (p *Process) MMState() any { return p.mmState }
 
@@ -164,9 +161,6 @@ type Task struct {
 	running bool
 	done    bool
 }
-
-// Core returns the core the task last ran on.
-func (t *Task) Core() int { return t.cur }
 
 // Done reports whether Finish was called.
 func (t *Task) Done() bool { return t.done }

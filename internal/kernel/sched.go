@@ -135,19 +135,6 @@ func (n *Node) Sleep(t *Task, d sim.Cycles, fn func()) {
 	n.eng.Schedule(d, fn)
 }
 
-// RunnableOn returns the number of runnable tasks on the given core.
-func (n *Node) RunnableOn(coreID int) int { return n.cores[coreID].runnable }
-
-// CPULoad returns total runnable tasks divided by cores — >1 means the
-// node is overcommitted.
-func (n *Node) CPULoad() float64 {
-	t := 0
-	for i := range n.cores {
-		t += n.cores[i].runnable
-	}
-	return float64(t) / float64(len(n.cores))
-}
-
 // bandwidthLoadExcluding returns the fraction of node memory bandwidth
 // consumed by running tasks of processes other than p, in [0,1]. Tasks
 // timesharing a core generate traffic one at a time, so a core's

@@ -328,16 +328,6 @@ func (l *Ledger) PlanCount() uint64 {
 	return l.plans
 }
 
-// Err returns the first write error, if any. Safe on a nil receiver.
-func (l *Ledger) Err() error {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.err
-}
-
 // Close flushes and, when the ledger owns its file (Open), closes it.
 // Returns the first error the ledger encountered. Safe on a nil
 // receiver.

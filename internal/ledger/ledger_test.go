@@ -175,9 +175,6 @@ func TestNilLedgerIsNoop(t *testing.T) {
 	if l.CanonicalRecords() != 0 || l.PlanCount() != 0 {
 		t.Fatal("nil ledger reported counts")
 	}
-	if err := l.Err(); err != nil {
-		t.Fatal(err)
-	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}

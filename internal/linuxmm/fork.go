@@ -1,7 +1,6 @@
 package linuxmm
 
 import (
-	"fmt"
 	"slices"
 
 	"hpmmap/internal/fault"
@@ -22,7 +21,7 @@ import (
 // HPMMAP deliberately does not implement fork: an eager, on-request
 // design would have to duplicate the entire resident set at fork time.
 // The paper's position is that HPC applications do not fork after
-// initialization; kernel.Node.Fork returns ErrForkUnsupported for
+// initialization; kernel.Node.Fork returns kernel.ErrForkUnsupported for
 // registered processes.
 
 // PTECopyCost is the per-resident-page cost of duplicating page tables
@@ -117,6 +116,3 @@ func (m *Manager) cowTouch(tc *touchCtx, from, to uint64) {
 	tc.cum += copyCost
 	tc.p.Faults.Cycles[fault.KindSmall] += copyCost
 }
-
-// ErrForkUnsupported is returned when a manager cannot fork a process.
-var ErrForkUnsupported = fmt.Errorf("linuxmm: fork unsupported by this manager")

@@ -43,13 +43,3 @@ func PagesPerOrder(order int) uint64 { return 1 << uint(order) }
 
 // BytesPerOrder returns the byte size of a block of the given order.
 func BytesPerOrder(order int) uint64 { return PageSize << uint(order) }
-
-// OrderForBytes returns the smallest order whose block size is >= bytes.
-func OrderForBytes(bytes uint64) int {
-	for o := 0; o <= MaxOrder; o++ {
-		if BytesPerOrder(o) >= bytes {
-			return o
-		}
-	}
-	return MaxOrder
-}

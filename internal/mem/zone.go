@@ -74,12 +74,6 @@ func NewZone(id int, base PFN, pages uint64) *Zone {
 // FreePages returns the number of free base pages.
 func (z *Zone) FreePages() uint64 { return z.freePages }
 
-// FreeBytes returns the free memory in bytes.
-func (z *Zone) FreeBytes() uint64 { return z.freePages * PageSize }
-
-// UsedPages returns allocated (managed, non-free) base pages.
-func (z *Zone) UsedPages() uint64 { return z.Pages - z.freePages }
-
 // buddyOf returns the buddy block of p at the given order.
 func (z *Zone) buddyOf(p PFN, order int) PFN {
 	rel := uint64(p - z.Base)
@@ -212,17 +206,6 @@ func (z *Zone) Recycle(p PFN, order int) bool {
 // FreeBlocksAt returns the number of free blocks at exactly the given
 // order.
 func (z *Zone) FreeBlocksAt(order int) int { return z.free[order].len() }
-
-// LargestFreeOrder returns the highest order with at least one free block,
-// or -1 if the zone is exhausted.
-func (z *Zone) LargestFreeOrder() int {
-	for o := MaxOrder; o >= 0; o-- {
-		if z.free[o].len() > 0 {
-			return o
-		}
-	}
-	return -1
-}
 
 // CanAlloc reports whether an allocation of the given order would succeed
 // right now.
@@ -373,9 +356,6 @@ func (z *Zone) Offline(bytes uint64) ([]Extent, error) {
 	z.offlined = append(z.offlined, got...)
 	return got, nil
 }
-
-// Offlined returns the extents removed from this zone so far.
-func (z *Zone) Offlined() []Extent { return z.offlined }
 
 // CheckInvariants validates the zone's full internal consistency:
 // everything CheckAccounting checks, plus that no frame is free twice.

@@ -14,13 +14,24 @@ func newTestZone(t *testing.T, mb uint64) *Zone {
 	return NewZone(0, 0, pages)
 }
 
+// largestFreeOrder returns the highest order with at least one free
+// block, or -1 if the zone is exhausted.
+func (z *Zone) largestFreeOrder() int {
+	for o := MaxOrder; o >= 0; o-- {
+		if z.free[o].len() > 0 {
+			return o
+		}
+	}
+	return -1
+}
+
 func TestZoneStartsFullyCoalesced(t *testing.T) {
 	z := newTestZone(t, 64)
 	if z.FreePages() != z.Pages {
 		t.Fatalf("free %d != total %d", z.FreePages(), z.Pages)
 	}
-	if z.LargestFreeOrder() != MaxOrder {
-		t.Fatalf("largest free order %d, want %d", z.LargestFreeOrder(), MaxOrder)
+	if z.largestFreeOrder() != MaxOrder {
+		t.Fatalf("largest free order %d, want %d", z.largestFreeOrder(), MaxOrder)
 	}
 	want := int(z.Pages / PagesPerOrder(MaxOrder))
 	if got := z.FreeBlocksAt(MaxOrder); got != want {
@@ -78,7 +89,7 @@ func TestZoneAllocFreeRoundTrip(t *testing.T) {
 	if z.FreePages() != z.Pages {
 		t.Fatalf("free pages %d after free", z.FreePages())
 	}
-	if z.LargestFreeOrder() != MaxOrder {
+	if z.largestFreeOrder() != MaxOrder {
 		t.Fatal("zone did not re-coalesce to max order")
 	}
 	if err := z.CheckInvariants(); err != nil {
@@ -112,7 +123,7 @@ func TestZoneSplitProducesDisjointBlocks(t *testing.T) {
 	for _, p := range got {
 		z.FreeBlock(p, LargePageOrder)
 	}
-	if z.LargestFreeOrder() != MaxOrder {
+	if z.largestFreeOrder() != MaxOrder {
 		t.Fatal("zone did not fully coalesce after freeing all 2MB blocks")
 	}
 }
@@ -321,8 +332,8 @@ func TestZoneRandomOpsInvariant(t *testing.T) {
 		for _, b := range live {
 			z.FreeBlock(b.p, b.order)
 		}
-		if z.LargestFreeOrder() != MaxOrder || z.FreePages() != z.Pages {
-			t.Logf("seed %d: zone did not re-coalesce (largest=%d free=%d)", seed, z.LargestFreeOrder(), z.FreePages())
+		if z.largestFreeOrder() != MaxOrder || z.FreePages() != z.Pages {
+			t.Logf("seed %d: zone did not re-coalesce (largest=%d free=%d)", seed, z.largestFreeOrder(), z.FreePages())
 			return false
 		}
 		return z.CheckInvariants() == nil

@@ -102,14 +102,6 @@ func (t *ChromeTracer) Value(tid int, cat, name string, at uint64, v float64) {
 	t.events = append(t.events, chromeEvent{ph: 'C', tid: tid, cat: cat, name: name, at: at, val: v, hasValue: true})
 }
 
-// Len returns the number of recorded events (0 on a nil tracer).
-func (t *ChromeTracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.events)
-}
-
 // usec converts a cycle timestamp to trace microseconds with fixed
 // 3-decimal formatting so output is deterministic.
 func (t *ChromeTracer) usec(cycles uint64) string {

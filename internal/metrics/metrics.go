@@ -10,8 +10,8 @@
 //
 //   - A nil *Registry is the no-op default. Registry accessors on a nil
 //     receiver return nil handles, and every handle method (Counter.Add,
-//     Gauge.Set, Histogram.Observe) is nil-safe, so uninstrumented hot
-//     paths pay one predictable branch and zero allocations.
+//     Histogram.Observe) is nil-safe, so uninstrumented hot paths pay
+//     one predictable branch and zero allocations.
 //   - Handles are obtained once at setup (Registry.Counter et al.) and
 //     written with plain field arithmetic afterwards: no maps, no
 //     interface calls, no allocation on the hot path.
@@ -60,34 +60,6 @@ func (c *Counter) Value() uint64 {
 		return 0
 	}
 	return c.v
-}
-
-// Gauge is an instantaneous value (bytes resident, pressure, a ratio).
-// The zero value is ready to use; a nil *Gauge is a no-op.
-type Gauge struct {
-	v float64
-}
-
-// Set replaces the value. No-op on a nil receiver.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.v = v
-	}
-}
-
-// Add adjusts the value by d. No-op on a nil receiver.
-func (g *Gauge) Add(d float64) {
-	if g != nil {
-		g.v += d
-	}
-}
-
-// Value returns the current value (0 on a nil receiver).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
 }
 
 // NumBuckets is the fixed bucket count of every Histogram: bucket 0
@@ -216,7 +188,6 @@ type entry struct {
 	name       string
 	kind       Kind
 	counter    *Counter
-	gauge      *Gauge
 	hist       *Histogram
 	counterFns []func() uint64
 	gaugeFns   []func() float64
@@ -284,19 +255,6 @@ func (r *Registry) Counter(name string) *Counter {
 	return e.counter
 }
 
-// Gauge returns the push gauge registered under name, creating it on
-// first use. Returns nil (a no-op handle) on a nil registry.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	e := r.lookup(name, KindGauge)
-	if e.gauge == nil {
-		e.gauge = &Gauge{}
-	}
-	return e.gauge
-}
-
 // Histogram returns the log2-bucket histogram registered under name,
 // creating it on first use. Returns nil (a no-op handle) on a nil
 // registry.
@@ -346,8 +304,8 @@ type Bucket struct {
 type Metric struct {
 	Name string `json:"name"`
 	Kind Kind   `json:"kind"`
-	// Value carries the counter count or gauge reading (push handle
-	// plus all pull sources).
+	// Value carries the counter count (push handle plus all pull
+	// sources) or the gauge reading (the sum of its pull sources).
 	Value float64 `json:"value"`
 	// Count, Sum and Buckets carry histogram state.
 	Count   uint64   `json:"count,omitempty"`
@@ -381,7 +339,7 @@ func (r *Registry) Snapshot() Snapshot {
 			}
 			m.Value = float64(v)
 		case KindGauge:
-			v := e.gauge.Value()
+			var v float64
 			for _, fn := range e.gaugeFns {
 				v += fn()
 			}

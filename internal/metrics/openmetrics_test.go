@@ -15,7 +15,7 @@ func TestWriteOpenMetricsGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(BuddyAllocsTotal).Add(42)
 	r.Counter(HPMMAPBytesMapped).Add(1 << 21)
-	r.Gauge(BuddyFragRatio).Set(0.25)
+	r.GaugeFunc(BuddyFragRatio, func() float64 { return 0.25 })
 	h := r.Histogram(FaultSmallCycles)
 	h.Observe(3) // bucket [2,4)
 	h.Observe(3)
@@ -66,7 +66,8 @@ func TestOpenMetricsValidityAllMetrics(t *testing.T) {
 		case "counter":
 			r.Counter(name).Add(i)
 		case "gauge":
-			r.Gauge(name).Set(float64(i) + 0.5)
+			v := float64(i) + 0.5
+			r.GaugeFunc(name, func() float64 { return v })
 		case "histogram":
 			h := r.Histogram(name)
 			h.Observe(i)

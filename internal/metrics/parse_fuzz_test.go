@@ -14,7 +14,7 @@ func FuzzParseExposition(f *testing.F) {
 	f.Add([]byte("# TYPE c counter\nc_total 7\n# TYPE h histogram\nh_bucket{le=\"3\"} 2\nh_bucket{le=\"+Inf\"} 2\nh_sum 5\nh_count 2\n# EOF\n"))
 	r := NewRegistry()
 	r.Counter(HPMMAPBytesMapped).Add(1 << 21)
-	r.Gauge(BuddyFragRatio).Set(0.25)
+	r.GaugeFunc(BuddyFragRatio, func() float64 { return 0.25 })
 	r.Histogram(FaultSmallCycles).Observe(900)
 	var golden bytes.Buffer
 	if err := r.Snapshot().WriteOpenMetrics(&golden); err != nil {

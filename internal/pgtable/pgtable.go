@@ -24,8 +24,6 @@ const (
 	ProtRead Prot = 1 << iota
 	ProtWrite
 	ProtExec
-	// ProtLocked marks the mapping as pinned in RAM (mlock).
-	ProtLocked
 )
 
 // PageSize selects a mapping granularity.
@@ -219,18 +217,6 @@ func (t *Table) MappedBytes() uint64 {
 	return t.Mapped4K*mem.PageSize + t.Mapped2M*mem.LargePageSize + t.Mapped1G*mem.HugePageSize
 }
 
-// MappedPages returns the number of leaf mappings of the given size.
-func (t *Table) MappedPages(ps PageSize) uint64 {
-	switch ps {
-	case Page4K:
-		return t.Mapped4K
-	case Page2M:
-		return t.Mapped2M
-	default:
-		return t.Mapped1G
-	}
-}
-
 func checkAligned(va VirtAddr, ps PageSize) error {
 	if uint64(va)&(ps.Bytes()-1) != 0 {
 		return fmt.Errorf("pgtable: address %#x not aligned to %s", uint64(va), ps)
@@ -409,18 +395,6 @@ func (t *Table) walk(va VirtAddr) (Mapping, bool) {
 	invariant.Failf("walk_off_tree", "pgtable",
 		"walk(%#x) descended past the PT level without hitting a leaf", uint64(va))
 	return Mapping{}, false // unreachable
-}
-
-// Translate returns the physical frame backing va along with the byte
-// offset's frame, for convenience in data-path models.
-func (t *Table) Translate(va VirtAddr) (mem.PFN, bool) {
-	m, ok := t.Walk(va)
-	if !ok {
-		return 0, false
-	}
-	base := uint64(va) &^ (m.Size.Bytes() - 1)
-	off := uint64(va) - base
-	return m.PFN + mem.PFN(off/mem.PageSize), true
 }
 
 // Unmap removes the leaf mapping of the given size at va and returns its

@@ -19,7 +19,7 @@ func FuzzCacheGet(f *testing.F) {
 	f.Add([]byte(`{"result":{"RuntimeSec":1},"metrics":{"metrics":[{"name":"h","kind":"histogram","count":2,"sum":5,"buckets":[{"lo":2,"hi":3,"count":2}]},{"name":"g","kind":"gauge","value":0.5,"merge":"max"}]}}`))
 	r := metrics.NewRegistry()
 	r.Counter(metrics.HPMMAPBytesMapped).Add(1 << 21)
-	r.Gauge(metrics.BuddyFragRatio).Set(0.25)
+	r.GaugeFunc(metrics.BuddyFragRatio, func() float64 { return 0.25 })
 	r.Histogram(metrics.FaultSmallCycles).Observe(900)
 	golden, err := json.Marshal(entry[cachedCell]{Result: cachedCell{RuntimeSec: 2.5, Faults: 9}, Metrics: r.Snapshot()})
 	if err != nil {

@@ -31,6 +31,12 @@ func (e CellError) Error() string { return fmt.Sprintf("%s: %v", e.Cell, e.Err) 
 // Unwrap exposes the underlying error to errors.Is / errors.As.
 func (e CellError) Unwrap() error { return e.Err }
 
+// errors.Is and errors.As call Unwrap through these interfaces.
+var (
+	_ interface{ Unwrap() error }   = CellError{}
+	_ interface{ Unwrap() []error } = (*GridError)(nil)
+)
+
 // GridError aggregates every cell failure of a ContinueOnError run. The
 // successful cells' results are still returned alongside it; reducers
 // treat the failed indexes as holes.
@@ -60,16 +66,6 @@ func (e *GridError) Unwrap() []error {
 		errs[i] = f
 	}
 	return errs
-}
-
-// FailedIndexes returns the failed cell positions in ascending order —
-// the reducer-side hole mask.
-func (e *GridError) FailedIndexes() []int {
-	idxs := make([]int, len(e.Failures))
-	for i, f := range e.Failures {
-		idxs[i] = f.Index
-	}
-	return idxs
 }
 
 // AsGridError unwraps err to a *GridError if one is present.

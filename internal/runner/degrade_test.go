@@ -16,6 +16,15 @@ import (
 	"hpmmap/internal/metrics"
 )
 
+// failedIndexes returns the failed cell positions in order.
+func (e *GridError) failedIndexes() []int {
+	idxs := make([]int, len(e.Failures))
+	for i, f := range e.Failures {
+		idxs[i] = f.Index
+	}
+	return idxs
+}
+
 func degradePlan(n int) Plan {
 	p := Plan{Name: "degrade", Seed: 1}
 	for i := 0; i < n; i++ {
@@ -40,7 +49,7 @@ func TestContinueOnErrorQuarantinesFailures(t *testing.T) {
 	if !ok {
 		t.Fatalf("want *GridError, got %v", err)
 	}
-	if got := ge.FailedIndexes(); len(got) != 2 || got[0] != 2 || got[1] != 5 {
+	if got := ge.failedIndexes(); len(got) != 2 || got[0] != 2 || got[1] != 5 {
 		t.Fatalf("failed indexes = %v, want [2 5]", got)
 	}
 	if ge.Total != 8 {
@@ -90,7 +99,7 @@ func TestContinueOnErrorAllCellsStillRun(t *testing.T) {
 	}
 	for i, f := range ge.Failures {
 		if f.Index != i {
-			t.Fatalf("failures not sorted by index: %v", ge.FailedIndexes())
+			t.Fatalf("failures not sorted by index: %v", ge.failedIndexes())
 		}
 	}
 }
@@ -262,8 +271,8 @@ func TestGridErrorMultiCauseUnwrap(t *testing.T) {
 	}
 	// Ascending Index order, independent of completion order (cell 1
 	// finished after cells 3 and 5 by construction).
-	if got := ge.FailedIndexes(); len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 5 {
-		t.Fatalf("FailedIndexes = %v, want [1 3 5]", got)
+	if got := ge.failedIndexes(); len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 5 {
+		t.Fatalf("failed indexes = %v, want [1 3 5]", got)
 	}
 	unwrapped := ge.Unwrap()
 	if len(unwrapped) != 3 {

@@ -12,11 +12,6 @@ import "fmt"
 // Cycles is a point in (or duration of) simulated time, in CPU cycles.
 type Cycles uint64
 
-// Seconds converts a cycle count to seconds at the given clock rate in Hz.
-func (c Cycles) Seconds(hz float64) float64 {
-	return float64(c) / hz
-}
-
 // event is one slot of the engine's event slab. A live slot holds a
 // scheduled callback and its position in the heap; a free slot has a
 // nil fn and pos -1, and waits on the free list for the next At.
@@ -38,9 +33,6 @@ type EventID struct {
 	slot int32
 }
 
-// Cancelled reports whether the event was cancelled or already fired.
-func (id EventID) Cancelled() bool { return id.eng == nil || !id.eng.live(id) }
-
 // Engine is a single-threaded discrete-event simulator. It is not safe for
 // concurrent use; parallelism in the simulated system is expressed as
 // interleaved events, which keeps runs bit-for-bit deterministic for a
@@ -57,7 +49,6 @@ type Engine struct {
 	heap   []int32 // live slot indexes, a binary min-heap by (at, seq)
 	seq    uint64
 	nexec  uint64
-	halted bool
 }
 
 // NewEngine returns an empty engine at cycle 0.
@@ -119,10 +110,10 @@ func (e *Engine) Cancel(id EventID) bool {
 }
 
 // Step executes the single next event. Reports false when the queue is
-// empty or the engine is halted. The event's slot is freed before its
-// callback runs, so the callback sees its own ID as fired.
+// empty. The event's slot is freed before its callback runs, so the
+// callback sees its own ID as fired.
 func (e *Engine) Step() bool {
-	if e.halted || len(e.heap) == 0 {
+	if len(e.heap) == 0 {
 		return false
 	}
 	slot := e.heap[0]
@@ -217,7 +208,7 @@ func (e *Engine) down(i0 int) bool {
 	return i > i0
 }
 
-// Run executes events until the queue drains or the engine halts.
+// Run executes events until the queue drains.
 func (e *Engine) Run() {
 	for e.Step() {
 	}
@@ -228,20 +219,13 @@ func (e *Engine) Run() {
 // RunUntil the clock is deadline if any event beyond it remains, else the
 // time of the final event.
 func (e *Engine) RunUntil(deadline Cycles) {
-	for !e.halted && len(e.heap) > 0 && e.events[e.heap[0]].at <= deadline {
+	for len(e.heap) > 0 && e.events[e.heap[0]].at <= deadline {
 		e.Step()
 	}
-	if e.now < deadline && (len(e.heap) > 0 || e.halted) {
+	if e.now < deadline && len(e.heap) > 0 {
 		e.now = deadline
 	}
 }
-
-// Halt stops the engine: Step and Run return immediately. Pending events
-// remain queued (useful for post-mortem inspection in tests).
-func (e *Engine) Halt() { e.halted = true }
-
-// Halted reports whether Halt was called.
-func (e *Engine) Halted() bool { return e.halted }
 
 // String summarizes engine state for debugging.
 func (e *Engine) String() string {

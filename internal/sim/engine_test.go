@@ -138,23 +138,6 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
-func TestEngineHalt(t *testing.T) {
-	e := NewEngine()
-	n := 0
-	e.Schedule(1, func() { n++; e.Halt() })
-	e.Schedule(2, func() { n++ })
-	e.Run()
-	if n != 1 {
-		t.Fatalf("executed %d events after halt, want 1", n)
-	}
-	if !e.Halted() {
-		t.Fatal("Halted() = false")
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", e.Pending())
-	}
-}
-
 func TestTicker(t *testing.T) {
 	e := NewEngine()
 	var ticks []Cycles
@@ -184,13 +167,6 @@ func TestTickerStopIsIdempotent(t *testing.T) {
 	e.Run()
 	if e.Executed() != 0 {
 		t.Fatalf("stopped ticker executed %d events", e.Executed())
-	}
-}
-
-func TestCyclesSeconds(t *testing.T) {
-	c := Cycles(2_200_000_000)
-	if s := c.Seconds(2.2e9); s < 0.999 || s > 1.001 {
-		t.Fatalf("Seconds = %v, want ~1", s)
 	}
 }
 
@@ -253,6 +229,9 @@ type refEvent struct {
 
 type refEventID struct{ ev *refEvent }
 
+// Cancelled reports whether the event was cancelled or already fired.
+func (id EventID) Cancelled() bool { return id.eng == nil || !id.eng.live(id) }
+
 func (id refEventID) Cancelled() bool { return id.ev == nil || id.ev.idx < 0 }
 
 type refHeap []*refEvent
@@ -285,17 +264,15 @@ func (h *refHeap) Pop() any {
 }
 
 type refEngine struct {
-	now    Cycles
-	queue  refHeap
-	seq    uint64
-	nexec  uint64
-	halted bool
+	now   Cycles
+	queue refHeap
+	seq   uint64
+	nexec uint64
 }
 
 func (e *refEngine) Now() Cycles      { return e.now }
 func (e *refEngine) Executed() uint64 { return e.nexec }
 func (e *refEngine) Pending() int     { return len(e.queue) }
-func (e *refEngine) Halt()            { e.halted = true }
 
 func (e *refEngine) Schedule(delay Cycles, fn func()) refEventID { return e.At(e.now+delay, fn) }
 
@@ -319,7 +296,7 @@ func (e *refEngine) Cancel(id refEventID) bool {
 }
 
 func (e *refEngine) Step() bool {
-	if e.halted || len(e.queue) == 0 {
+	if len(e.queue) == 0 {
 		return false
 	}
 	ev := heap.Pop(&e.queue).(*refEvent)
@@ -332,10 +309,10 @@ func (e *refEngine) Step() bool {
 }
 
 func (e *refEngine) RunUntil(deadline Cycles) {
-	for !e.halted && len(e.queue) > 0 && e.queue[0].at <= deadline {
+	for len(e.queue) > 0 && e.queue[0].at <= deadline {
 		e.Step()
 	}
-	if e.now < deadline && (len(e.queue) > 0 || e.halted) {
+	if e.now < deadline && len(e.queue) > 0 {
 		e.now = deadline
 	}
 }
@@ -382,7 +359,6 @@ type testEngine[ID interface{ Cancelled() bool }, T interface{ Stop() }] interfa
 	Cancel(ID) bool
 	Step() bool
 	RunUntil(Cycles)
-	Halt()
 	Now() Cycles
 	Executed() uint64
 	Pending() int
@@ -396,7 +372,6 @@ const (
 	opCancel
 	opStep
 	opRunUntil
-	opHalt
 	opTicker
 	opStopTicker
 	opForeign
@@ -467,10 +442,6 @@ func driveEngine[ID interface{ Cancelled() bool }, T interface{ Stop() }, E test
 			logf("step %v", eng.Step())
 		case opRunUntil:
 			eng.RunUntil(eng.Now() + Cycles(a%32))
-		case opHalt:
-			if a < 8 {
-				eng.Halt()
-			}
 		case opTicker:
 			k, ticks := len(tickers), 0
 			var tk T
@@ -543,7 +514,7 @@ func FuzzEngine(f *testing.F) {
 	f.Add([]byte{opSchedule, 3, 0, opSchedule, 3, 0, opSchedule, 3, 0, opStep, 0, 0, opCheck, 0, 0})
 	f.Add([]byte{opSchedule, 1, 0, opStep, 0, 0, opSchedule, 1, 0, opCancel, 0, 0, opForeign, 0, 0})
 	f.Add([]byte{opTicker, 2, 1, opSchedule, 5, 2, opRunUntil, 20, 0, opStopTicker, 0, 0, opCheck, 0, 0})
-	f.Add([]byte{opAt, 12, 1, opSchedule, 0, 3, opHalt, 0, 0, opStep, 0, 0, opRunUntil, 9, 0})
+	f.Add([]byte{opAt, 12, 1, opSchedule, 0, 3, opStep, 0, 0, opRunUntil, 9, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 3*64 {
 			prog = prog[:3*64]

@@ -1,12 +1,11 @@
 // Package stats provides the small statistical toolkit the experiment
-// harness uses: streaming mean/stdev accumulators, percentiles, and
-// formatted summaries over repeated runs.
+// harness uses: mean/stdev accumulators, Welch's t-test, and formatted
+// summaries over repeated runs.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Sample accumulates observations.
@@ -45,64 +44,6 @@ func (s *Sample) Stdev() float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(n))
-}
-
-// Min returns the smallest observation (0 when empty).
-func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	m := s.xs[0]
-	for _, x := range s.xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest observation (0 when empty).
-func (s *Sample) Max() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	m := s.xs[0]
-	for _, x := range s.xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) by nearest-rank.
-func (s *Sample) Percentile(p float64) float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	xs := append([]float64(nil), s.xs...)
-	sort.Float64s(xs)
-	if p <= 0 {
-		return xs[0]
-	}
-	if p >= 100 {
-		return xs[len(xs)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(xs)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return xs[rank]
-}
-
-// CV returns the coefficient of variation (stdev/mean), the variance
-// metric the paper's error bars communicate.
-func (s *Sample) CV() float64 {
-	m := s.Mean()
-	if m == 0 {
-		return 0
-	}
-	return s.Stdev() / m
 }
 
 // String renders "mean ± stdev (n=N)".

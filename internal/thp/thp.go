@@ -53,13 +53,6 @@ func Start(node *kernel.Node, merger Merger) *Daemon {
 	return d
 }
 
-// Stop halts the daemon.
-func (d *Daemon) Stop() {
-	if d.ticker != nil {
-		d.ticker.Stop()
-	}
-}
-
 // scan performs one khugepaged pass: pick a candidate, lock its mm for
 // the merge duration, then apply the conversion.
 func (d *Daemon) scan() {

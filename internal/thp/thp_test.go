@@ -122,16 +122,6 @@ func TestDaemonIdleWithNoCandidates(t *testing.T) {
 	}
 }
 
-func TestDaemonStop(t *testing.T) {
-	e := newEnv(t)
-	forceFallbacks(t, e)
-	e.d.Stop()
-	e.eng.RunUntil(sim.Cycles(e.node.Config().KhugepagedScanPeriod * 6))
-	if e.d.Scans != 0 {
-		t.Fatalf("stopped daemon scanned %d times", e.d.Scans)
-	}
-}
-
 func TestMergeSkipsExitedProcess(t *testing.T) {
 	e := newEnv(t)
 	p := forceFallbacks(t, e)

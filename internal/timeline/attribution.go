@@ -104,14 +104,6 @@ func (a *Attribution) Rank(i int) *Account {
 	return a.accounts[i]
 }
 
-// Ranks returns the number of ranks (0 on a nil receiver).
-func (a *Attribution) Ranks() int {
-	if a == nil {
-		return 0
-	}
-	return len(a.accounts)
-}
-
 // Observe attaches metric handles: bsp_stragglers_total counts barriers
 // with nonzero lateness and bsp_straggler_lateness_cycles distributes
 // the per-barrier lateness. Registered only when an attributor is

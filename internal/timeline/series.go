@@ -91,14 +91,6 @@ func (s *Series) Sample(at uint64) {
 	s.count.Inc()
 }
 
-// Len returns the number of samples taken (0 on a nil receiver).
-func (s *Series) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.samples)
-}
-
 // WriteCSV renders the samples in long format, one row per
 // (sample, probe): cell,node,cycle,metric,value — sorted by sample time
 // then probe registration order, so output is deterministic. The header

@@ -165,18 +165,6 @@ func (a *Account) Reattribute(from, to Cause, d sim.Cycles) {
 	}
 }
 
-// Total returns the all-causes lifetime total (0 on a nil receiver).
-func (a *Account) Total() int64 {
-	if a == nil {
-		return 0
-	}
-	var t int64
-	for _, v := range a.cyc {
-		t += v
-	}
-	return t
-}
-
 // Window returns the per-cause cycles accumulated since the last Mark
 // (zeroes on a nil receiver).
 func (a *Account) Window() [NumCauses]int64 {

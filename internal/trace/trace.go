@@ -20,7 +20,7 @@ const chunkLen = 1024
 
 // Recorder accumulates fault records in completion order. It stores them
 // in fixed-size chunks, so each record is written once and never copied
-// by a regrowth; Reset keeps the chunks for reuse.
+// by a regrowth.
 type Recorder struct {
 	chunks []*[chunkLen]fault.Record
 	n      int
@@ -35,7 +35,7 @@ func NewRecorder() *Recorder { return &Recorder{} }
 func (r *Recorder) Record(rec fault.Record) {
 	c := r.n / chunkLen
 	if c == len(r.chunks) {
-		//detsim:allow one chunk per chunkLen records, kept across Reset: no record is ever copied
+		//detsim:allow one chunk per chunkLen records: no record is ever copied
 		r.chunks = append(r.chunks, new([chunkLen]fault.Record))
 	}
 	r.chunks[c][r.n%chunkLen] = rec
@@ -53,7 +53,7 @@ func (r *Recorder) Records() []fault.Record {
 }
 
 // Each calls fn for every captured record in completion order, without
-// copying. fn must not call Record or Reset on the same recorder.
+// copying. fn must not call Record on the same recorder.
 func (r *Recorder) Each(fn func(fault.Record)) {
 	for c, left := 0, r.n; left > 0; c, left = c+1, left-chunkLen {
 		for _, rec := range r.chunks[c][:min(left, chunkLen)] {
@@ -112,15 +112,6 @@ func (r *Recorder) Summarize() []KindSummary {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Kind < out[j].Kind })
 	return out
-}
-
-// WriteTable renders the summary in the style of the paper's Figures 2–3.
-func (r *Recorder) WriteTable(w io.Writer, title string) {
-	fmt.Fprintf(w, "%s\n", title)
-	fmt.Fprintf(w, "%-14s %10s %14s %14s %14s\n", "Fault Size", "Total", "Avg Cycles", "Stdev Cycles", "Max Cycles")
-	for _, s := range r.Summarize() {
-		fmt.Fprintf(w, "%-14s %10d %14.0f %14.0f %14d\n", s.Kind, s.Count, s.AvgCycles, s.StdevCycles, s.MaxCycles)
-	}
 }
 
 // WriteCSV emits one line per fault: time_cycles,cost_cycles,kind,stalled.
@@ -217,20 +208,6 @@ func (r *Recorder) Scatter(width, height int, logY bool) string {
 	b.WriteString("  . small  O 2MB  M merge-blocked  H hugetlb-2MB  h hugetlb-4KB  s stack\n")
 	return b.String()
 }
-
-// FilterKind returns a new recorder holding only records of kind k.
-func (r *Recorder) FilterKind(k fault.Kind) *Recorder {
-	out := NewRecorder()
-	r.Each(func(rec fault.Record) {
-		if rec.Kind == k {
-			out.Record(rec)
-		}
-	})
-	return out
-}
-
-// Reset discards all records, keeping the chunks for reuse.
-func (r *Recorder) Reset() { r.n = 0 }
 
 // Histogram renders an ASCII log-scale histogram of fault costs for one
 // kind — the distribution view behind the tables' stdev columns.

@@ -45,17 +45,6 @@ func TestSummarizeEmpty(t *testing.T) {
 	}
 }
 
-func TestWriteTable(t *testing.T) {
-	var b strings.Builder
-	sample().WriteTable(&b, "THP (miniMD)")
-	out := b.String()
-	for _, want := range []string{"THP (miniMD)", "small", "large", "merge", "100", "370000"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("table missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestWriteCSV(t *testing.T) {
 	var b strings.Builder
 	if err := sample().WriteCSV(&b); err != nil {
@@ -89,18 +78,6 @@ func TestScatterShapes(t *testing.T) {
 	}
 	// Tiny dimensions are clamped, not crashed.
 	_ = sample().Scatter(1, 1, false)
-}
-
-func TestFilterKindAndReset(t *testing.T) {
-	r := sample()
-	large := r.FilterKind(fault.KindLarge)
-	if large.Len() != 10 {
-		t.Fatalf("filtered %d", large.Len())
-	}
-	r.Reset()
-	if r.Len() != 0 {
-		t.Fatal("reset did not clear")
-	}
 }
 
 func TestHistogram(t *testing.T) {

@@ -235,23 +235,6 @@ func (r *refSpace) setBrk(newBrk uint64) (uint64, bool) {
 	return r.brk, true
 }
 
-// growStackTo mirrors Space.GrowStackTo on the lowest stack region.
-func (r *refSpace) growStackTo(va uint64) bool {
-	i := slices.IndexFunc(r.vmas, func(v refVMA) bool { return v.kind == KindStack })
-	if i < 0 {
-		return false
-	}
-	if va >= r.vmas[i].start {
-		return va < r.vmas[i].end
-	}
-	newStart := va &^ (mem.PageSize - 1)
-	if uint64(r.layout.StackTop)-newStart > r.layout.StackMax || r.overlaps(newStart, r.vmas[i].start) {
-		return false
-	}
-	r.vmas[i].start = newStart
-	return true
-}
-
 func (r *refSpace) cloneInto(dst *refSpace) {
 	dst.layout, dst.brk = r.layout, r.brk
 	dst.vmas = slices.Clone(r.vmas)
@@ -277,9 +260,8 @@ func vmaOf(v *VMA) refVMA {
 }
 
 // compareSpace fails unless s and ref agree on the region list, the
-// break, TotalBytes, the four counters and Find at probe (and at each
-// region's first and last byte and its end), and s passes
-// CheckInvariants.
+// break, the four counters and Find at probe (and at each region's
+// first and last byte and its end), and s passes CheckInvariants.
 func compareSpace(t *testing.T, step int, name string, s *Space, ref *refSpace, probe uint64) {
 	t.Helper()
 	got := make([]refVMA, 0, len(s.VMAs()))
@@ -289,14 +271,10 @@ func compareSpace(t *testing.T, step int, name string, s *Space, ref *refSpace, 
 	if !slices.Equal(got, ref.vmas) {
 		t.Fatalf("step %d: space %s holds %v; reference %v", step, name, got, ref.vmas)
 	}
-	var total uint64
-	for _, v := range ref.vmas {
-		total += v.end - v.start
-	}
-	gotN := [...]uint64{uint64(s.Brk()), s.TotalBytes(), s.Maps, s.Unmaps, s.Splits, s.Merges}
-	wantN := [...]uint64{ref.brk, total, ref.maps, ref.unmaps, ref.splits, ref.merges}
+	gotN := [...]uint64{uint64(s.Brk()), s.Maps, s.Unmaps, s.Splits, s.Merges}
+	wantN := [...]uint64{ref.brk, ref.maps, ref.unmaps, ref.splits, ref.merges}
 	if gotN != wantN {
-		t.Fatalf("step %d: space %s brk, total bytes, maps, unmaps, splits, merges = %v; reference %v", step, name, gotN, wantN)
+		t.Fatalf("step %d: space %s brk, maps, unmaps, splits, merges = %v; reference %v", step, name, gotN, wantN)
 	}
 	probes := []uint64{probe}
 	for _, v := range ref.vmas {
@@ -319,10 +297,9 @@ func compareSpace(t *testing.T, step int, name string, s *Space, ref *refSpace, 
 // checkSpace decodes data into operations on two spaces, applies each
 // to the space and to its reference, and fails at the first step where
 // a result or the state differs. Each step is five bytes: op, a, b, c,
-// d. The top bit of op picks the space; op%9 picks MapAligned at a
+// d. The top bit of op picks the space; op%8 picks MapAligned at a
 // chosen or a fixed address, Unmap, Protect, locking every region (as
-// linuxmm.MlockAll does), SetBrk, GrowStackTo, Reset, or CloneInto the
-// other space. a and b form a page index into fuzzLayout, c a length of
+// linuxmm.MlockAll does), SetBrk, Reset, or CloneInto the other space. a and b form a page index into fuzzLayout, c a length of
 // 1 to 64 pages (times 16 with bit 6; bit 7 makes a fixed address, an
 // unmap or a protect unaligned), d the protection (bits 0-2), kind
 // (bits 3-5) and placement alignment (bits 6-7). a = 0xff makes a map,
@@ -346,7 +323,7 @@ func checkSpace(t *testing.T, data []byte) {
 		prot := pgtable.Prot(d & 7)
 		kind := Kind((d >> 3 & 7) % 6)
 		align := [...]uint64{0, mem.PageSize, 16 * mem.PageSize, mem.LargePageSize}[d>>6]
-		kindOfOp := (op & 0x7f) % 9
+		kindOfOp := (op & 0x7f) % 8
 		if c&0x80 != 0 && kindOfOp <= 3 {
 			addr += 123
 		}
@@ -406,16 +383,10 @@ func checkSpace(t *testing.T, data []byte) {
 				t.Fatalf("step %d: %s = %#x, %v; reference %#x, %v", step, desc, got, err, want, ok)
 			}
 		case 6:
-			va := uint64(fuzzLayout.StackTop) - (1+page%512)*mem.PageSize + uint64(c)*8
-			desc = fmt.Sprintf("GrowStackTo(%#x)", va)
-			if got, want := s.GrowStackTo(pgtable.VirtAddr(va)), ref.growStackTo(va); got != want {
-				t.Fatalf("step %d: %s = %v; reference %v", step, desc, got, want)
-			}
-		case 7:
 			desc = "Reset"
 			s.Reset(fuzzLayout)
 			ref.reset(fuzzLayout)
-		case 8:
+		case 7:
 			desc = "CloneInto"
 			s.CloneInto(spaces[1-which])
 			ref.cloneInto(refs[1-which])
@@ -452,9 +423,8 @@ func FuzzSpace(f *testing.F) {
 		2, 0xff, 1, 0, 0, // Unmap(BrkStart+511p, 0): nothing mapped there
 	})
 	// Top-down placement at mixed alignments (the 16-page and 2 MB ones
-	// leave gaps), a heap grown, shrunk and grown back into a merge,
-	// the stack grown, and a clone into the second space, which then
-	// diverges.
+	// leave gaps), a heap grown, shrunk and grown back into a merge, and
+	// a clone into the second space, which then diverges.
 	f.Add([]byte{
 		0, 0, 0, 4, 3, // MapAligned(0, 5 pages, rw, anon)
 		0, 0, 0, 2, 0x80 | 3, // MapAligned(0, 3 pages, rw, anon, align 16 pages)
@@ -463,11 +433,10 @@ func FuzzSpace(f *testing.F) {
 		5, 40, 0, 3, 0, // SetBrk(BrkStart+40p+192)
 		5, 20, 0, 0, 0, // SetBrk(BrkStart+20p)
 		5, 60, 0, 0, 0, // SetBrk(BrkStart+60p)
-		6, 100, 0, 0, 0, // GrowStackTo(StackTop-101p)
-		8, 0, 0, 0, 0, // CloneInto(space 1)
+		7, 0, 0, 0, 0, // CloneInto(space 1)
 		0x82, 20, 0, 9, 0, // space 1: Unmap(BrkStart+20p, 10 pages)
 		0x81, 30, 0, 1, 3<<3 | 3, // space 1: MapAligned(BrkStart+30p, 2 pages, rw, file)
-		7, 0, 0, 0, 0, // Reset space 0
+		6, 0, 0, 0, 0, // Reset space 0
 		0, 0, 0, 0, 4<<3 | 3, // MapAligned(0, 1 page, rw, hugetlb)
 		0, 0, 0, 0, 4<<3 | 3, // MapAligned(0, 1 page, rw, hugetlb): adjacent, never merges
 	})

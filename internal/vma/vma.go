@@ -57,17 +57,8 @@ type VMA struct {
 	Locked bool
 }
 
-// Len returns the region size in bytes.
-func (v *VMA) Len() uint64 { return uint64(v.End - v.Start) }
-
 // Contains reports whether va falls inside the VMA.
 func (v *VMA) Contains(va pgtable.VirtAddr) bool { return va >= v.Start && va < v.End }
-
-// LargePageAligned reports whether the VMA can be mapped entirely with
-// 2MB pages: both ends 2MB-aligned.
-func (v *VMA) LargePageAligned() bool {
-	return uint64(v.Start)%mem.LargePageSize == 0 && uint64(v.End)%mem.LargePageSize == 0
-}
 
 func (v *VMA) String() string {
 	return fmt.Sprintf("%#x-%#x %s %s", uint64(v.Start), uint64(v.End), v.Kind, protString(v.Prot))
@@ -147,7 +138,7 @@ func (s *Space) recycle(v *VMA) { s.pool = append(s.pool, v) }
 // stack VMA.
 func NewSpace(layout Layout) *Space {
 	s := &Space{layout: layout, brk: layout.BrkStart}
-	// Initial 128KB stack, grows down on demand up to StackMax.
+	// Initial 128KB stack.
 	stackLow := layout.StackTop - pgtable.VirtAddr(128<<10)
 	s.insert(&VMA{Start: stackLow, End: layout.StackTop, Prot: pgtable.ProtRead | pgtable.ProtWrite, Kind: KindStack})
 	return s
@@ -191,15 +182,6 @@ func (s *Space) Brk() pgtable.VirtAddr { return s.brk }
 // VMAs returns the regions in address order. The slice is shared; callers
 // must not mutate it.
 func (s *Space) VMAs() []*VMA { return s.vmas }
-
-// TotalBytes returns the total mapped virtual size.
-func (s *Space) TotalBytes() uint64 {
-	var t uint64
-	for _, v := range s.vmas {
-		t += v.Len()
-	}
-	return t
-}
 
 // searchIdx returns the index of the first VMA with End > va.
 func (s *Space) searchIdx(va pgtable.VirtAddr) int {
@@ -272,13 +254,6 @@ func (s *Space) FindUnmapped(length, align uint64) (pgtable.VirtAddr, error) {
 		}
 	}
 	return 0, fmt.Errorf("vma: no unmapped gap of %d bytes (align %d)", length, align)
-}
-
-// Map creates a VMA. If addr is zero a gap is chosen with FindUnmapped
-// using the default (small-page) alignment; pass a non-zero addr for
-// MAP_FIXED semantics (fails on overlap). length is rounded up to 4KB.
-func (s *Space) Map(addr pgtable.VirtAddr, length uint64, prot pgtable.Prot, kind Kind) (*VMA, error) {
-	return s.MapAligned(addr, length, prot, kind, 0)
 }
 
 // MapAligned is Map with an explicit placement alignment (e.g. 2MB for
@@ -472,31 +447,6 @@ func (s *Space) SetBrk(newBrk pgtable.VirtAddr) (pgtable.VirtAddr, error) {
 	}
 	s.brk = newBrk
 	return s.brk, nil
-}
-
-// GrowStackTo extends the stack VMA downward to cover va (the kernel's
-// expand_stack on a fault below the stack). Reports whether the growth
-// was within RLIMIT_STACK.
-func (s *Space) GrowStackTo(va pgtable.VirtAddr) bool {
-	var stack *VMA
-	for _, v := range s.vmas {
-		if v.Kind == KindStack {
-			stack = v
-			break
-		}
-	}
-	if stack == nil || va >= stack.Start {
-		return stack != nil && stack.Contains(va)
-	}
-	newStart := pgtable.VirtAddr(uint64(va) &^ (mem.PageSize - 1))
-	if uint64(s.layout.StackTop-newStart) > s.layout.StackMax {
-		return false
-	}
-	if s.overlaps(newStart, stack.Start) {
-		return false
-	}
-	stack.Start = newStart
-	return true
 }
 
 // Clone returns a deep copy of the address space — fork's view of the

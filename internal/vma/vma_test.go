@@ -13,6 +13,20 @@ const rw = pgtable.ProtRead | pgtable.ProtWrite
 
 func newSpace() *Space { return NewSpace(DefaultLayout()) }
 
+// Len returns the region size in bytes.
+func (v *VMA) Len() uint64 { return uint64(v.End - v.Start) }
+
+// Map is MapAligned at the default (small-page) alignment.
+func (s *Space) Map(addr pgtable.VirtAddr, length uint64, prot pgtable.Prot, kind Kind) (*VMA, error) {
+	return s.MapAligned(addr, length, prot, kind, 0)
+}
+
+// LargePageAligned reports whether the VMA can be mapped entirely with
+// 2MB pages: both ends 2MB-aligned.
+func (v *VMA) LargePageAligned() bool {
+	return uint64(v.Start)%mem.LargePageSize == 0 && uint64(v.End)%mem.LargePageSize == 0
+}
+
 func TestNewSpaceHasStack(t *testing.T) {
 	s := newSpace()
 	if len(s.VMAs()) != 1 {
@@ -261,27 +275,6 @@ func TestSetBrkCollision(t *testing.T) {
 	}
 	if _, err := s.SetBrk(start + pgtable.VirtAddr(4<<20)); err == nil {
 		t.Fatal("brk growth through a mapping accepted")
-	}
-}
-
-func TestGrowStack(t *testing.T) {
-	s := newSpace()
-	stack := s.VMAs()[0]
-	below := stack.Start - pgtable.VirtAddr(64<<10)
-	if !s.GrowStackTo(below) {
-		t.Fatal("stack growth within rlimit refused")
-	}
-	if !s.Find(below).Contains(below) {
-		t.Fatal("grown stack does not cover fault address")
-	}
-	// Beyond RLIMIT_STACK fails.
-	far := DefaultLayout().StackTop - pgtable.VirtAddr(DefaultLayout().StackMax+1<<20)
-	if s.GrowStackTo(far) {
-		t.Fatal("stack growth beyond rlimit accepted")
-	}
-	// Address already inside the stack: fine.
-	if !s.GrowStackTo(stack.End - 1) {
-		t.Fatal("address inside stack rejected")
 	}
 }
 

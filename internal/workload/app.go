@@ -157,9 +157,6 @@ func Start(eng *sim.Engine, opts Options, onDone func(Result)) (*App, error) {
 	return a, nil
 }
 
-// Result returns the final result; valid after onDone fired.
-func (a *App) Result() Result { return a.result }
-
 // fail aborts the run.
 func (a *App) fail(err error) {
 	if a.failed {

@@ -230,14 +230,6 @@ func ByName(name string) (AppSpec, bool) {
 	return AppSpec{}, false
 }
 
-// ScaleFootprint returns a copy of the spec with the per-rank footprint
-// scaled by f — used to fit total memory to the machine (the paper sizes
-// inputs so the application consumes the reserved 12GB).
-func (s AppSpec) ScaleFootprint(f float64) AppSpec {
-	s.FootprintPerRank = uint64(float64(s.FootprintPerRank) * f)
-	return s
-}
-
 // ScaleWork scales the per-rank problem size: footprint, compute,
 // accesses, churn and communication all grow together, as they do when a
 // weak-scaled input is enlarged. Used to size the cluster-study inputs.

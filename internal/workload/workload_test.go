@@ -238,10 +238,6 @@ func TestSpecLookup(t *testing.T) {
 	if _, ok := ByName("nope"); ok {
 		t.Fatal("unknown benchmark resolved")
 	}
-	s := HPCCG().ScaleFootprint(0.5)
-	if s.FootprintPerRank != HPCCG().FootprintPerRank/2 {
-		t.Fatalf("ScaleFootprint: %d", s.FootprintPerRank)
-	}
 }
 
 func TestMemoryOverheadShape(t *testing.T) {
