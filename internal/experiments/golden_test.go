@@ -37,9 +37,9 @@ const goldenDir = "testdata/golden"
 // fig3), their per-fault records and timelines (fig2 CSV, fig4, fig5),
 // the aggregate-fidelity weak-scaling grid (fig7), the multi-node study
 // (fig8), the chaos sweep, the barrier attribution report, the noise
-// study at its defaults, the datacenter agent's pod churn, touch tails
-// and OOM kills, and its failure domain's evictions, restarts and zone
-// outages.
+// study at its defaults (rounded, and bit-exact at scales 1 and 0.25),
+// the datacenter agent's pod churn, touch tails and OOM kills, and its
+// failure domain's evictions, restarts and zone outages.
 func renderGoldenArtifacts(t *testing.T, workers int, cache *runner.Cache) map[string][]byte {
 	t.Helper()
 	out := make(map[string][]byte)
@@ -161,6 +161,21 @@ func renderGoldenArtifacts(t *testing.T, workers int, cache *runner.Cache) map[s
 			return err
 		}
 		w.WriteString(WriteNoiseStudy(points))
+		return nil
+	})
+	// noise.txt rounds runtimes to 0.1 s; %v prints the shortest form
+	// that round-trips, so each line here pins every bit of a point.
+	render("noise-exact.txt", func(w *bytes.Buffer) error {
+		for _, sc := range []Scale{1, 0.25} {
+			points, err := NoiseStudy(NoiseStudyOptions{Scale: sc, Workers: workers})
+			if err != nil {
+				return err
+			}
+			for _, p := range points {
+				fmt.Fprintf(w, "scale=%v ranks=%d base=%v noisy=%v cost=%v amplification=%v\n",
+					sc, p.Ranks, p.BaseSec, p.NoisySec, p.SlowdownSec, p.Amplification)
+			}
+		}
 		return nil
 	})
 	dc, err := DatacenterStudyRun(DatacenterStudyOptions{
