@@ -8,6 +8,7 @@
 //	hpmmap-bench -exp fig5            # HugeTLBfs fault timelines (Fig. 5)
 //	hpmmap-bench -exp fig7 -workers 8 # single-node weak scaling (Fig. 7)
 //	hpmmap-bench -exp fig8            # 8-node scaling study (Fig. 8)
+//	hpmmap-bench -exp noise           # BSP noise-amplification study
 //	hpmmap-bench -exp attribution     # barrier noise-attribution study
 //	hpmmap-bench -exp all             # everything
 //
@@ -43,10 +44,11 @@
 // lowest-priority pods while zone outages displace survivors; every
 // cell reports per-priority eviction/restart counts, the crash-loop
 // backoff distribution, per-class fault tails and victim interference,
-// and -out also writes a long-format eviction.csv. All studies
-// run with the runner's degradation machinery: failed cells become
-// annotated holes (-fail-fast reverts to abort-on-first-error) and
-// -cell-timeout bounds a cell's wall clock.
+// and -out also writes a long-format eviction.csv. The chaos study
+// runs with the runner's degradation machinery: failed cells become
+// annotated holes (-fail-fast reverts to abort-on-first-error). The
+// datacenter and eviction studies stop at the first failed cell.
+// -audit, -cell-timeout and -intensities apply to all three.
 //
 // In the calibration studies (single.go) a shared flag left at its zero
 // value keeps the study's own default, and none of them uses
@@ -55,12 +57,13 @@
 // Every experiment executes through the internal/runner worker pool:
 // -workers bounds the pool (0 = one worker per CPU) and results are
 // byte-identical at any worker count, -timeout cancels a stuck run, and
-// -cache-dir memoizes per-cell results so re-invocations only simulate
-// changed cells. -scale shrinks the experiment (memory, footprints,
-// iterations) for quick runs; -runs overrides the paper's 10
-// repetitions; -bench and -cores narrow Figure 7 to one cell. A flag
-// value outside the names it takes exits 2, listing them, before any
-// artifact opens.
+// -cache-dir memoizes per-cell results of fig7, fig8 and the chaos,
+// datacenter and eviction studies, so re-invocations only simulate
+// changed cells; the other experiments never read it. -scale shrinks
+// the experiment (memory, footprints, iterations) for quick runs; -runs
+// overrides the paper's 10 repetitions; -bench and -cores narrow
+// Figure 7 to one cell. A flag value outside the names it takes exits
+// 2, listing them, before any artifact opens.
 //
 // The artifact flags -metrics, -ledger, -trace-out, -series,
 // -cpuprofile and -memprofile are the ones every experiment CLI shares
@@ -105,7 +108,7 @@ func main() {
 		cores    = flag.String("cores", "", "comma-separated core counts (fig7; a study takes the first as its rank count)")
 		workers  = flag.Int("workers", 0, "parallel simulation workers (0 = one per CPU; results identical at any count)")
 		timeout  = flag.Duration("timeout", 0, "cancel the run after this long (0 = no timeout)")
-		cacheDir = flag.String("cache-dir", "", "JSON result cache: reuse per-cell results keyed by exp/cell/seed/plan inputs (scale, study options)/model-version")
+		cacheDir = flag.String("cache-dir", "", "fig7, fig8, chaos, datacenter and eviction: JSON result cache reusing per-cell results keyed by exp/cell/seed/plan inputs (scale, study options)/model-version (the other experiments never read it)")
 		verbose  = flag.Bool("v", false, "print per-cell progress with done/total and ETA")
 		plotW    = flag.Int("plot-width", 100, "timeline plot width")
 		plotH    = flag.Int("plot-height", 18, "timeline plot height (faulttrace study: 0 = no scatter)")
@@ -118,10 +121,10 @@ func main() {
 		hist        = flag.String("hist", "", "faulttrace study: also print a cost histogram of this fault kind: small|large|merge|hugetlb-large|hugetlb-small")
 		churns      = flag.String("churns", "", "datacenter study: comma-separated pod arrival rates in pods/sec (default 0,50,200; 0 is the interference baseline); eviction study: single fixed rate (default 200)")
 		overcommits = flag.String("overcommits", "", "eviction study: comma-separated limits:requests overcommit ratios (default 1,1.5,2; 1 disables the failure domain and is the interference baseline)")
-		audit       = flag.Bool("audit", false, "chaos study: attach the invariant auditor to every cell's node (schedules extra events, so it changes sim_events_total)")
-		intensities = flag.String("intensities", "", "chaos study: comma-separated chaos intensities in [0,1] (default 0,0.25,0.5,0.75,1)")
+		audit       = flag.Bool("audit", false, "chaos, datacenter and eviction studies: attach the invariant auditor to every cell's node (schedules extra events, so it changes sim_events_total)")
+		intensities = flag.String("intensities", "", "chaos, datacenter and eviction studies: comma-separated chaos intensities in [0,1] (default: chaos 0,0.25,0.5,0.75,1; datacenter and eviction 0,0.75)")
 		chaosPoison = flag.Int("chaos-poison", -1, "chaos study: inject a deliberate invariant violation into this plan cell (>= 1) to drill the quarantine path; -1 = off")
-		cellTimeout = flag.Duration("cell-timeout", 0, "chaos study: per-cell wall-clock budget (0 = none)")
+		cellTimeout = flag.Duration("cell-timeout", 0, "chaos, datacenter and eviction studies: per-cell wall-clock budget (0 = none)")
 		failFast    = flag.Bool("fail-fast", false, "chaos study: abort on the first cell failure instead of quarantining it as an annotated hole")
 	)
 	flag.Parse()
@@ -238,13 +241,14 @@ func main() {
 			points, err := experiments.NoiseStudy(experiments.NoiseStudyOptions{
 				Seed: *seed, Scale: sc,
 				Workers: *workers, Context: ctx, Progress: progress,
+				Obs: art.Observe("noise"),
 			})
 			if err != nil {
 				return err
 			}
 			fmt.Println("=== BSP noise-amplification study (HPMMAP-managed HPCCG, synthetic detours) ===")
 			fmt.Print(experiments.WriteNoiseStudy(points))
-			return nil
+			return art.Flush()
 		}},
 		{"attribution", func() error {
 			o := experiments.AttributionStudyOptions{

@@ -82,10 +82,7 @@ func runProbe(a studyArgs) error {
 	}}
 	outs, err := runner.Run(runner.Options{Workers: 1, Context: a.ctx, Obs: obs}, plan,
 		func(ctx context.Context, idx int, cell runner.Cell, _ uint64) (experiments.RunOutcome, error) {
-			r := rs
-			r.Metrics, r.Tracer = obs.Cell(idx, cell.String())
-			r.Series, r.Context = obs.Series(idx), ctx
-			return experiments.ExecuteSingleNode(r)
+			return experiments.ExecuteSingleNode(rs.InCell(ctx, obs, idx, cell))
 		})
 	if err != nil {
 		return err
@@ -211,12 +208,10 @@ func runSweep(a studyArgs) error {
 		secs, err := runner.Run(opts, plan, func(ctx context.Context, idx int, cell runner.Cell, cellSeed uint64) (float64, error) {
 			rs := experiments.SingleRun{
 				Bench: spec, Kind: kinds[idx], Profile: prof, Ranks: cell.Cores,
-				Seed: cellSeed, Scale: a.scale, Context: ctx,
+				Seed: cellSeed, Scale: a.scale,
 			}
 			k.apply(&rs.Overrides, vals[idx])
-			rs.Metrics, rs.Tracer = obs.Cell(idx, cell.String())
-			rs.Series = obs.Series(idx)
-			out, err := experiments.ExecuteSingleNode(rs)
+			out, err := experiments.ExecuteSingleNode(rs.InCell(ctx, obs, idx, cell))
 			return out.RuntimeSec, err
 		})
 		if err != nil {

@@ -133,11 +133,13 @@ func main() {
 	points, err := experiments.NoiseStudy(experiments.NoiseStudyOptions{
 		Seed: *seed, Scale: sc,
 		Workers: *workers, Context: ctx, Progress: progress,
+		Obs: art.Observe("noise"),
 	})
 	fail(err)
 	fmt.Println("```")
 	fmt.Print(experiments.WriteNoiseStudy(points))
 	fmt.Println("```")
+	fail(art.Flush())
 
 	section("Barrier noise attribution (supplementary)")
 	cells, err := experiments.RunAttributionStudy(experiments.AttributionStudyOptions{

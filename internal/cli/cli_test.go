@@ -124,11 +124,19 @@ func artifactFlags(dir string) []string {
 	}
 }
 
+// The names hpmmap-bench's -exp and -study take, as a rejected value
+// lists them.
+const (
+	expNames   = "fig2, fig3, fig4, fig5, fig7, noise, attribution, fig8, all"
+	studyNames = "chaos, datacenter, eviction, probe, faulttrace, sweep"
+)
+
 // TestEveryCLIWritesEveryArtifact runs each experiment CLI with all six
 // artifact flags and checks that each writes the same set of files:
 // one metrics, trace and series file per experiment (the experiment
 // name spliced in when there are several), one ledger and two
-// profiles. A rejected invocation writes none of them.
+// profiles. A rejected invocation writes none of them. Every -exp and
+// -study name but "all" has a success case.
 func TestEveryCLIWritesEveryArtifact(t *testing.T) {
 	cases := []struct {
 		name, tool string
@@ -140,16 +148,28 @@ func TestEveryCLIWritesEveryArtifact(t *testing.T) {
 		wantStderr  []string
 	}{
 		{"bench", "hpmmap-bench", []string{"-exp", "fig2", "-scale", "0.1"}, []string{""}, 0, nil},
+		{"fig3", "hpmmap-bench", []string{"-exp", "fig3", "-scale", "0.1"}, []string{""}, 0, nil},
+		{"fig4", "hpmmap-bench", []string{"-exp", "fig4", "-scale", "0.1"}, []string{""}, 0, nil},
+		{"fig5", "hpmmap-bench", []string{"-exp", "fig5", "-scale", "0.1"}, []string{""}, 0, nil},
+		{"fig7", "hpmmap-bench", []string{"-exp", "fig7", "-bench", "miniMD", "-cores", "1,2", "-runs", "1", "-scale", "0.05"}, []string{""}, 0, nil},
+		{"fig8", "hpmmap-bench", []string{"-exp", "fig8", "-bench", "LAMMPS", "-runs", "1", "-scale", "0.05"}, []string{""}, 0, nil},
+		{"noise", "hpmmap-bench", []string{"-exp", "noise", "-scale", "0.25"}, []string{""}, 0, nil},
+		{"attribution", "hpmmap-bench", []string{"-exp", "attribution", "-scale", "0.25"}, []string{""}, 0, nil},
+		{"chaos", "hpmmap-bench", []string{"-study", "chaos", "-scale", "0.1", "-runs", "1", "-cores", "2", "-intensities", "0,1"}, []string{""}, 0, nil},
+		{"datacenter", "hpmmap-bench", []string{"-study", "datacenter", "-scale", "0.1", "-runs", "1", "-cores", "2", "-churns", "0,50", "-intensities", "0"}, []string{""}, 0, nil},
+		// Overcommit 1 only: with -trace-out, a 1.5x cell records ~134 M
+		// reclaim events.
+		{"eviction", "hpmmap-bench", []string{"-study", "eviction", "-scale", "0.1", "-runs", "1", "-cores", "2", "-overcommits", "1", "-intensities", "0"}, []string{""}, 0, nil},
 		{"faulttrace", "hpmmap-bench", []string{"-study", "faulttrace", "-scale", "0.1", "-plot-height", "0"}, []string{""}, 0, nil},
 		{"probe", "hpmmap-bench", []string{"-study", "probe", "-cores", "2"}, []string{""}, 0, nil},
 		{"sweep", "hpmmap-bench", []string{"-study", "sweep", "-knob", "thp-frag", "-runs", "1", "-scale", "0.25"}, []string{""}, 0, nil},
 		{"sweep -cores 2", "hpmmap-bench", []string{"-study", "sweep", "-knob", "thp-frag", "-runs", "1", "-scale", "0.1", "-cores", "2"}, []string{""}, 0, nil},
 		{"report", "hpmmap-report", []string{"-scale", "0.25", "-skip-fig7", "-skip-fig8"},
-			[]string{"-fig2", "-fig3", "-attribution"}, 0, nil},
+			[]string{"-fig2", "-fig3", "-noise", "-attribution"}, 0, nil},
 		{"bench unknown -exp", "hpmmap-bench", []string{"-exp", "fig9", "-scale", "0.1"}, nil, 2,
-			[]string{`unknown -exp "fig9"`, "fig2, fig3, fig4, fig5, fig7, noise, attribution, fig8, all"}},
+			[]string{`unknown -exp "fig9"`, expNames}},
 		{"bench unknown -study", "hpmmap-bench", []string{"-study", "storm"}, nil, 2,
-			[]string{`unknown -study "storm"`, "chaos, datacenter, eviction, probe, faulttrace, sweep"}},
+			[]string{`unknown -study "storm"`, studyNames}},
 		{"sweep unknown -profile", "hpmmap-bench", []string{"-study", "sweep", "-profile", "7"}, nil, 2,
 			[]string{`unknown -profile "7"`, "none, A, B"}},
 		{"probe unknown -manager", "hpmmap-bench", []string{"-study", "probe", "-manager", "2"}, nil, 2,
@@ -176,6 +196,19 @@ func TestEveryCLIWritesEveryArtifact(t *testing.T) {
 			[]string{"bad -scale -0.5"}},
 		{"report NaN -scale", "hpmmap-report", []string{"-scale", "NaN"}, nil, 2,
 			[]string{"bad -scale NaN"}},
+	}
+	covered := map[string]bool{}
+	for _, c := range cases {
+		for i := 0; c.tool == "hpmmap-bench" && c.wantCode == 0 && i+1 < len(c.args); i++ {
+			covered[c.args[i]+" "+c.args[i+1]] = true
+		}
+	}
+	for flagName, names := range map[string]string{"-exp": expNames, "-study": studyNames} {
+		for _, name := range strings.Split(names, ", ") {
+			if name != "all" && !covered[flagName+" "+name] {
+				t.Errorf("hpmmap-bench %s %s has no success case", flagName, name)
+			}
+		}
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -99,7 +99,6 @@ func RunAttributionStudy(o AttributionStudyOptions) ([]AttributionCell, error) {
 		Obs:      o.Obs,
 	}, plan, func(ctx context.Context, idx int, cell runner.Cell, seed uint64) (cellOut, error) {
 		attr := timeline.NewAttribution(o.Ranks)
-		reg, tr := o.Obs.Cell(idx, cell.String())
 		out, err := ExecuteSingleNode(SingleRun{
 			Bench:       spec,
 			Kind:        kinds[idx],
@@ -107,12 +106,8 @@ func RunAttributionStudy(o AttributionStudyOptions) ([]AttributionCell, error) {
 			Ranks:       o.Ranks,
 			Seed:        seed,
 			Scale:       o.Scale,
-			Metrics:     reg,
-			Tracer:      tr,
-			Context:     ctx,
-			Series:      o.Obs.Series(idx),
 			Attribution: attr,
-		})
+		}.InCell(ctx, o.Obs, idx, cell))
 		if err != nil {
 			return cellOut{}, err
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"hpmmap/internal/invariant"
 	"hpmmap/internal/ledger"
 	"hpmmap/internal/metrics"
 	"hpmmap/internal/runner"
@@ -147,7 +148,7 @@ func TestChaosDrillSurvivesWarmCache(t *testing.T) {
 	if len(s.Failures) != 1 || s.Failures[0].Index != 1 {
 		t.Fatalf("want cell 1 quarantined, got %+v", s.Failures)
 	}
-	if v := s.Failures[0].Violation; v == nil || v.Check != "chaos_injected" {
+	if v, ok := invariant.As(s.Failures[0].Err); !ok || v.Check != "chaos_injected" {
 		t.Fatalf("structured violation lost: %+v", s.Failures[0])
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"hpmmap/internal/chaos"
 	"hpmmap/internal/invariant"
+	"hpmmap/internal/ledger"
 	"hpmmap/internal/runner"
 	"hpmmap/internal/stats"
 	"hpmmap/internal/workload"
@@ -123,16 +124,6 @@ type ChaosSeries struct {
 	Points []ChaosPoint
 }
 
-// ChaosCellFailure records one quarantined cell for the study report.
-type ChaosCellFailure struct {
-	Index int
-	Label string
-	Err   string
-	// Violation is the structured invariant record, when the failure
-	// carried one.
-	Violation *invariant.Violation
-}
-
 // ChaosStudy is the study result: the degradation curves plus the
 // structured failure report of any quarantined cells.
 type ChaosStudy struct {
@@ -140,8 +131,8 @@ type ChaosStudy struct {
 	Cores  int
 	Series []ChaosSeries
 	// Failures lists quarantined cells in cell-index order (empty on a
-	// clean run).
-	Failures []ChaosCellFailure
+	// clean run); invariant.As reads a failure's structured violation.
+	Failures []runner.CellError
 }
 
 // Report rolls the structured violations of the quarantined cells into
@@ -149,8 +140,8 @@ type ChaosStudy struct {
 func (s ChaosStudy) Report() invariant.Report {
 	var vs []*invariant.Violation
 	for _, f := range s.Failures {
-		if f.Violation != nil {
-			vs = append(vs, f.Violation)
+		if v, ok := invariant.As(f.Err); ok {
+			vs = append(vs, v)
 		}
 	}
 	return invariant.NewReport(vs)
@@ -203,10 +194,8 @@ func ChaosStudyRun(o ChaosStudyOptions) (ChaosStudy, error) {
 		Cache:           o.Cache,
 		Obs:             o.Obs,
 	}, plan, func(ctx context.Context, idx int, cell runner.Cell, seed uint64) (runtimeCell, error) {
-		reg, tr := o.Obs.Cell(idx, cell.String())
 		cfg := chaos.DefaultConfig(metas[idx].intensity)
 		cfg.InjectViolation = idx == o.PoisonCell
-		inj := chaos.New(cfg, seed)
 		out, err := ExecuteSingleNode(SingleRun{
 			Bench:   spec,
 			Kind:    metas[idx].kind,
@@ -214,12 +203,9 @@ func ChaosStudyRun(o ChaosStudyOptions) (ChaosStudy, error) {
 			Ranks:   o.Cores,
 			Seed:    seed,
 			Scale:   o.Scale,
-			Metrics: reg,
-			Tracer:  tr,
-			Context: ctx,
-			Chaos:   inj,
+			Chaos:   chaos.New(cfg, seed),
 			Audit:   o.Audit,
-		})
+		}.InCell(ctx, o.Obs, idx, cell))
 		if err != nil {
 			return runtimeCell{}, err
 		}
@@ -233,13 +219,9 @@ func ChaosStudyRun(o ChaosStudyOptions) (ChaosStudy, error) {
 		if !ok {
 			return ChaosStudy{}, fmt.Errorf("chaos study: %w", err)
 		}
+		study.Failures = ge.Failures
 		for _, f := range ge.Failures {
 			failed[f.Index] = true
-			cf := ChaosCellFailure{Index: f.Index, Label: f.Cell.String(), Err: f.Err.Error()}
-			if v, ok := invariant.As(f.Err); ok {
-				cf.Violation = v
-			}
-			study.Failures = append(study.Failures, cf)
 		}
 	}
 
@@ -307,23 +289,12 @@ func WriteChaosStudy(w io.Writer, s ChaosStudy) {
 	if len(s.Failures) > 0 {
 		fmt.Fprintf(w, "\nquarantined cells (%d):\n", len(s.Failures))
 		for _, f := range s.Failures {
-			detail := f.Err
-			if f.Violation != nil {
-				detail = f.Violation.Error()
+			err := f.Err
+			if v, ok := invariant.As(err); ok {
+				err = v
 			}
-			fmt.Fprintf(w, "  #%d %s: %s\n", f.Index, f.Label, firstLine(detail))
+			fmt.Fprintf(w, "  #%d %s: %s\n", f.Index, f.Cell, ledger.FirstLine(err))
 		}
 		fmt.Fprintf(w, "\n%s\n", s.Report())
 	}
-}
-
-// firstLine truncates multi-line error text (panic stacks) to its first
-// line for the table report.
-func firstLine(s string) string {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			return s[:i]
-		}
-	}
-	return s
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"hpmmap/internal/invariant"
 	"hpmmap/internal/runner"
 )
 
@@ -90,10 +91,11 @@ func TestChaosStudyPoisonedCellQuarantined(t *testing.T) {
 	if f.Index != 1 {
 		t.Fatalf("wrong cell quarantined: %+v", f)
 	}
-	if f.Violation == nil || f.Violation.Check != "chaos_injected" || f.Violation.Subsystem != "chaos" {
+	v, ok := invariant.As(f.Err)
+	if !ok || v.Check != "chaos_injected" || v.Subsystem != "chaos" {
 		t.Fatalf("structured violation lost: %+v", f)
 	}
-	if f.Violation.SimCycles == 0 {
+	if v.SimCycles == 0 {
 		t.Fatal("violation not annotated with simulated time")
 	}
 	// The poisoned point is a hole; the others survived.

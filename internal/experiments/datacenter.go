@@ -241,7 +241,6 @@ func runMixed(o DatacenterStudyOptions, g mixedGrid) (DatacenterStudy, error) {
 		Obs:         o.Obs,
 	}, plan, func(ctx context.Context, idx int, cell runner.Cell, seed uint64) (DatacenterCell, error) {
 		pt := points[idx/o.Runs] // each point's runs are consecutive cells
-		reg, tr := o.Obs.Cell(idx, cell.String())
 		dcCfg := datacenter.DefaultConfig()
 		if pt.Churn > 0 {
 			dcCfg.ChurnMeanPeriod = sim.Cycles(clockHz / pt.Churn)
@@ -269,15 +268,11 @@ func runMixed(o DatacenterStudyOptions, g mixedGrid) (DatacenterStudy, error) {
 			Ranks:       o.Ranks,
 			Seed:        seed,
 			Scale:       o.Scale,
-			Metrics:     reg,
-			Tracer:      tr,
-			Context:     ctx,
 			Chaos:       inj,
 			Audit:       o.Audit,
-			Series:      o.Obs.Series(idx),
 			Attribution: attr,
 			Datacenter:  &dcCfg,
-		})
+		}.InCell(ctx, o.Obs, idx, cell))
 		if err != nil {
 			return DatacenterCell{}, err
 		}

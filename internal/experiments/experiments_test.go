@@ -6,6 +6,7 @@ import (
 
 	"hpmmap/internal/fault"
 	"hpmmap/internal/kernel"
+	"hpmmap/internal/sim"
 	"hpmmap/internal/workload"
 )
 
@@ -323,6 +324,10 @@ func TestExecuteClusterValidation(t *testing.T) {
 	}
 	if _, err := ExecuteCluster(SingleRun{Bench: spec, Kind: THP, Profile: ProfileC, Ranks: 4, Seed: 1, Scale: 0.25, Audit: true}); err == nil {
 		t.Fatal("a cluster run asking for the single-node auditor accepted")
+	}
+	delay := func(iter, rank int) sim.Cycles { return 0 }
+	if _, err := ExecuteCluster(SingleRun{Bench: spec, Kind: THP, Profile: ProfileC, Ranks: 4, Seed: 1, Scale: 0.25, CommDelay: delay}); err == nil {
+		t.Fatal("a cluster run asking for a comm-delay hook accepted")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"hpmmap/internal/kernel"
 	"hpmmap/internal/runner"
 	"hpmmap/internal/sim"
 	"hpmmap/internal/workload"
@@ -50,6 +51,11 @@ type NoiseStudyOptions struct {
 	// Progress receives one line per completed cell from the runner's
 	// serialized sink (calls never overlap).
 	Progress func(string)
+	// Obs, when non-nil, collects per-cell metric snapshots and Chrome
+	// trace events; with series enabled it also samples each cell.
+	// Noise cells are never cached, so every cell contributes fresh
+	// artifacts.
+	Obs *runner.Observations
 }
 
 func (o *NoiseStudyOptions) defaults() {
@@ -85,7 +91,6 @@ var noiseVariants = []string{"base", "noisy"}
 // coordinate-derived seed.
 func NoiseStudy(o NoiseStudyOptions) ([]NoisePoint, error) {
 	o.defaults()
-	spec := scaleSpec(workload.HPCCG(), o.Scale)
 	plan := runner.Plan{Name: "noise", Seed: o.Seed}
 	for _, ranks := range o.RankCounts {
 		for _, variant := range noiseVariants {
@@ -99,34 +104,37 @@ func NoiseStudy(o NoiseStudyOptions) ([]NoisePoint, error) {
 		Workers:  o.Workers,
 		Context:  o.Context,
 		Progress: progressLines[any](o.Progress, nil),
+		Obs:      o.Obs,
 	}, plan, func(ctx context.Context, idx int, cell runner.Cell, seed uint64) (float64, error) {
 		// Both variants of a rank count boot the same engine stream.
 		engineCell := cell
 		engineCell.Variant = ""
-		engineSeed := engineCell.Seed(o.Seed)
-		var noise func(iter, rank int) sim.Cycles
+		rs := SingleRun{
+			Bench: workload.HPCCG(), Kind: HPMMAP, Profile: ProfileNone,
+			Ranks: cell.Cores, Seed: engineCell.Seed(o.Seed), Scale: o.Scale,
+		}
 		if cell.Variant == "noisy" {
 			rnd := sim.NewRand(seed) // the noisy cell's own substream
-			noise = func(iter, rank int) sim.Cycles {
+			rs.CommDelay = func(iter, rank int) sim.Cycles {
 				if rnd.Bool(o.Prob) {
 					return o.DurationCycles
 				}
 				return 0
 			}
 		}
-		return noiseRun(ctx, spec, cell.Cores, engineSeed, o.Scale, noise)
+		out, err := ExecuteSingleNode(rs.InCell(ctx, o.Obs, idx, cell))
+		return out.RuntimeSec, err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("noise: %w", err)
 	}
 
+	iters := scaleSpec(workload.HPCCG(), o.Scale).Iterations
+	expected := o.Prob * float64(iters) * float64(o.DurationCycles) / kernel.DellR415().ClockHz
 	var out []NoisePoint
-	i := 0
-	for _, ranks := range o.RankCounts {
-		base, noisy := secs[i], secs[i+1]
-		i += 2
+	for i, ranks := range o.RankCounts {
+		base, noisy := secs[2*i], secs[2*i+1]
 		slow := noisy - base
-		expected := o.Prob * float64(spec.Iterations) * float64(o.DurationCycles) / dellMachine().ClockHz
 		amp := 0.0
 		if expected > 0 {
 			amp = slow / expected
@@ -137,40 +145,6 @@ func NoiseStudy(o NoiseStudyOptions) ([]NoisePoint, error) {
 		})
 	}
 	return out, nil
-}
-
-// noiseRun executes one HPMMAP-managed run with an optional per-iteration
-// noise hook.
-func noiseRun(ctx context.Context, spec workload.AppSpec, ranks int, seed uint64, sc Scale, noise func(iter, rank int) sim.Cycles) (float64, error) {
-	rig, err := newRig(dellMachine(), HPMMAP, seed, false, sc)
-	if err != nil {
-		return 0, err
-	}
-	cores, err := pinCores(rig.node, ranks)
-	if err != nil {
-		return 0, err
-	}
-	var placements []workload.RankPlacement
-	for _, c := range cores {
-		placements = append(placements, workload.RankPlacement{Node: rig.node, Core: c, Launch: rig.launcher()})
-	}
-	var res workload.Result
-	done := false
-	_, err = workload.Start(rig.eng, workload.Options{
-		Spec:      spec,
-		Ranks:     placements,
-		CommDelay: noise,
-	}, func(got workload.Result) { res = got; done = true })
-	if err != nil {
-		return 0, err
-	}
-	if err := runToCompletion(ctx, rig.eng, &done); err != nil {
-		return 0, err
-	}
-	if res.Err != nil {
-		return 0, res.Err
-	}
-	return rig.node.Config().Seconds(float64(res.Runtime)), nil
 }
 
 // WriteNoiseStudy renders the study.

@@ -163,21 +163,43 @@ func TestTraceDoesNotPerturbSnapshot(t *testing.T) {
 }
 
 // TestObservabilityDoesNotPerturbResults: running with a collector
-// attached must not change the simulated panels — instrumentation never
-// draws from the PRNG or schedules events.
+// attached must not change the simulated results — instrumentation
+// never draws from the PRNG or schedules events. The noise study's
+// collector records a trace and samples series too.
 func TestObservabilityDoesNotPerturbResults(t *testing.T) {
-	plain, err := Fig7(fig7Tiny(4))
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		run  func(obs *runner.Observations) (any, error)
+	}{
+		{"fig7", func(obs *runner.Observations) (any, error) {
+			o := fig7Tiny(4)
+			o.Obs = obs
+			return Fig7(o)
+		}},
+		{"noise", func(obs *runner.Observations) (any, error) {
+			obs.EnableTrace()
+			obs.EnableSeries()
+			return NoiseStudy(NoiseStudyOptions{RankCounts: []int{1, 2}, Scale: 0.25, Workers: 4, Obs: obs})
+		}},
 	}
-	o := fig7Tiny(4)
-	o.Obs = runner.NewObservations(0)
-	observed, err := Fig7(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := asJSON(t, plain), asJSON(t, observed)
-	if string(a) != string(b) {
-		t.Fatalf("Fig7 panels differ with observability attached:\n%s\nvs\n%s", a, b)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			plain, err := c.run(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			obs := runner.NewObservations(0)
+			observed, err := c.run(obs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b := asJSON(t, plain), asJSON(t, observed)
+			if string(a) != string(b) {
+				t.Fatalf("%s results differ with observability attached:\n%s\nvs\n%s", c.name, a, b)
+			}
+			if len(obs.Merged().Metrics) == 0 {
+				t.Fatalf("%s: the observed run collected no metrics", c.name)
+			}
+		})
 	}
 }

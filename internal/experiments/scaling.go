@@ -29,7 +29,8 @@ func clusterWorkFactor(bench string) float64 {
 // multiple of 4), 4 app cores per node (2 per NUMA zone), the per-node
 // commodity profile (C or D), and the 1GbE BSP communication model. The
 // cluster rig has no micro fidelity, chaos, auditor, pod agent, model
-// overrides or co-located work, and rejects a run that asks for any.
+// overrides, co-located work or comm-delay hook (its network model is
+// the comm delay), and rejects a run that asks for any.
 // Every node's subsystems register into Metrics additively; the
 // engine-level sim_* metrics register once. Unlike the single-node
 // rig, which piggybacks Series sampling on a pre-existing diagnostic
@@ -38,8 +39,8 @@ func clusterWorkFactor(bench string) float64 {
 // everything else is byte-identical (the -audit precedent).
 func ExecuteCluster(rs SingleRun) (RunOutcome, error) {
 	if rs.Detail || rs.Recorder != nil || rs.Chaos != nil || rs.Audit || rs.Datacenter != nil ||
-		rs.Overrides != (ModelOverrides{}) || rs.CoLocated != nil {
-		return RunOutcome{}, fmt.Errorf("experiments: the cluster rig runs no micro fidelity, chaos, audit, pod agent, model overrides or co-located work")
+		rs.Overrides != (ModelOverrides{}) || rs.CoLocated != nil || rs.CommDelay != nil {
+		return RunOutcome{}, fmt.Errorf("experiments: the cluster rig runs no micro fidelity, chaos, audit, pod agent, model overrides, co-located work or comm-delay hook")
 	}
 	if rs.Scale == 0 {
 		rs.Scale = 1

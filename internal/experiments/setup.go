@@ -21,6 +21,7 @@ import (
 	"hpmmap/internal/linuxmm"
 	"hpmmap/internal/mem"
 	"hpmmap/internal/metrics"
+	"hpmmap/internal/runner"
 	"hpmmap/internal/sim"
 	"hpmmap/internal/thp"
 	"hpmmap/internal/timeline"
@@ -144,9 +145,6 @@ func offlineBytes(mc kernel.MachineConfig, sc Scale) uint64 {
 	}
 	return v
 }
-
-// dellMachine returns the single-node testbed preset.
-func dellMachine() kernel.MachineConfig { return kernel.DellR415() }
 
 // newRig boots one node under the given manager configuration.
 func newRig(mc kernel.MachineConfig, kind ManagerKind, seed uint64, detail bool, sc Scale) (*rig, error) {
@@ -509,6 +507,21 @@ type SingleRun struct {
 	// custom interference); the stop it returns is called when the
 	// measured application completes.
 	CoLocated func(node *kernel.Node) (stop func())
+	// CommDelay, when non-nil, adds a per-iteration, per-rank delay to
+	// the workload's communication phase (the noise study's synthetic
+	// detours). Chaos stragglers decorate it.
+	CommDelay func(iter, rank int) sim.Cycles
+}
+
+// InCell returns rs as the run of one plan cell: it takes the cell's
+// context and the registry, tracer and series obs keeps for the cell
+// at idx (nil handles on a nil obs). Every experiment builds its cells'
+// runs through it.
+func (rs SingleRun) InCell(ctx context.Context, obs *runner.Observations, idx int, cell runner.Cell) SingleRun {
+	rs.Context = ctx
+	rs.Metrics, rs.Tracer = obs.Cell(idx, cell.String())
+	rs.Series = obs.Series(idx)
+	return rs
 }
 
 // RunOutcome reports one completed run.
@@ -639,14 +652,11 @@ func ExecuteSingleNode(rs SingleRun) (RunOutcome, error) {
 		Tracer:      rs.Tracer,
 		Attribution: rs.Attribution,
 	}
-	if rs.Chaos != nil {
-		// Straggler injection rides the communication phase; single-node
-		// runs have no inner comm-delay model, so the wrapper decorates
-		// a zero base.
-		wopts.CommDelay = rs.Chaos.WrapCommDelay(nil)
-		if rs.Attribution != nil {
-			rs.Chaos.SetAccounts(rs.Attribution.Rank)
-		}
+	// Straggler injection rides the communication phase, on top of the
+	// run's own comm-delay hook (nil-safe: without chaos it is the hook).
+	wopts.CommDelay = rs.Chaos.WrapCommDelay(rs.CommDelay)
+	if rs.Attribution != nil {
+		rs.Chaos.SetAccounts(rs.Attribution.Rank)
 	}
 	_, err = workload.Start(rig.eng, wopts, func(got workload.Result) {
 		res = got

@@ -200,7 +200,6 @@ func runWeakScaling(o Fig7Options, g weakScaling) ([]Fig7Panel, error) {
 		Cache:    o.Cache,
 		Obs:      o.Obs,
 	}, plan, func(ctx context.Context, idx int, cell runner.Cell, seed uint64) (runtimeCell, error) {
-		reg, tr := o.Obs.Cell(idx, cell.String())
 		out, err := g.rig(SingleRun{
 			Bench:   specs[cell.Bench],
 			Kind:    metas[idx].kind,
@@ -208,11 +207,7 @@ func runWeakScaling(o Fig7Options, g weakScaling) ([]Fig7Panel, error) {
 			Ranks:   cell.Cores,
 			Seed:    seed,
 			Scale:   o.Scale,
-			Metrics: reg,
-			Tracer:  tr,
-			Context: ctx,
-			Series:  o.Obs.Series(idx),
-		})
+		}.InCell(ctx, o.Obs, idx, cell))
 		if err != nil {
 			return runtimeCell{}, err
 		}

@@ -101,7 +101,6 @@ func faultStudies(o FaultStudyOptions, benches []string) ([]FaultStudy, error) {
 		Obs:      o.Obs,
 	}, plan, func(ctx context.Context, idx int, cell runner.Cell, seed uint64) (*trace.Recorder, error) {
 		rec := trace.NewRecorder()
-		reg, tr := o.Obs.Cell(idx, cell.String())
 		_, err := ExecuteSingleNode(SingleRun{
 			Bench:    specs[cell.Bench],
 			Kind:     o.Kind,
@@ -111,11 +110,7 @@ func faultStudies(o FaultStudyOptions, benches []string) ([]FaultStudy, error) {
 			Detail:   true,
 			Scale:    o.Scale,
 			Recorder: rec,
-			Metrics:  reg,
-			Tracer:   tr,
-			Context:  ctx,
-			Series:   o.Obs.Series(idx),
-		})
+		}.InCell(ctx, o.Obs, idx, cell))
 		if err != nil {
 			return nil, err
 		}
