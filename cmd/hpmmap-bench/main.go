@@ -2,8 +2,8 @@
 //
 // Usage:
 //
-//	hpmmap-bench -exp fig2            # THP fault-cost table (Fig. 2)
-//	hpmmap-bench -exp fig3            # HugeTLBfs fault-cost table (Fig. 3)
+//	hpmmap-bench -exp fig2            # THP fault-cost table (Fig. 2), paper vs measured
+//	hpmmap-bench -exp fig3            # HugeTLBfs fault-cost table (Fig. 3), paper vs measured
 //	hpmmap-bench -exp fig4            # THP fault timeline (Fig. 4)
 //	hpmmap-bench -exp fig5            # HugeTLBfs fault timelines (Fig. 5)
 //	hpmmap-bench -exp fig7 -workers 8 # single-node weak scaling (Fig. 7)
@@ -11,6 +11,10 @@
 //	hpmmap-bench -exp noise           # BSP noise-amplification study
 //	hpmmap-bench -exp attribution     # barrier noise-attribution study
 //	hpmmap-bench -exp all             # everything
+//
+// fig2 and fig3 follow their fault table with its rows beside the
+// paper's published numbers, as markdown: | Load | Fault | Paper count
+// | ... | Measured stdev |.
 //
 // Robustness studies run instead of -exp:
 //
@@ -61,21 +65,25 @@
 // datacenter and eviction studies, so re-invocations only simulate
 // changed cells; the other experiments never read it. -scale shrinks
 // the experiment (memory, footprints, iterations) for quick runs; -runs
-// overrides the paper's 10 repetitions; -bench and -cores narrow
-// Figure 7 to one cell. A flag value outside the names it takes exits
-// 2, listing them, before any artifact opens.
+// overrides the paper's 10 repetitions. -bench narrows fig7 and fig8
+// to the benchmarks it lists, and attribution and each study take its
+// first entry; -cores narrows fig7 to the core counts it lists, and a
+// study takes its first entry as its rank count. A flag value outside
+// the names it takes exits 2, listing them, and so does a malformed or
+// out-of-range -runs, -scale, -cores, -churns, -overcommits or
+// -intensities value, before any artifact opens.
 //
 // The artifact flags -metrics, -ledger, -trace-out, -series,
-// -cpuprofile and -memprofile are the ones every experiment CLI shares
-// (internal/cli, OBSERVABILITY.md). A failed cell, -timeout and
-// SIGINT/SIGTERM flush partial artifacts and exit non-zero. With -exp
-// all, each experiment writes its own metrics, trace and series with
-// the experiment name spliced into the file name (metrics.prom →
-// metrics-fig7.prom), and so does -study sweep -knob all with each
-// knob's name. Cells served from -cache-dir replay their cached
-// metric snapshots but contribute no trace events. -series bypasses the
-// result cache entirely (cached cells would replay no samples), so
-// sampled runs neither read nor write -cache-dir entries.
+// -cpuprofile and -memprofile come from internal/cli
+// (OBSERVABILITY.md). A failed cell, -timeout and SIGINT/SIGTERM flush
+// partial artifacts and exit non-zero. With -exp all, each experiment
+// writes its own metrics, trace and series with the experiment name
+// spliced into the file name (metrics.prom → metrics-fig7.prom), and
+// so does -study sweep -knob all with each knob's name. Cells served
+// from -cache-dir replay their cached metric snapshots but contribute
+// no trace events. -series bypasses the result cache entirely (cached
+// cells would replay no samples), so sampled runs neither read nor
+// write -cache-dir entries.
 package main
 
 import (
@@ -83,6 +91,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -104,7 +113,7 @@ func main() {
 		scale    = flag.Float64("scale", 1.0, "problem/memory scale factor (1.0 = paper size)")
 		runs     = flag.Int("runs", 0, "repetitions per cell (0 = paper default of 10)")
 		seed     = flag.Uint64("seed", 0, "base seed (0 = default)")
-		benches  = flag.String("bench", "", "comma-separated benchmarks (fig7/fig8; a study takes the first)")
+		benches  = flag.String("bench", "", "comma-separated benchmarks (fig7/fig8; attribution and a study take the first)")
 		cores    = flag.String("cores", "", "comma-separated core counts (fig7; a study takes the first as its rank count)")
 		workers  = flag.Int("workers", 0, "parallel simulation workers (0 = one per CPU; results identical at any count)")
 		timeout  = flag.Duration("timeout", 0, "cancel the run after this long (0 = no timeout)")
@@ -138,6 +147,7 @@ func main() {
 	sc := experiments.Scale(*scale)
 	var ctx context.Context // set by art.Start before anything runs
 	var cache *runner.Cache
+	var a studyArgs // filled from the flags before anything runs
 	study := func() experiments.FaultStudyOptions {
 		return experiments.FaultStudyOptions{
 			Seed: *seed, Scale: sc,
@@ -181,31 +191,30 @@ func main() {
 		return art.Flush()
 	}
 
+	// faultStudy runs Fig. 2 or Fig. 3 and prints its fault table, then
+	// the same rows beside the paper's numbers.
+	faultStudy := func(name string, run func(experiments.FaultStudyOptions) (experiments.FaultStudy, error)) func() error {
+		return func() error {
+			o := study()
+			o.Obs = art.Observe(name)
+			fs, err := run(o)
+			if err != nil {
+				return err
+			}
+			experiments.WriteFaultStudy(os.Stdout, fs)
+			fmt.Println()
+			experiments.WriteFaultStudyVsPaper(os.Stdout, fs)
+			return art.Flush()
+		}
+	}
+
 	// The experiments, in the order -exp all runs them.
 	exps := []struct {
 		name string
 		run  func() error
 	}{
-		{"fig2", func() error {
-			o := study()
-			o.Obs = art.Observe("fig2")
-			fs, err := experiments.Fig2(o)
-			if err != nil {
-				return err
-			}
-			experiments.WriteFaultStudy(os.Stdout, fs)
-			return art.Flush()
-		}},
-		{"fig3", func() error {
-			o := study()
-			o.Obs = art.Observe("fig3")
-			fs, err := experiments.Fig3(o)
-			if err != nil {
-				return err
-			}
-			experiments.WriteFaultStudy(os.Stdout, fs)
-			return art.Flush()
-		}},
+		{"fig2", faultStudy("fig2", experiments.Fig2)},
+		{"fig3", faultStudy("fig3", experiments.Fig3)},
 		{"fig4", func() error {
 			o := study()
 			o.Obs = art.Observe("fig4")
@@ -227,15 +236,7 @@ func main() {
 			return art.Flush()
 		}},
 		{"fig7", func() error {
-			var counts []int
-			for _, c := range splitList(*cores) {
-				v, err := strconv.Atoi(c)
-				if err != nil {
-					return fmt.Errorf("bad -cores entry %q", c)
-				}
-				counts = append(counts, v)
-			}
-			return weakScaling("fig7", "cores", experiments.Fig7, experiments.WriteFig7, counts)
+			return weakScaling("fig7", "cores", experiments.Fig7, experiments.WriteFig7, a.cores)
 		}},
 		{"noise", func() error {
 			points, err := experiments.NoiseStudy(experiments.NoiseStudyOptions{
@@ -251,15 +252,11 @@ func main() {
 			return art.Flush()
 		}},
 		{"attribution", func() error {
-			o := experiments.AttributionStudyOptions{
-				Seed: *seed, Scale: sc,
+			cells, err := experiments.RunAttributionStudy(experiments.AttributionStudyOptions{
+				Bench: a.bench(), Seed: *seed, Scale: sc,
 				Workers: *workers, Context: ctx, Progress: progress,
 				Obs: art.Observe("attribution"),
-			}
-			if bs := splitList(*benches); len(bs) > 0 {
-				o.Bench = bs[0]
-			}
-			cells, err := experiments.RunAttributionStudy(o)
+			})
 			if err != nil {
 				return err
 			}
@@ -289,7 +286,12 @@ func main() {
 	}
 
 	// Reject every bad flag value before anything opens.
-	art.CheckRunsScale(*runs, *scale)
+	if *runs < 0 {
+		reject("bad -runs %d (want a count >= 0)", *runs)
+	}
+	if !(*scale >= 0) || math.IsInf(*scale, 1) {
+		reject("bad -scale %v (want a finite factor >= 0)", *scale)
+	}
 	var expNames, studyNames []string
 	for _, e := range exps {
 		expNames = append(expNames, e.name)
@@ -304,17 +306,31 @@ func main() {
 		runStudy, cached = s.run, s.cached
 	}
 	oneOf("exp", *exp, append(expNames, "all"))
-	a := studyArgs{
+	a = studyArgs{
 		seed: *seed, scale: sc, runs: *runs, workers: *workers,
-		benches: splitList(*benches), cores: splitList(*cores),
-		churns: splitList(*churns), overcommits: splitList(*overcommits),
-		intensities: splitList(*intensities),
-		audit:       *audit, poison: *chaosPoison,
+		benches: splitList(*benches),
+		audit:   *audit, poison: *chaosPoison,
 		cellTimeout: *cellTimeout, failFast: *failFast,
 		outDir: *outDir, plotW: *plotW, plotH: *plotH,
 		kind: managerChoices[oneOf("manager", *manager, keys(managerChoices, experiments.ManagerKind.Key))],
 		knob: *knobFlag,
 	}
+	for _, c := range splitList(*cores) {
+		v, err := strconv.Atoi(c)
+		if err != nil {
+			reject("bad -cores entry %q", c)
+		}
+		a.cores = append(a.cores, v)
+	}
+	if churnList := splitList(*churns); *studyFlag == "eviction" {
+		// The eviction study runs one churn rate, the first entry, and
+		// it must be positive.
+		a.churns = floats(churnList[:min(1, len(churnList))], "churns", "a rate > 0 in pods/sec", func(v float64) bool { return v > 0 })
+	} else {
+		a.churns = floats(churnList, "churns", "a rate >= 0 in pods/sec", func(v float64) bool { return v >= 0 })
+	}
+	a.overcommits = floats(splitList(*overcommits), "overcommits", "a ratio >= 1", func(v float64) bool { return v >= 1 })
+	a.intensities = floats(splitList(*intensities), "intensities", "a number in [0,1]", func(v float64) bool { return v >= 0 && v <= 1 })
 	oneOf("knob", *knobFlag, append(keys(knobs, func(k knob) string { return k.name }), "all"))
 	if *profile != "" {
 		p := profileChoices[oneOf("profile", *profile, keys(profileChoices, experiments.Profile.String))]
@@ -325,8 +341,7 @@ func main() {
 		a.hist = &k
 	}
 	if *studyFlag == "faulttrace" && a.kind == experiments.HPMMAP {
-		fmt.Fprintf(os.Stderr, "hpmmap-bench: unknown manager %q (hpmmap takes no faults — nothing to trace)\n", *manager)
-		os.Exit(2)
+		reject("unknown manager %q (hpmmap takes no faults — nothing to trace)", *manager)
 	}
 
 	if *cacheDir != "" && cached {
@@ -380,8 +395,9 @@ type studyArgs struct {
 	seed                             uint64
 	scale                            experiments.Scale
 	runs, workers                    int
-	benches, cores                   []string
-	churns, overcommits, intensities []string
+	benches                          []string
+	cores                            []int
+	churns, overcommits, intensities []float64
 	audit                            bool
 	poison                           int
 	cellTimeout                      time.Duration
@@ -403,15 +419,11 @@ func (a studyArgs) bench() string {
 }
 
 // ranks is the -cores override of a study's rank count (0 = default).
-func (a studyArgs) ranks() (int, error) {
-	if len(a.cores) == 0 {
-		return 0, nil
+func (a studyArgs) ranks() int {
+	if len(a.cores) > 0 {
+		return a.cores[0]
 	}
-	v, err := strconv.Atoi(a.cores[0])
-	if err != nil {
-		return 0, fmt.Errorf("bad -cores entry %q", a.cores[0])
-	}
-	return v, nil
+	return 0
 }
 
 // profileOr is the -profile override of a study's commodity profile.
@@ -422,13 +434,18 @@ func (a studyArgs) profileOr(def experiments.Profile) experiments.Profile {
 	return def
 }
 
-// oneOf returns v's index in names, or reports the names and exits 2,
-// before any artifact opens.
+// reject reports a bad flag value and exits 2, before any artifact
+// opens.
+func reject(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "hpmmap-bench: "+format+"\n", args...)
+	os.Exit(2)
+}
+
+// oneOf returns v's index in names, or reports the names and exits 2.
 func oneOf(flagName, v string, names []string) int {
 	i := slices.Index(names, v)
 	if i < 0 {
-		fmt.Fprintf(os.Stderr, "hpmmap-bench: unknown -%s %q (supported: %s)\n", flagName, v, strings.Join(names, ", "))
-		os.Exit(2)
+		reject("unknown -%s %q (supported: %s)", flagName, v, strings.Join(names, ", "))
 	}
 	return i
 }
@@ -442,21 +459,19 @@ func keys[T any](vals []T, key func(T) string) []string {
 	return out
 }
 
-// floats parses a list flag, rejecting any entry ok refuses; want
-// describes an acceptable entry for the error.
-func floats(list []string, name, want string, ok func(float64) bool) ([]float64, error) {
+// floats parses a list flag, or rejects the first entry ok refuses;
+// want describes an acceptable entry.
+func floats(list []string, name, want string, ok func(float64) bool) []float64 {
 	var out []float64
 	for _, s := range list {
 		v, err := strconv.ParseFloat(s, 64)
 		if err != nil || !ok(v) {
-			return nil, fmt.Errorf("bad -%s entry %q (want %s)", name, s, want)
+			reject("bad -%s entry %q (want %s)", name, s, want)
 		}
 		out = append(out, v)
 	}
-	return out, nil
+	return out
 }
-
-func unitInterval(v float64) bool { return v >= 0 && v <= 1 }
 
 // runChaosStudy drives the contention-storm study (-study chaos):
 // chaos intensity x manager, with the runner's degradation machinery
@@ -470,13 +485,7 @@ func runChaosStudy(a studyArgs) error {
 		Cache: a.cache, Obs: a.art.Observe("chaos"),
 		Audit: a.audit, PoisonCell: a.poison, Bench: a.bench(),
 		CellTimeout: a.cellTimeout, DisableContinueOnError: a.failFast,
-	}
-	var err error
-	if o.Cores, err = a.ranks(); err != nil {
-		return err
-	}
-	if o.Intensities, err = floats(a.intensities, "intensities", "a number in [0,1]", unitInterval); err != nil {
-		return err
+		Cores: a.ranks(), Intensities: a.intensities,
 	}
 	s, err := experiments.ChaosStudyRun(o)
 	if err != nil {
@@ -513,16 +522,7 @@ func runDatacenterStudy(a studyArgs) error {
 		Workers: a.workers, Context: a.ctx, Progress: a.progress,
 		Cache: a.cache, Obs: a.art.Observe("datacenter"), Audit: a.audit,
 		CellTimeout: a.cellTimeout, Bench: a.bench(),
-	}
-	var err error
-	if o.Ranks, err = a.ranks(); err != nil {
-		return err
-	}
-	if o.Churns, err = floats(a.churns, "churns", "a rate >= 0 in pods/sec", func(v float64) bool { return v >= 0 }); err != nil {
-		return err
-	}
-	if o.Intensities, err = floats(a.intensities, "intensities", "a number in [0,1]", unitInterval); err != nil {
-		return err
+		Ranks: a.ranks(), Churns: a.churns, Intensities: a.intensities,
 	}
 	s, err := experiments.DatacenterStudyRun(o)
 	if err != nil {
@@ -546,23 +546,10 @@ func runEvictionStudy(a studyArgs) error {
 		Workers: a.workers, Context: a.ctx, Progress: a.progress,
 		Cache: a.cache, Obs: a.art.Observe("eviction"), Audit: a.audit,
 		CellTimeout: a.cellTimeout, Bench: a.bench(),
-	}
-	var err error
-	if o.Ranks, err = a.ranks(); err != nil {
-		return err
-	}
-	if o.Overcommits, err = floats(a.overcommits, "overcommits", "a ratio >= 1", func(v float64) bool { return v >= 1 }); err != nil {
-		return err
-	}
-	if o.Chaos, err = floats(a.intensities, "intensities", "a number in [0,1]", unitInterval); err != nil {
-		return err
+		Ranks: a.ranks(), Overcommits: a.overcommits, Chaos: a.intensities,
 	}
 	if len(a.churns) > 0 {
-		churn, err := floats(a.churns[:1], "churns", "a rate > 0 in pods/sec", func(v float64) bool { return v > 0 })
-		if err != nil {
-			return err
-		}
-		o.Churn = churn[0]
+		o.Churn = a.churns[0]
 	}
 	s, err := experiments.EvictionStudyRun(o)
 	if err != nil {

@@ -66,13 +66,9 @@ func runProbe(a studyArgs) error {
 	if !ok {
 		return fmt.Errorf("unknown benchmark %q", bench)
 	}
-	ranks, err := a.ranks()
-	if err != nil {
-		return err
-	}
 	rs := experiments.SingleRun{
 		Bench: spec, Kind: a.kind, Profile: a.profileOr(experiments.ProfileA),
-		Ranks: cmp.Or(ranks, 8), Seed: cmp.Or(a.seed, 1), Scale: a.scale,
+		Ranks: cmp.Or(a.ranks(), 8), Seed: cmp.Or(a.seed, 1), Scale: a.scale,
 	}
 	// The cell runs through the runner so the ledger journals it, at
 	// the seed itself rather than a coordinate-derived seed.
@@ -111,12 +107,8 @@ func runProbe(a studyArgs) error {
 // -hist, one fault kind's cost histogram; -out also writes the loaded
 // run's faults as faulttrace.csv.
 func runFaultTrace(a studyArgs) error {
-	ranks, err := a.ranks()
-	if err != nil {
-		return err
-	}
 	fs, err := experiments.RunFaultStudy(experiments.FaultStudyOptions{
-		Bench: a.bench(), Kind: a.kind, Ranks: ranks, Seed: a.seed, Scale: a.scale,
+		Bench: a.bench(), Kind: a.kind, Ranks: a.ranks(), Seed: a.seed, Scale: a.scale,
 		Workers: a.workers, Context: a.ctx, Progress: a.progress,
 		Obs: a.art.Observe("faulttrace"),
 	})
@@ -173,11 +165,7 @@ func runSweep(a studyArgs) error {
 	if !ok {
 		return fmt.Errorf("unknown benchmark %q", bench)
 	}
-	ranks, err := a.ranks()
-	if err != nil {
-		return err
-	}
-	ranks = cmp.Or(ranks, 8)
+	ranks := cmp.Or(a.ranks(), 8)
 	prof := a.profileOr(experiments.ProfileB)
 	runs := cmp.Or(a.runs, 2)
 	opts := runner.Options{

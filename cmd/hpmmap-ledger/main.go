@@ -361,26 +361,30 @@ func trimFloat(v float64) string {
 	return fmt.Sprintf("%.6g", v)
 }
 
-// diffLedgers compares two run journals plan-by-plan (matched by
-// name). Canonical outcome regressions — a cell that was ok and no
-// longer is, or a worsened quarantine/failure tally — always trip
-// regardless of pct. Host wall-time deltas are printed but never
-// gate: wall clocks vary between hosts and runs.
+// diffLedgers compares two run journals plan-by-plan: the k-th plan of
+// a name in the new ledger against the k-th plan of that name in the
+// old one, since one run may journal several plans of a name (each
+// fault-study figure journals a "faultstudy" plan). Canonical outcome
+// regressions — a cell that was ok and no longer is, or a worsened
+// quarantine/failure tally — always trip regardless of pct. Host
+// wall-time deltas are printed but never gate: wall clocks vary
+// between hosts and runs.
 func diffLedgers(w io.Writer, oldRecs, newRecs []ledger.Record) bool {
 	tripped := false
 	oldPlans, _ := fold(oldRecs)
 	newPlans, _ := fold(newRecs)
-	oldByName := map[string]*planStats{}
+	oldByName := map[string][]*planStats{}
 	for _, p := range oldPlans {
-		oldByName[p.name] = p
+		oldByName[p.name] = append(oldByName[p.name], p)
 	}
 	for _, np := range newPlans {
-		op, ok := oldByName[np.name]
-		if !ok {
+		olds := oldByName[np.name]
+		if len(olds) == 0 {
 			fmt.Fprintf(w, "plan %s: new (no counterpart in old ledger)\n", np.name)
 			continue
 		}
-		delete(oldByName, np.name)
+		op := olds[0]
+		oldByName[np.name] = olds[1:]
 		if op.cells != np.cells {
 			fmt.Fprintf(w, "plan %s: cell count %d -> %d\n", np.name, op.cells, np.cells)
 			tripped = true
@@ -416,8 +420,10 @@ func diffLedgers(w io.Writer, oldRecs, newRecs []ledger.Record) bool {
 		}
 	}
 	var gone []string
-	for name := range oldByName {
-		gone = append(gone, name)
+	for name, olds := range oldByName {
+		for range olds {
+			gone = append(gone, name)
+		}
 	}
 	sort.Strings(gone)
 	for _, name := range gone {

@@ -12,25 +12,28 @@ import (
 	"hpmmap/internal/metrics"
 )
 
-// writeLedger journals one 4-cell plan; quarantine marks cell 1
-// quarantined.
-func writeLedger(t *testing.T, path string, quarantine bool) {
+// writeLedger journals one plan named name per entry of sizes, of that
+// many cells; cell 1 of the plan at index quarantine is quarantined
+// (-1: none).
+func writeLedger(t *testing.T, path, name string, quarantine int, sizes ...int) {
 	t.Helper()
 	l, err := ledger.Open(path, ledger.Meta{Model: "m1", Scale: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.BeginPlan("fig7", 42, 4, 2)
-	for i := 0; i < 4; i++ {
-		l.CellStart(i, fmt.Sprintf("fig7 cell#%d", i), uint64(i))
-		l.CellHost(i, i%2, 1000000, 4096)
-		status, errText := ledger.StatusOK, ""
-		if quarantine && i == 1 {
-			status, errText = ledger.StatusQuarantined, "boom"
+	for p, n := range sizes {
+		l.BeginPlan(name, 42, n, 2)
+		for i := 0; i < n; i++ {
+			l.CellStart(i, fmt.Sprintf("%s cell#%d", name, i), uint64(i))
+			l.CellHost(i, i%2, 1000000, 4096)
+			status, errText := ledger.StatusOK, ""
+			if p == quarantine && i == 1 {
+				status, errText = ledger.StatusQuarantined, "boom"
+			}
+			l.CellFinish(i, status, errText)
 		}
-		l.CellFinish(i, status, errText)
+		l.EndPlan()
 	}
-	l.EndPlan()
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -39,8 +42,8 @@ func writeLedger(t *testing.T, path string, quarantine bool) {
 func TestDiffLedgersIdenticalClean(t *testing.T) {
 	dir := t.TempDir()
 	a, b := filepath.Join(dir, "a.jsonl"), filepath.Join(dir, "b.jsonl")
-	writeLedger(t, a, false)
-	writeLedger(t, b, false)
+	writeLedger(t, a, "fig7", -1, 4)
+	writeLedger(t, b, "fig7", -1, 4)
 	var out bytes.Buffer
 	tripped, err := diffFiles(&out, a, b, 10)
 	if err != nil {
@@ -54,8 +57,8 @@ func TestDiffLedgersIdenticalClean(t *testing.T) {
 func TestDiffLedgersStatusRegressionAlwaysTrips(t *testing.T) {
 	dir := t.TempDir()
 	a, b := filepath.Join(dir, "a.jsonl"), filepath.Join(dir, "b.jsonl")
-	writeLedger(t, a, false)
-	writeLedger(t, b, true) // cell 1 ok -> quarantined
+	writeLedger(t, a, "fig7", -1, 4)
+	writeLedger(t, b, "fig7", 0, 4) // cell 1 ok -> quarantined
 	var out bytes.Buffer
 	tripped, err := diffFiles(&out, a, b, 1000) // huge pct: status still gates
 	if err != nil {
@@ -66,6 +69,32 @@ func TestDiffLedgersStatusRegressionAlwaysTrips(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "cell #1") {
 		t.Fatalf("diff does not name the regressed cell:\n%s", out.String())
+	}
+}
+
+// TestDiffLedgersPairsSameNamedPlansInOrder: -exp all journals one
+// "faultstudy" plan per fault-study figure, of different sizes. Each
+// pairs with its namesake at the same position in the other ledger, so
+// the ledger diffs clean against itself, and a regression in the second
+// plan trips the gate and is named.
+func TestDiffLedgersPairsSameNamedPlansInOrder(t *testing.T) {
+	dir := t.TempDir()
+	a, b := filepath.Join(dir, "a.jsonl"), filepath.Join(dir, "b.jsonl")
+	writeLedger(t, a, "faultstudy", -1, 6, 2)
+	writeLedger(t, b, "faultstudy", 1, 6, 2)
+	var out bytes.Buffer
+	tripped, err := diffFiles(&out, a, a, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tripped || out.Len() != 0 {
+		t.Fatalf("a ledger diffed against itself: tripped=%v\n%s", tripped, out.String())
+	}
+	if tripped, err = diffFiles(&out, a, b, 10); err != nil {
+		t.Fatal(err)
+	}
+	if !tripped || !strings.Contains(out.String(), "plan faultstudy cell #1 (faultstudy cell#1): ok -> quarantined") {
+		t.Fatalf("a quarantined cell in the second plan: tripped=%v\n%s", tripped, out.String())
 	}
 }
 
@@ -143,7 +172,7 @@ func TestDiffSnapshotsAppearDisappear(t *testing.T) {
 func TestSummary(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.jsonl")
-	writeLedger(t, path, true)
+	writeLedger(t, path, "fig7", 0, 4)
 	var out bytes.Buffer
 	if err := summary(&out, path, 3); err != nil {
 		t.Fatal(err)
@@ -165,7 +194,7 @@ func TestSummary(t *testing.T) {
 func TestWatchOnce(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.jsonl")
-	writeLedger(t, path, true)
+	writeLedger(t, path, "fig7", 0, 4)
 	var out bytes.Buffer
 	if err := watch(&out, path, 0, true); err != nil {
 		t.Fatal(err)

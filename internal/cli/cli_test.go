@@ -19,9 +19,9 @@ import (
 	"hpmmap/internal/timeline"
 )
 
-// The CLIs built by tools: the two experiment CLIs that share the
-// artifact layer, plus hpmmap-ledger to diff their snapshots.
-var toolNames = []string{"hpmmap-bench", "hpmmap-report", "hpmmap-ledger"}
+// The CLIs built by tool: the experiment CLI on the artifact layer,
+// plus hpmmap-ledger to diff its snapshots.
+var toolNames = []string{"hpmmap-bench", "hpmmap-ledger"}
 
 var (
 	buildOnce sync.Once
@@ -131,12 +131,12 @@ const (
 	studyNames = "chaos, datacenter, eviction, probe, faulttrace, sweep"
 )
 
-// TestEveryCLIWritesEveryArtifact runs each experiment CLI with all six
-// artifact flags and checks that each writes the same set of files:
-// one metrics, trace and series file per experiment (the experiment
-// name spliced in when there are several), one ledger and two
-// profiles. A rejected invocation writes none of them. Every -exp and
-// -study name but "all" has a success case.
+// TestEveryCLIWritesEveryArtifact runs the experiment CLI with all six
+// artifact flags and checks that each run writes the same set of
+// files: one metrics, trace and series file per experiment (the
+// experiment name spliced in when there are several), one ledger and
+// two profiles. A rejected invocation writes none of them. Every -exp
+// and -study name has a success case.
 func TestEveryCLIWritesEveryArtifact(t *testing.T) {
 	cases := []struct {
 		name, tool string
@@ -164,8 +164,10 @@ func TestEveryCLIWritesEveryArtifact(t *testing.T) {
 		{"probe", "hpmmap-bench", []string{"-study", "probe", "-cores", "2"}, []string{""}, 0, nil},
 		{"sweep", "hpmmap-bench", []string{"-study", "sweep", "-knob", "thp-frag", "-runs", "1", "-scale", "0.25"}, []string{""}, 0, nil},
 		{"sweep -cores 2", "hpmmap-bench", []string{"-study", "sweep", "-knob", "thp-frag", "-runs", "1", "-scale", "0.1", "-cores", "2"}, []string{""}, 0, nil},
-		{"report", "hpmmap-report", []string{"-scale", "0.25", "-skip-fig7", "-skip-fig8"},
-			[]string{"-fig2", "-fig3", "-noise", "-attribution"}, 0, nil},
+		// Below scale 0.25 the noise study's 8-rank cell exhausts its
+		// pool.
+		{"all", "hpmmap-bench", []string{"-exp", "all", "-bench", "LAMMPS", "-cores", "1", "-runs", "1", "-scale", "0.25"},
+			[]string{"-fig2", "-fig3", "-fig4", "-fig5", "-fig7", "-noise", "-attribution", "-fig8"}, 0, nil},
 		{"bench unknown -exp", "hpmmap-bench", []string{"-exp", "fig9", "-scale", "0.1"}, nil, 2,
 			[]string{`unknown -exp "fig9"`, expNames}},
 		{"bench unknown -study", "hpmmap-bench", []string{"-study", "storm"}, nil, 2,
@@ -190,12 +192,18 @@ func TestEveryCLIWritesEveryArtifact(t *testing.T) {
 			[]string{"bad -scale NaN"}},
 		{"bench infinite -scale", "hpmmap-bench", []string{"-exp", "fig2", "-scale", "+Inf"}, nil, 2,
 			[]string{"bad -scale +Inf"}},
-		{"report negative -runs", "hpmmap-report", []string{"-runs", "-1"}, nil, 2,
-			[]string{"bad -runs -1"}},
-		{"report negative -scale", "hpmmap-report", []string{"-scale", "-0.5"}, nil, 2,
-			[]string{"bad -scale -0.5"}},
-		{"report NaN -scale", "hpmmap-report", []string{"-scale", "NaN"}, nil, 2,
-			[]string{"bad -scale NaN"}},
+		{"fig7 bad -cores", "hpmmap-bench", []string{"-exp", "fig7", "-cores", "x"}, nil, 2,
+			[]string{`bad -cores entry "x"`}},
+		{"probe bad -cores", "hpmmap-bench", []string{"-study", "probe", "-cores", "x"}, nil, 2,
+			[]string{`bad -cores entry "x"`}},
+		{"datacenter negative -churns", "hpmmap-bench", []string{"-study", "datacenter", "-churns", "-5"}, nil, 2,
+			[]string{`bad -churns entry "-5" (want a rate >= 0 in pods/sec)`}},
+		{"eviction zero -churns", "hpmmap-bench", []string{"-study", "eviction", "-churns", "0"}, nil, 2,
+			[]string{`bad -churns entry "0" (want a rate > 0 in pods/sec)`}},
+		{"eviction -overcommits below 1", "hpmmap-bench", []string{"-study", "eviction", "-overcommits", "0.5"}, nil, 2,
+			[]string{`bad -overcommits entry "0.5" (want a ratio >= 1)`}},
+		{"chaos -intensities above 1", "hpmmap-bench", []string{"-study", "chaos", "-intensities", "2"}, nil, 2,
+			[]string{`bad -intensities entry "2" (want a number in [0,1])`}},
 	}
 	covered := map[string]bool{}
 	for _, c := range cases {
@@ -205,7 +213,7 @@ func TestEveryCLIWritesEveryArtifact(t *testing.T) {
 	}
 	for flagName, names := range map[string]string{"-exp": expNames, "-study": studyNames} {
 		for _, name := range strings.Split(names, ", ") {
-			if name != "all" && !covered[flagName+" "+name] {
+			if !covered[flagName+" "+name] {
 				t.Errorf("hpmmap-bench %s %s has no success case", flagName, name)
 			}
 		}

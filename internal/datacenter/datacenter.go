@@ -1,6 +1,6 @@
 // Package datacenter is a kubelet-style orchestration agent for the
 // simulated node: it restates the paper's isolation claim at
-// cluster-orchestration scale (ROADMAP item 2). The agent pre-reserves
+// cluster-orchestration scale (DESIGN.md §11). The agent pre-reserves
 // per-NUMA-zone hugepage budgets, admits short-lived "pods" — mixed
 // THP / HugeTLBfs / HPMMAP tenants with memory requests — by
 // deterministic bin-packing against those budgets, and drives pod

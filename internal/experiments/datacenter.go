@@ -17,7 +17,7 @@ import (
 )
 
 // The datacenter study restates the paper's isolation claim at
-// orchestration scale (ROADMAP item 2): one mixed-tenancy node runs a
+// orchestration scale (DESIGN.md §11): one mixed-tenancy node runs a
 // resident HPC victim on HPMMAP while a kubelet-style agent churns
 // short-lived THP / HugeTLBfs / HPMMAP pods against per-zone hugepage
 // budgets, with the chaos injector optionally storming the commodity

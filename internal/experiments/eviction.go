@@ -11,8 +11,8 @@ import (
 	"hpmmap/internal/runner"
 )
 
-// The eviction study exercises the datacenter failure domain (ROADMAP
-// item 2) on the datacenter study's grid runner: one mixed-tenancy node
+// The eviction study exercises the datacenter failure domain (DESIGN.md
+// §12) on the datacenter study's grid runner: one mixed-tenancy node
 // runs a resident HPC victim on HPMMAP while the kubelet-style agent
 // overcommits its zone budgets — admission checks requests, usage grows
 // to limits — and the pressure-driven eviction engine sheds pods

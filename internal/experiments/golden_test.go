@@ -14,15 +14,15 @@ import (
 // The pinned-output contract (DESIGN.md §10): performance refactors of
 // the fault/allocation hot path must preserve the PRNG draw sequence and
 // all charged-cycle arithmetic exactly, so every figure artifact stays
-// byte-identical. These tests render a reduced fig2/fig3 fault table,
-// the SHA-256 of each fig2 row's per-fault CSV, the fig4 and fig5
-// timeline plots, a fig7 and fig8 panel, the chaos-study table, the
-// attribution report, and the datacenter- and eviction-study tables
-// and CSVs at Workers=1 and Workers=8 (cold and, for the cached
-// studies, warm cache) and compare them byte-for-byte against the
-// goldens committed under testdata/golden — captured from the tree as
-// it stood before the hot path was restructured. Every future perf PR
-// runs through this net.
+// byte-identical. These tests render a reduced fig2/fig3 fault table
+// and its rows beside the paper's numbers, the SHA-256 of each fig2
+// row's per-fault CSV, the fig4 and fig5 timeline plots, a fig7 and
+// fig8 panel, the chaos-study table, the attribution report, and the
+// datacenter- and eviction-study tables and CSVs at Workers=1 and
+// Workers=8 (cold and, for the cached studies, warm cache) and compare
+// them byte-for-byte against the goldens committed under
+// testdata/golden — captured from the tree as it stood before the hot
+// path was restructured. Every future perf PR runs through this net.
 //
 // Regenerate (ONLY when a PR deliberately changes simulation semantics
 // and says so): UPDATE_GOLDEN=1 go test ./internal/experiments -run Golden
@@ -34,7 +34,8 @@ const goldenDir = "testdata/golden"
 // worker count. The configurations are deliberately reduced (scale 0.25,
 // few cells) so the contract test stays fast while still crossing every
 // hot-path layer: THP and HugeTLBfs micro-fidelity fault tables (fig2,
-// fig3), their per-fault records and timelines (fig2 CSV, fig4, fig5),
+// fig3) and the same rows beside the paper's numbers (paper), their
+// per-fault records and timelines (fig2 CSV, fig4, fig5),
 // the aggregate-fidelity weak-scaling grid (fig7), the multi-node study
 // (fig8), the chaos sweep, the barrier attribution report, the noise
 // study at its defaults (rounded, and bit-exact at scales 1 and 0.25),
@@ -87,12 +88,17 @@ func renderGoldenArtifacts(t *testing.T, workers int, cache *runner.Cache) map[s
 		WriteTimelines(w, "Figure 5: HugeTLBfs fault timelines", tls, 72, 12)
 		return nil
 	})
+	fig3, err := Fig3(FaultStudyOptions{Ranks: 2, Seed: 7, Scale: 0.25, Workers: workers})
+	if err != nil {
+		t.Fatalf("render fig3.txt: %v", err)
+	}
 	render("fig3.txt", func(w *bytes.Buffer) error {
-		fs, err := Fig3(FaultStudyOptions{Ranks: 2, Seed: 7, Scale: 0.25, Workers: workers})
-		if err != nil {
-			return err
-		}
-		WriteFaultStudy(w, fs)
+		WriteFaultStudy(w, fig3)
+		return nil
+	})
+	render("paper.txt", func(w *bytes.Buffer) error {
+		WriteFaultStudyVsPaper(w, fig2)
+		WriteFaultStudyVsPaper(w, fig3)
 		return nil
 	})
 	render("fig7.txt", func(w *bytes.Buffer) error {

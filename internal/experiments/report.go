@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"hpmmap/internal/fault"
 	"hpmmap/internal/stats"
 )
 
@@ -19,6 +20,41 @@ func WriteFaultStudy(w io.Writer, fs FaultStudy) {
 		for _, s := range row.Summaries {
 			fmt.Fprintf(w, "%-6s %-14s %10d %14.0f %14.0f\n", load, s.Kind, s.Count, s.AvgCycles, s.StdevCycles)
 			load = ""
+		}
+	}
+}
+
+// paperFaultCosts are the paper's published Fig. 2–3 numbers (Section
+// IV: miniMD, rank 0) per manager and fault kind, without and with a
+// competing kernel build: the fault count, then the average and the
+// standard deviation of its cost in cycles.
+var paperFaultCosts = map[ManagerKind]map[fault.Kind][2][3]int{
+	THP: {
+		fault.KindSmall:        {{136004, 1768, 993}, {135987, 2206, 1444}},
+		fault.KindLarge:        {{1060, 367675, 65663}, {1060, 757598, 61439}},
+		fault.KindMergeBlocked: {{30, 1005412, 503422}, {45, 3360292, 4017001}},
+	},
+	HugeTLBfs: {
+		fault.KindHugeTLBLarge: {{84, 735384, 458239}, {75, 615162, 225726}},
+		fault.KindHugeTLBSmall: {{1310, 1350, 1683}, {1777, 475724, 16387888}},
+	},
+}
+
+// WriteFaultStudyVsPaper renders a Figure 2/3 study as markdown rows
+// beside the paper's published numbers, one row per measured fault
+// kind; a kind the paper does not report reads 0 in the paper columns.
+func WriteFaultStudyVsPaper(w io.Writer, fs FaultStudy) {
+	fmt.Fprintln(w, "| Load | Fault | Paper count | Paper avg | Paper stdev | Measured count | Measured avg | Measured stdev |")
+	fmt.Fprintln(w, "|---|---|---|---|---|---|---|---|")
+	for _, row := range fs.Rows {
+		load, cond := "No", 0
+		if row.Loaded {
+			load, cond = "Yes", 1
+		}
+		for _, s := range row.Summaries {
+			p := paperFaultCosts[fs.Kind][s.Kind][cond]
+			fmt.Fprintf(w, "| %s | %s | %d | %d | %d | %d | %.0f | %.0f |\n",
+				load, s.Kind, p[0], p[1], p[2], s.Count, s.AvgCycles, s.StdevCycles)
 		}
 	}
 }

@@ -14,8 +14,8 @@ import (
 )
 
 // Cache is a JSON result cache keyed by experiment cell coordinates. It
-// lets report generation (cmd/hpmmap-report -cache-dir) regenerate tables
-// without re-simulating unchanged cells: a cell's key covers the
+// lets hpmmap-bench -cache-dir regenerate tables without re-simulating
+// unchanged cells: a cell's key covers the
 // experiment, every cell coordinate, the derived seed, the plan's
 // Inputs (scale and the other plan-wide options that change a result),
 // and a version string that consumers bump whenever the simulator's cost
