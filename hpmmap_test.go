@@ -19,6 +19,58 @@ func TestNewDefaults(t *testing.T) {
 	}
 }
 
+// TestNewBootReadings pins what New boots for both presets under every
+// manager, with the paper's pool and with an explicit one: the memory
+// left to Linux, the HPMMAP pool, and the cost and faults of a first
+// 64MB mmap and touch by an HPC process. THP ignores PoolBytes.
+func TestNewBootReadings(t *testing.T) {
+	cases := []struct {
+		machine          string
+		mgr              Manager
+		pool             uint64
+		free, poolFree   uint64
+		mmapCost, faults uint64
+		faultCycles      uint64
+	}{
+		{"dell-r415", ManagerTHP, 0, 17112760320, 0, 1833, 543, 11593435},
+		{"dell-r415", ManagerTHP, 2 << 30, 17112760320, 0, 1833, 543, 11593435},
+		{"dell-r415", ManagerHugeTLBfs, 0, 4294967296, 0, 1833, 32, 18933052},
+		{"dell-r415", ManagerHugeTLBfs, 2 << 30, 15032385536, 0, 1833, 32, 18933052},
+		{"dell-r415", ManagerHPMMAP, 0, 4294967296, 12809404416, 10045488, 0, 0},
+		{"dell-r415", ManagerHPMMAP, 2 << 30, 15032385536, 2071986176, 10045488, 0, 0},
+		{"sandia-xeon", ManagerTHP, 0, 25702694912, 0, 1833, 543, 11593435},
+		{"sandia-xeon", ManagerTHP, 2 << 30, 25702694912, 0, 1833, 543, 11593435},
+		{"sandia-xeon", ManagerHugeTLBfs, 0, 4294967296, 0, 1833, 32, 18933052},
+		{"sandia-xeon", ManagerHugeTLBfs, 2 << 30, 23622320128, 0, 1833, 32, 18933052},
+		{"sandia-xeon", ManagerHPMMAP, 0, 4294967296, 21399339008, 10045488, 0, 0},
+		{"sandia-xeon", ManagerHPMMAP, 2 << 30, 23622320128, 2071986176, 10045488, 0, 0},
+	}
+	for _, c := range cases {
+		sys, err := New(Config{Machine: c.machine, Manager: c.mgr, PoolBytes: c.pool, Seed: 7})
+		if err != nil {
+			t.Fatalf("%s/%s/pool %d: %v", c.machine, c.mgr, c.pool, err)
+		}
+		p, err := sys.LaunchHPC("solver")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr, cost, err := p.Mmap(64 << 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := p.Touch(addr, 64<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sys.FreeMemory() != c.free || sys.PoolFree() != c.poolFree || cost != c.mmapCost ||
+			rep.Faults != c.faults || rep.Cycles != c.faultCycles {
+			t.Errorf("%s/%s/pool %d: free %d pool %d mmap %d faults %d (%d cycles), want %d %d %d %d (%d)",
+				c.machine, c.mgr, c.pool, sys.FreeMemory(), sys.PoolFree(), cost, rep.Faults, rep.Cycles,
+				c.free, c.poolFree, c.mmapCost, c.faults, c.faultCycles)
+		}
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Machine: "cray"}); err == nil {
 		t.Fatal("bad machine accepted")
