@@ -355,6 +355,18 @@ func (m *Manager) release(p *kernel.Process, r *region) {
 	r.remote = 0
 }
 
+// unback rolls back a failed eager backing: it frees blocks, which back
+// [at, at+length), and at micro fidelity unmaps their page-table
+// entries. The caller has not yet counted them resident.
+func (m *Manager) unback(p *kernel.Process, blocks []block, at pgtable.VirtAddr, length uint64) {
+	for _, b := range blocks {
+		m.freeBlock(b)
+	}
+	if m.node.Detail {
+		p.PT.UnmapRange(at, length)
+	}
+}
+
 // mapAt eagerly backs [at, at+length) with large pages from the offlined
 // pool: 1GB pages for gigabyte-scale regions when enabled, 2MB otherwise.
 // Returns the region and the cycles consumed.
@@ -372,12 +384,6 @@ func (m *Manager) mapAt(p *kernel.Process, ps *procState, at pgtable.VirtAddr, l
 	}
 	load := m.node.LoadFor(p)
 	var cost float64
-	fail := func(i uint64, err error) (*region, sim.Cycles, error) {
-		for _, b := range r.blocks {
-			m.freeBlock(b)
-		}
-		return nil, 0, fmt.Errorf("hpmmap: pool exhausted after %d of %d blocks: %w", i, n, err)
-	}
 	off := uint64(0)
 	if use1G {
 		for off+mem.HugePageSize <= length {
@@ -411,7 +417,8 @@ func (m *Manager) mapAt(p *kernel.Process, ps *procState, at pgtable.VirtAddr, l
 		addr, zone, err := m.allocBlock(p.PreferredZone)
 		if err != nil {
 			// Roll back: on-request allocation is all-or-nothing.
-			return fail(off/mem.LargePageSize, err)
+			m.unback(p, r.blocks, at, off)
+			return nil, 0, fmt.Errorf("hpmmap: pool exhausted after %d of %d blocks: %w", off/mem.LargePageSize, n, err)
 		}
 		r.blocks = append(r.blocks, block{addr: addr, zone: zone})
 		if zone != p.PreferredZone {
@@ -499,13 +506,19 @@ func (m *Manager) Brk(p *kernel.Process, newBrk pgtable.VirtAddr) (pgtable.VirtA
 		n := delta / mem.LargePageSize
 		load := m.node.LoadFor(p)
 		var c float64
+		var remote uint64
+		have := len(ps.heap.blocks)
+		end := heapBase + pgtable.VirtAddr(ps.heap.length)
 		for i := uint64(0); i < n; i++ {
 			addr, zone, err := m.allocBlock(p.PreferredZone)
 			if err != nil {
+				// Roll back: the extension is all-or-nothing, like mapAt.
+				m.unback(p, ps.heap.blocks[have:], end, i*mem.LargePageSize)
+				ps.heap.blocks = ps.heap.blocks[:have]
 				return ps.brk, 0, fmt.Errorf("hpmmap: brk: pool exhausted: %w", err)
 			}
 			if m.node.Detail {
-				va := heapBase + pgtable.VirtAddr(ps.heap.length+i*mem.LargePageSize)
+				va := end + pgtable.VirtAddr(i*mem.LargePageSize)
 				if err := p.PT.Map(va, mem.PFN(addr/mem.PageSize), pgtable.Page2M, pgtable.ProtRead|pgtable.ProtWrite); err != nil {
 					// Simulated-state violation: brk's eager heap
 					// extension collided with an existing mapping.
@@ -518,12 +531,13 @@ func (m *Manager) Brk(p *kernel.Process, newBrk pgtable.VirtAddr) (pgtable.VirtA
 			}
 			ps.heap.blocks = append(ps.heap.blocks, block{addr: addr, zone: zone})
 			if zone != p.PreferredZone {
-				ps.heap.remote += mem.LargePageSize
-				p.ResidentRemote += mem.LargePageSize
+				remote += mem.LargePageSize
 			}
 			c += m.AllocBookkeeping + m.PTSetupCost + m.node.Costs().Clear2MCycles(load)
 		}
 		ps.heap.length = wantLen
+		ps.heap.remote += remote
+		p.ResidentRemote += remote
 		p.ResidentLarge += delta
 		m.BytesMapped += delta
 		cost = sim.Cycles(m.rand.Jitter(sim.Cycles(c), 0.05))
