@@ -175,11 +175,6 @@ type Ledger struct {
 	plan                    string
 	buf                     []Record
 	ok, quarantined, failed int
-
-	// canonical / plans feed the runner_ledger_* plan metrics
-	// (CanonicalRecords, PlanCount).
-	canonical uint64
-	plans     uint64
 }
 
 // New returns a ledger streaming to w. The caller owns w; Close
@@ -226,8 +221,6 @@ func (l *Ledger) BeginPlan(name string, seed uint64, cells, workers int) {
 	l.plan = name
 	l.buf = l.buf[:0]
 	l.ok, l.quarantined, l.failed = 0, 0, 0
-	l.plans++
-	l.canonical++
 	l.write(Record{
 		T: TypeManifest, Plan: name, Seed: fmt.Sprintf("%016x", seed),
 		Cells: cells, Model: l.meta.Model, Scale: l.meta.Scale, Flags: l.meta.Flags,
@@ -243,7 +236,6 @@ func (l *Ledger) CellStart(idx int, label string, seed uint64) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.canonical++
 	l.buf = append(l.buf, Record{
 		T: TypeCellStart, I: idx, Label: label, Seed: fmt.Sprintf("%016x", seed),
 	})
@@ -266,17 +258,20 @@ func (l *Ledger) CellFinish(idx int, status, errText string) {
 	default:
 		l.ok++
 	}
-	l.canonical++
 	l.buf = append(l.buf, Record{T: TypeCellFinish, I: idx, Status: status, Err: errText})
 }
 
 // EndPlan flushes the plan's buffered canonical cell events sorted by
 // cell index (stable, so each cell's start precedes its finish) and
 // writes the closing tally record. The sorted flush is what makes the
-// canonical projection independent of completion order.
-func (l *Ledger) EndPlan() {
+// canonical projection independent of completion order. It returns how
+// many canonical records the plan wrote (manifest, cell events and
+// tally) — the runner_ledger_records_total source, deterministic at
+// any worker count and cache state, unlike a byte or host-record
+// count. A nil receiver returns 0.
+func (l *Ledger) EndPlan() uint64 {
 	if l == nil {
-		return
+		return 0
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -284,14 +279,15 @@ func (l *Ledger) EndPlan() {
 	for _, r := range l.buf {
 		l.write(r)
 	}
+	records := uint64(len(l.buf)) + 2
 	l.buf = l.buf[:0]
-	l.canonical++
 	l.write(Record{
 		T: TypePlanEnd, Plan: l.plan,
 		OK: l.ok, Quarantined: l.quarantined, Failed: l.failed,
 	})
 	l.flushLocked()
 	l.plan = ""
+	return records
 }
 
 // flushLocked pushes buffered bytes to the underlying writer so `watch`
@@ -302,30 +298,6 @@ func (l *Ledger) flushLocked() {
 			l.err = fmt.Errorf("ledger: flush: %w", err)
 		}
 	}
-}
-
-// CanonicalRecords returns how many canonical records this ledger has
-// accepted — the runner_ledger_records_total source. Deterministic at
-// any worker count and cache state, unlike a byte or host-record
-// count. Safe on a nil receiver.
-func (l *Ledger) CanonicalRecords() uint64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.canonical
-}
-
-// PlanCount returns how many plans have begun — the
-// runner_ledger_plans_total source. Safe on a nil receiver.
-func (l *Ledger) PlanCount() uint64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.plans
 }
 
 // Close flushes and, when the ledger owns its file (Open), closes it.

@@ -18,8 +18,9 @@ func meta() Meta {
 
 // drive runs the same 4-cell plan through l, emitting canonical events
 // in the order given by perm (simulating completion-order scrambling
-// by a worker pool) plus host noise.
-func drive(l *Ledger, perm []int, hostNoise bool) {
+// by a worker pool) plus host noise. It returns EndPlan's count of the
+// plan's canonical records.
+func drive(l *Ledger, perm []int, hostNoise bool) uint64 {
 	l.BeginPlan("fig7", 0xdeadbeef, 4, len(perm))
 	for _, i := range perm {
 		l.CellStart(i, fmt.Sprintf("cell#%d", i), uint64(1000+i))
@@ -38,7 +39,7 @@ func drive(l *Ledger, perm []int, hostNoise bool) {
 		}
 		l.CellFinish(i, status, errText)
 	}
-	l.EndPlan()
+	return l.EndPlan()
 }
 
 func TestCanonicalProjectionOrderIndependent(t *testing.T) {
@@ -82,14 +83,10 @@ func TestRecordStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drive(l, []int{2, 0, 3, 1}, true)
+	if got := drive(l, []int{2, 0, 3, 1}, true); got != 1+8+1 { // manifest + 4x(start+finish) + plan_end
+		t.Fatalf("EndPlan = %d canonical records, want 10", got)
+	}
 	l.CacheCorrupt(3)
-	if got := l.CanonicalRecords(); got != 1+8+1 { // manifest + 4x(start+finish) + plan_end
-		t.Fatalf("CanonicalRecords = %d, want 10", got)
-	}
-	if got := l.PlanCount(); got != 1 {
-		t.Fatalf("PlanCount = %d, want 1", got)
-	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -171,9 +168,8 @@ func TestNilLedgerIsNoop(t *testing.T) {
 	l.CacheHit(0)
 	l.CacheMiss(0)
 	l.CacheCorrupt(1)
-	l.EndPlan()
-	if l.CanonicalRecords() != 0 || l.PlanCount() != 0 {
-		t.Fatal("nil ledger reported counts")
+	if l.EndPlan() != 0 {
+		t.Fatal("nil ledger reported records")
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)

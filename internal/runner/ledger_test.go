@@ -152,6 +152,30 @@ func TestLedgerMetricsInMergedSnapshot(t *testing.T) {
 	}
 }
 
+// TestLedgerMetricsPerCollector: collectors that share one ledger, as
+// the experiments of one invocation do, each count only the plans and
+// records they journaled.
+func TestLedgerMetricsPerCollector(t *testing.T) {
+	var raw bytes.Buffer
+	led := ledger.New(&raw, ledger.Meta{})
+	for i, cells := range []int{8, 2, 5} {
+		obs := NewObservations(0)
+		obs.SetLedger(led)
+		_, err := Run(Options{Workers: 2, Metrics: obs.PlanRegistry(), Obs: obs}, degradePlan(cells),
+			func(_ context.Context, idx int, _ Cell, _ uint64) (int, error) { return idx, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := obs.Merged()
+		if got, want := snap.CounterValue(metrics.RunnerLedgerRecordsTotal), uint64(2+2*cells); got != want {
+			t.Errorf("collector %d: runner_ledger_records_total = %d, want %d", i, got, want)
+		}
+		if got := snap.CounterValue(metrics.RunnerLedgerPlansTotal); got != 1 {
+			t.Errorf("collector %d: runner_ledger_plans_total = %d, want 1", i, got)
+		}
+	}
+}
+
 // TestLedgerNilSinkUnwired: a plan with no ledger attached journals
 // nothing and pays no host probes (totalAlloc is gated on led != nil).
 func TestLedgerNilSinkUnwired(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"hpmmap/internal/ledger"
 	"hpmmap/internal/metrics"
@@ -43,8 +44,11 @@ type Observations struct {
 	plan *metrics.Registry
 
 	// led is the attached run journal (SetLedger); Run writes to it
-	// when the collector is Options.Obs.
-	led *ledger.Ledger
+	// when the collector is Options.Obs. ledgerPlans and ledgerRecords
+	// count the plans and canonical records this collector journaled
+	// there (journaled); other collectors may share the ledger.
+	led                        *ledger.Ledger
+	ledgerPlans, ledgerRecords atomic.Uint64
 }
 
 // cellObs is one cell's collected instrumentation.
@@ -234,12 +238,14 @@ func (o *Observations) PlanRegistry() *metrics.Registry {
 
 // SetLedger attaches the run journal. The runner writes lifecycle
 // records and cache hit/miss traffic to it (pass the collector as
-// Options.Obs), and the plan registry gains the ledger's own
-// counters (runner_ledger_records_total counts canonical records only
-// — host record counts vary with cache state and so would break the
-// merged snapshot's byte-identity contract; runner_ledger_plans_total
-// counts plans journaled). Call before the plan runs. Safe on a nil
-// receiver or nil ledger.
+// Options.Obs), and the plan registry gains two counters of what this
+// collector journaled: runner_ledger_plans_total counts its plans and
+// runner_ledger_records_total their canonical records only — host
+// record counts vary with cache state and so would break the merged
+// snapshot's byte-identity contract. Several collectors may share one
+// ledger (one per experiment of an invocation); each counts only its
+// own plans. Call before the plan runs. Safe on a nil receiver or nil
+// ledger.
 func (o *Observations) SetLedger(l *ledger.Ledger) {
 	if o == nil || l == nil {
 		return
@@ -248,8 +254,19 @@ func (o *Observations) SetLedger(l *ledger.Ledger) {
 	o.led = l
 	o.mu.Unlock()
 	reg := o.PlanRegistry()
-	reg.CounterFunc(metrics.RunnerLedgerRecordsTotal, func() uint64 { return l.CanonicalRecords() })
-	reg.CounterFunc(metrics.RunnerLedgerPlansTotal, func() uint64 { return l.PlanCount() })
+	reg.CounterFunc(metrics.RunnerLedgerRecordsTotal, o.ledgerRecords.Load)
+	reg.CounterFunc(metrics.RunnerLedgerPlansTotal, o.ledgerPlans.Load)
+}
+
+// journaled counts one plan this collector journaled, which wrote
+// records canonical records (Ledger.EndPlan). A no-op on a nil receiver
+// or without a ledger.
+func (o *Observations) journaled(records uint64) {
+	if o.ledgerSink() == nil {
+		return
+	}
+	o.ledgerPlans.Add(1)
+	o.ledgerRecords.Add(records)
 }
 
 // ledgerSink returns the attached ledger (nil when none is attached or

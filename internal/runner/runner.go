@@ -392,7 +392,7 @@ func Run[T any](opts Options, plan Plan, fn CellFunc[T]) ([]T, error) {
 	}
 	close(jobs)
 	wg.Wait()
-	led.EndPlan()
+	obs.journaled(led.EndPlan())
 
 	mu.Lock()
 	err := firstErr
