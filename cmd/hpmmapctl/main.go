@@ -12,12 +12,11 @@ import (
 	"os"
 
 	"hpmmap/internal/core"
+	"hpmmap/internal/experiments"
 	"hpmmap/internal/fault"
 	"hpmmap/internal/kernel"
-	"hpmmap/internal/linuxmm"
 	"hpmmap/internal/pgtable"
 	"hpmmap/internal/sim"
-	"hpmmap/internal/thp"
 	"hpmmap/internal/vma"
 )
 
@@ -27,17 +26,17 @@ func main() {
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	flag.Parse()
 
-	eng := sim.NewEngine()
-	node := kernel.NewNode(kernel.DellR415(), eng, sim.NewRand(*seed))
-	mm := linuxmm.New(node, linuxmm.ModeTHP, linuxmm.ModeTHP, nil)
-	node.SetDefaultMM(mm)
-	thp.Start(node, mm)
-
 	step := func(format string, args ...any) { fmt.Printf("==> "+format+"\n", args...) }
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "hpmmapctl:", err)
 		os.Exit(1)
 	}
+
+	rig, err := experiments.Boot(kernel.DellR415(), sim.NewEngine(), *seed, experiments.THP, false, 1, 0)
+	if err != nil {
+		fail(err)
+	}
+	node := rig.Node
 
 	step("node booted: %d cores, %dGB RAM, manager %s",
 		node.NumCores(), node.Config().MemoryBytes>>30, node.DefaultMM().Name())

@@ -23,14 +23,11 @@ package hpmmap
 import (
 	"fmt"
 
-	"hpmmap/internal/core"
+	"hpmmap/internal/experiments"
 	"hpmmap/internal/fault"
-	"hpmmap/internal/hugetlb"
 	"hpmmap/internal/kernel"
-	"hpmmap/internal/linuxmm"
 	"hpmmap/internal/pgtable"
 	"hpmmap/internal/sim"
-	"hpmmap/internal/thp"
 	"hpmmap/internal/vma"
 	"hpmmap/internal/workload"
 )
@@ -70,12 +67,8 @@ type Config struct {
 
 // System is one simulated node.
 type System struct {
-	eng    *sim.Engine
-	node   *kernel.Node
-	mm     *linuxmm.Manager
-	hp     *core.Manager
-	daemon *thp.Daemon
-	mgr    Manager
+	rig *experiments.Rig
+	mgr Manager
 }
 
 // New boots a node.
@@ -92,42 +85,15 @@ func New(cfg Config) (*System, error) {
 	if cfg.Manager == "" {
 		cfg.Manager = ManagerHPMMAP
 	}
-	if cfg.PoolBytes == 0 {
-		cfg.PoolBytes = 12 << 30
-		if mc.MemoryBytes >= 24<<30 {
-			cfg.PoolBytes = 20 << 30
-		}
+	kind, err := managerKind(cfg.Manager)
+	if err != nil {
+		return nil, err
 	}
-	eng := sim.NewEngine()
-	node := kernel.NewNode(mc, eng, sim.NewRand(cfg.Seed))
-	node.Detail = cfg.Detail
-	s := &System{eng: eng, node: node, mgr: cfg.Manager}
-	switch cfg.Manager {
-	case ManagerTHP:
-		s.mm = linuxmm.New(node, linuxmm.ModeTHP, linuxmm.ModeTHP, nil)
-		node.SetDefaultMM(s.mm)
-		s.daemon = thp.Start(node, s.mm)
-	case ManagerHugeTLBfs:
-		pools, err := hugetlb.Reserve(node.Mem, cfg.PoolBytes)
-		if err != nil {
-			return nil, err
-		}
-		node.SetReservedBytes(cfg.PoolBytes)
-		s.mm = linuxmm.New(node, linuxmm.ModeHugeTLB, linuxmm.Mode4KOnly, pools)
-		node.SetDefaultMM(s.mm)
-	case ManagerHPMMAP:
-		s.mm = linuxmm.New(node, linuxmm.ModeTHP, linuxmm.ModeTHP, nil)
-		node.SetDefaultMM(s.mm)
-		s.daemon = thp.Start(node, s.mm)
-		hp, err := core.Install(node, cfg.PoolBytes)
-		if err != nil {
-			return nil, err
-		}
-		s.hp = hp
-	default:
-		return nil, fmt.Errorf("hpmmap: unknown manager %q", cfg.Manager)
+	rig, err := experiments.Boot(mc, sim.NewEngine(), cfg.Seed, kind, cfg.Detail, 1, cfg.PoolBytes)
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
+	return &System{rig: rig, mgr: cfg.Manager}, nil
 }
 
 // Manager reports the active configuration.
@@ -136,48 +102,42 @@ func (s *System) Manager() Manager { return s.mgr }
 // SetUse1GPages switches HPMMAP to 1GB pages for gigabyte-scale regions
 // (no effect under other managers).
 func (s *System) SetUse1GPages(v bool) {
-	if s.hp != nil {
-		s.hp.Use1GPages = v
+	if s.rig.HP != nil {
+		s.rig.HP.Use1GPages = v
 	}
 }
 
 // Advance runs the simulation forward by the given number of seconds of
 // simulated time (background daemons, builds and processes all progress).
 func (s *System) Advance(seconds float64) {
-	s.eng.RunUntil(s.eng.Now() + sim.Cycles(s.node.Config().Cycles(seconds)))
+	s.rig.Eng.RunUntil(s.rig.Eng.Now() + sim.Cycles(s.rig.Node.Config().Cycles(seconds)))
 }
 
 // Now returns the simulated time in seconds since boot.
 func (s *System) Now() float64 {
-	return s.node.Config().Seconds(float64(s.eng.Now()))
+	return s.rig.Node.Config().Seconds(float64(s.rig.Eng.Now()))
 }
 
 // FreeMemory returns the bytes Linux's allocator has free (offlined and
 // reserved memory excluded).
 func (s *System) FreeMemory() uint64 {
-	return s.node.Mem.FreePages() * 4096
+	return s.rig.Node.Mem.FreePages() * 4096
 }
 
 // PoolFree returns the free bytes in HPMMAP's offlined pool (zero for
 // other managers).
 func (s *System) PoolFree() uint64 {
-	if s.hp == nil {
+	if s.rig.HP == nil {
 		return 0
 	}
-	return s.hp.PoolFreeBytes()
+	return s.rig.HP.PoolFreeBytes()
 }
 
 // LaunchHPC starts an HPC process. Under ManagerHPMMAP it goes through
 // the registration launch tool (so its memory calls are interposed);
 // otherwise it is an ordinary Linux process using the HPC-side policy.
 func (s *System) LaunchHPC(name string) (*Process, error) {
-	var p *kernel.Process
-	var err error
-	if s.hp != nil {
-		p, err = s.hp.Launch(name, 0)
-	} else {
-		p, err = s.node.NewProcess(name, false, 0)
-	}
+	p, err := s.rig.Launcher()(name, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +146,7 @@ func (s *System) LaunchHPC(name string) (*Process, error) {
 
 // LaunchCommodity starts a commodity process (always Linux-managed).
 func (s *System) LaunchCommodity(name string) (*Process, error) {
-	p, err := s.node.NewProcess(name, true, 0)
+	p, err := s.rig.Node.NewProcess(name, true, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +157,7 @@ func (s *System) LaunchCommodity(name string) (*Process, error) {
 // interference workload) with the given -j level. Call Stop on the result
 // to end it.
 func (s *System) StartKernelBuild(jobs int) *Build {
-	b := workload.StartBuild(s.node, workload.KernelBuild(jobs), s.node.Rand().Uint64())
+	b := workload.StartBuild(s.rig.Node, workload.KernelBuild(jobs), s.rig.Node.Rand().Uint64())
 	return &Build{b: b}
 }
 
@@ -215,7 +175,7 @@ func (b *Build) Compiles() uint64 { return b.b.Compiles }
 // ingests a multi-GB snapshot of simulation output, crunches it with
 // bandwidth-heavy compute, and emits results to the page cache.
 func (s *System) StartAnalytics() *Analytics {
-	a := workload.StartAnalytics(s.node, workload.VizPipeline(), s.node.Rand().Uint64())
+	a := workload.StartAnalytics(s.rig.Node, workload.VizPipeline(), s.rig.Node.Rand().Uint64())
 	return &Analytics{a: a}
 }
 
@@ -239,19 +199,19 @@ func (p *Process) PID() int { return p.p.PID }
 
 // ManagedBy reports which memory manager serves this process's memory
 // system calls right now.
-func (p *Process) ManagedBy() string { return p.sys.node.ManagerNameFor(p.p) }
+func (p *Process) ManagedBy() string { return p.sys.rig.Node.ManagerNameFor(p.p) }
 
 // Mmap creates an anonymous mapping and returns its address and the
 // simulated cycles the call took. Under HPMMAP the region is backed
 // eagerly (on-request allocation), so the cost covers zeroing it.
 func (p *Process) Mmap(bytes uint64) (uint64, uint64, error) {
-	addr, cost, err := p.sys.node.Mmap(p.p, bytes, pgtable.ProtRead|pgtable.ProtWrite, vma.KindAnon)
+	addr, cost, err := p.sys.rig.Node.Mmap(p.p, bytes, pgtable.ProtRead|pgtable.ProtWrite, vma.KindAnon)
 	return uint64(addr), uint64(cost), err
 }
 
 // Munmap removes a mapping created by Mmap.
 func (p *Process) Munmap(addr, bytes uint64) error {
-	_, err := p.sys.node.Munmap(p.p, pgtable.VirtAddr(addr), bytes)
+	_, err := p.sys.rig.Node.Munmap(p.p, pgtable.VirtAddr(addr), bytes)
 	return err
 }
 
@@ -272,7 +232,7 @@ type FaultReport struct {
 // take zero faults on valid ranges.
 func (p *Process) Touch(addr, bytes uint64) (FaultReport, error) {
 	before := p.p.Faults
-	if _, err := p.sys.node.TouchRange(p.p, pgtable.VirtAddr(addr), bytes); err != nil {
+	if _, err := p.sys.rig.Node.TouchRange(p.p, pgtable.VirtAddr(addr), bytes); err != nil {
 		return FaultReport{}, err
 	}
 	return reportOf(p.p.Faults.Since(before)), nil
@@ -308,13 +268,13 @@ func (p *Process) LargePageFraction() float64 { return p.p.LargeFraction() }
 // the paper's Section II-B pitfall; under HPMMAP memory is unswappable
 // already and the call is a cheap no-op.
 func (p *Process) MlockAll() error {
-	if p.sys.node.ManagerNameFor(p.p) == "hpmmap" {
+	if p.sys.rig.Node.ManagerNameFor(p.p) == "hpmmap" {
 		return nil // offlined memory never swaps
 	}
-	_, err := p.sys.mm.MlockAll(p.p)
+	_, err := p.sys.rig.MM.MlockAll(p.p)
 	return err
 }
 
 // Exit terminates the process, releasing all memory (and, under HPMMAP,
 // its registry entry).
-func (p *Process) Exit() { p.sys.node.Exit(p.p) }
+func (p *Process) Exit() { p.sys.rig.Node.Exit(p.p) }

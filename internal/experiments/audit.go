@@ -48,9 +48,9 @@ func auditPeriod(clockHz float64) sim.Cycles {
 //
 // The auditor is returned un-started; callers Start it on the rig's
 // engine at the scheduler-tick cadence and Stop it when the run ends.
-func newNodeAuditor(r *rig, reg *metrics.Registry) *invariant.Auditor {
+func newNodeAuditor(r *Rig, reg *metrics.Registry) *invariant.Auditor {
 	a := invariant.NewAuditor()
-	node := r.node
+	node := r.Node
 	// Zone audits are two-speed: the accounting check (conservation,
 	// bounds, alignment, coalescing) runs at every tick, while the
 	// no-frame-free-twice pass runs on a strided deep pass. Both are
@@ -98,8 +98,8 @@ func newNodeAuditor(r *rig, reg *metrics.Registry) *invariant.Auditor {
 		})
 		return found
 	})
-	if r.hp != nil {
-		hp := r.hp
+	if r.HP != nil {
+		hp := r.HP
 		a.AddCheck("hpmmap_pool", func() error {
 			for z := 0; z < node.Config().NumaZones; z++ {
 				pool := hp.ZonePool(z)

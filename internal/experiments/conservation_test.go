@@ -41,20 +41,20 @@ type fuzzRegion struct {
 
 func fuzzOnce(t *testing.T, kind ManagerKind, seed uint64) {
 	t.Helper()
-	r, err := newRig(kernel.DellR415(), kind, seed, false, 0.5)
+	r, err := Boot(kernel.DellR415(), sim.NewEngine(), seed, kind, false, 0.5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	node := r.node
+	node := r.Node
 	rnd := sim.NewRand(seed * 7919)
 	freeBefore := node.Mem.FreePages()
 	var poolBefore uint64
-	if r.hp != nil {
-		poolBefore = r.hp.PoolFreeBytes()
+	if r.HP != nil {
+		poolBefore = r.HP.PoolFreeBytes()
 	}
 	var hugetlbBefore int
-	if r.mm.Pools != nil {
-		hugetlbBefore = r.mm.Pools.FreePagesTotal()
+	if r.MM.Pools != nil {
+		hugetlbBefore = r.MM.Pools.FreePagesTotal()
 	}
 
 	var procs []*fuzzProc
@@ -62,8 +62,8 @@ func fuzzOnce(t *testing.T, kind ManagerKind, seed uint64) {
 		var p *kernel.Process
 		var err error
 		hpc := rnd.Bool(0.5)
-		if hpc && r.hp != nil {
-			p, err = r.hp.Launch("fuzz-hpc", rnd.Intn(2))
+		if hpc && r.HP != nil {
+			p, err = r.HP.Launch("fuzz-hpc", rnd.Intn(2))
 		} else {
 			p, err = node.NewProcess("fuzz", !hpc, rnd.Intn(2))
 		}
@@ -127,7 +127,7 @@ func fuzzOnce(t *testing.T, kind ManagerKind, seed uint64) {
 			if err == nil {
 				cp := &fuzzProc{p: child}
 				if rnd.Bool(0.5) {
-					if _, err := r.mm.Exec(child); err != nil {
+					if _, err := r.MM.Exec(child); err != nil {
 						t.Fatalf("seed %d: exec: %v", seed, err)
 					}
 				}
@@ -149,13 +149,13 @@ func fuzzOnce(t *testing.T, kind ManagerKind, seed uint64) {
 	if got := node.Mem.FreePages(); got != freeBefore {
 		t.Fatalf("seed %d (%s): leaked %d pages (%d -> %d)", seed, kind, int64(freeBefore)-int64(got), freeBefore, got)
 	}
-	if r.hp != nil {
-		if got := r.hp.PoolFreeBytes(); got != poolBefore {
+	if r.HP != nil {
+		if got := r.HP.PoolFreeBytes(); got != poolBefore {
 			t.Fatalf("seed %d: hpmmap pool leaked: %d -> %d", seed, poolBefore, got)
 		}
 	}
-	if r.mm.Pools != nil {
-		if got := r.mm.Pools.FreePagesTotal(); got != hugetlbBefore {
+	if r.MM.Pools != nil {
+		if got := r.MM.Pools.FreePagesTotal(); got != hugetlbBefore {
 			t.Fatalf("seed %d: hugetlb pool leaked: %d -> %d", seed, hugetlbBefore, got)
 		}
 	}
@@ -178,9 +178,9 @@ func TestClusterConservation(t *testing.T) {
 			type boot struct{ free, pool uint64 }
 			boots := make([]boot, len(cr.rigs))
 			for i, r := range cr.rigs {
-				boots[i].free = r.node.Mem.FreePages()
-				if r.hp != nil {
-					boots[i].pool = r.hp.PoolFreeBytes()
+				boots[i].free = r.Node.Mem.FreePages()
+				if r.HP != nil {
+					boots[i].pool = r.HP.PoolFreeBytes()
 				}
 			}
 			spec := scaleSpec(mustSpec(t, "HPCCG"), 0.25)
@@ -189,7 +189,7 @@ func TestClusterConservation(t *testing.T) {
 				t.Fatal(err)
 			}
 			placements := cr.cl.Placements(placement, func(n int) workload.Launcher {
-				return cr.rigs[n].launcher()
+				return cr.rigs[n].Launcher()
 			})
 			var res workload.Result
 			done := false
@@ -207,15 +207,15 @@ func TestClusterConservation(t *testing.T) {
 				t.Fatal(res.Err)
 			}
 			for i, r := range cr.rigs {
-				if got := r.node.Mem.FreePages(); got != boots[i].free {
+				if got := r.Node.Mem.FreePages(); got != boots[i].free {
 					t.Errorf("node %d leaked %d pages", i, int64(boots[i].free)-int64(got))
 				}
-				if r.hp != nil {
-					if got := r.hp.PoolFreeBytes(); got != boots[i].pool {
+				if r.HP != nil {
+					if got := r.HP.PoolFreeBytes(); got != boots[i].pool {
 						t.Errorf("node %d pool leaked: %d -> %d", i, boots[i].pool, got)
 					}
 				}
-				if got := r.node.Swap().UsedPages(); got != 0 {
+				if got := r.Node.Swap().UsedPages(); got != 0 {
 					t.Errorf("node %d swap slots leaked: %d", i, got)
 				}
 			}

@@ -64,7 +64,7 @@ func TestSeedsProduceVariance(t *testing.T) {
 }
 
 func TestPinCores(t *testing.T) {
-	r, err := newRig(kernel.DellR415(), THP, 1, false, 1)
+	r, err := Boot(kernel.DellR415(), sim.NewEngine(), 1, THP, false, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestPinCores(t *testing.T) {
 		{8, []int{0, 1, 2, 3, 6, 7, 8, 9}},
 	}
 	for _, c := range cases {
-		got, err := pinCores(r.node, c.ranks)
+		got, err := pinCores(r.Node, c.ranks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestPinCores(t *testing.T) {
 			}
 		}
 	}
-	if _, err := pinCores(r.node, 99); err == nil {
+	if _, err := pinCores(r.Node, 99); err == nil {
 		t.Fatal("99 ranks accepted")
 	}
 }
@@ -447,12 +447,12 @@ func TestNoiseAmplification(t *testing.T) {
 // zero faults from one offlined pool — the paper's "dynamically partition
 // a node's physical memory" claim.
 func TestTwoRegisteredAppsShareThePool(t *testing.T) {
-	rig, err := newRig(kernel.DellR415(), HPMMAP, 3, false, 0.5)
+	rig, err := Boot(kernel.DellR415(), sim.NewEngine(), 3, HPMMAP, false, 0.5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := scaleSpec(mustSpec(t, "HPCCG"), 0.2)
-	launch := rig.launcher()
+	launch := rig.Launcher()
 	results := make([]workload.Result, 2)
 	done := 0
 	for i := 0; i < 2; i++ {
@@ -460,14 +460,14 @@ func TestTwoRegisteredAppsShareThePool(t *testing.T) {
 		cores := []int{i, 6 + i} // interleave the two apps across zones
 		var pls []workload.RankPlacement
 		for _, c := range cores {
-			pls = append(pls, workload.RankPlacement{Node: rig.node, Core: c, Launch: launch})
+			pls = append(pls, workload.RankPlacement{Node: rig.Node, Core: c, Launch: launch})
 		}
-		if _, err := workload.Start(rig.eng, workload.Options{Spec: spec, Ranks: pls},
+		if _, err := workload.Start(rig.Eng, workload.Options{Spec: spec, Ranks: pls},
 			func(got workload.Result) { results[i] = got; done++ }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for done < 2 && rig.eng.Step() {
+	for done < 2 && rig.Eng.Step() {
 	}
 	if done != 2 {
 		t.Fatal("apps did not complete")
@@ -483,8 +483,8 @@ func TestTwoRegisteredAppsShareThePool(t *testing.T) {
 		}
 	}
 	// All pool memory is back.
-	if rig.hp.PoolFreeBytes() != rig.hp.PoolTotalBytes() {
-		t.Fatalf("pool leaked: %d of %d free", rig.hp.PoolFreeBytes(), rig.hp.PoolTotalBytes())
+	if rig.HP.PoolFreeBytes() != rig.HP.PoolTotalBytes() {
+		t.Fatalf("pool leaked: %d of %d free", rig.HP.PoolFreeBytes(), rig.HP.PoolTotalBytes())
 	}
 }
 

@@ -94,7 +94,7 @@ func ExecuteCluster(rs SingleRun) (RunOutcome, error) {
 	}
 
 	placements := cr.cl.Placements(placement, func(nodeIdx int) workload.Launcher {
-		return cr.rigs[nodeIdx].launcher()
+		return cr.rigs[nodeIdx].Launcher()
 	})
 	var res workload.Result
 	done := false

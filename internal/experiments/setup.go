@@ -119,109 +119,107 @@ func (s Scale) bytes(b uint64) uint64 {
 	return v
 }
 
-// rig is one configured single node.
-type rig struct {
-	eng    *sim.Engine
-	node   *kernel.Node
-	mm     *linuxmm.Manager
-	hp     *core.Manager
-	daemon *thp.Daemon
+// Rig is one booted node: its engine, the node, its Linux memory
+// manager, and the HPMMAP module and khugepaged daemon where its
+// configuration loads them (nil otherwise).
+type Rig struct {
+	Eng    *sim.Engine
+	Node   *kernel.Node
+	MM     *linuxmm.Manager
+	HP     *core.Manager
+	Daemon *thp.Daemon
 }
 
-// offlineBytes returns the reservation/offline size for a machine: the
-// paper uses 12GB of 16GB (single node) and 20GB of 24GB (cluster).
+// offlineBytes returns the paper's reservation/offline size for a
+// machine: 12GB of the 16GB single node, 20GB of the 24GB cluster node,
+// scaled by sc and rounded down to the offlining granularity. It picks
+// between the two from the memory it is handed, which Boot has already
+// scaled, so below full scale the cluster node gets 12GB × sc, and
+// from 1.5× up the single node asks for 20GB × sc (ROADMAP item 3).
 func offlineBytes(mc kernel.MachineConfig, sc Scale) uint64 {
-	var base uint64
-	switch {
-	case mc.MemoryBytes >= 24<<30:
+	base := uint64(12 << 30)
+	if mc.MemoryBytes >= 24<<30 {
 		base = 20 << 30
-	default:
-		base = 12 << 30
 	}
-	v := sc.bytes(base)
-	v -= v % (256 << 20) // section size x zones
-	if v < 256<<20 {
-		v = 256 << 20
-	}
-	return v
+	return sectionFloor(sc.bytes(base))
 }
 
-// newRig boots one node under the given manager configuration.
-func newRig(mc kernel.MachineConfig, kind ManagerKind, seed uint64, detail bool, sc Scale) (*rig, error) {
+// sectionFloor rounds b down to the 256MB offlining granularity
+// (section size × zones), but to no less than one such unit.
+func sectionFloor(b uint64) uint64 {
+	const unit = 256 << 20
+	b -= b % unit
+	if b < unit {
+		b = unit
+	}
+	return b
+}
+
+// Boot boots one node of machine preset mc on eng under one of the
+// manager configurations. mc is the unscaled preset: Boot is the one
+// place that scales a machine's memory by sc, picks its pool and wires
+// its managers, for every experiment's node, the root facade's System
+// and hpmmapctl alike. pool is the bytes reserved for hugetlbfs or
+// offlined for HPMMAP (Mixed splits it between the two); 0 picks the
+// paper's pool, offlineBytes. seed seeds the node's PRNG and detail
+// selects micro fidelity.
+func Boot(mc kernel.MachineConfig, eng *sim.Engine, seed uint64, kind ManagerKind, detail bool, sc Scale, pool uint64) (*Rig, error) {
 	mc.MemoryBytes = sc.bytes(mc.MemoryBytes)
-	eng := sim.NewEngine()
+	if pool == 0 {
+		pool = offlineBytes(mc, sc)
+	}
 	node := kernel.NewNode(mc, eng, sim.NewRand(seed))
 	node.Detail = detail
-	r := &rig{eng: eng, node: node}
-	if err := r.install(kind, sc); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// install wires the memory managers per the paper's three configurations.
-func (r *rig) install(kind ManagerKind, sc Scale) error {
-	node := r.node
+	r := &Rig{Eng: eng, Node: node}
 	switch kind {
 	case THP:
-		r.mm = linuxmm.New(node, linuxmm.ModeTHP, linuxmm.ModeTHP, nil)
-		node.SetDefaultMM(r.mm)
-		r.daemon = thp.Start(node, r.mm)
+		r.MM = linuxmm.New(node, linuxmm.ModeTHP, linuxmm.ModeTHP, nil)
+		node.SetDefaultMM(r.MM)
+		r.Daemon = thp.Start(node, r.MM)
 	case HugeTLBfs:
-		resv := offlineBytes(node.Config(), sc)
-		pools, err := hugetlb.Reserve(node.Mem, resv)
+		pools, err := hugetlb.Reserve(node.Mem, pool)
 		if err != nil {
-			return fmt.Errorf("experiments: hugetlb reserve: %w", err)
+			return nil, fmt.Errorf("experiments: hugetlb reserve: %w", err)
 		}
-		node.SetReservedBytes(resv)
-		r.mm = linuxmm.New(node, linuxmm.ModeHugeTLB, linuxmm.Mode4KOnly, pools)
-		node.SetDefaultMM(r.mm)
+		node.SetReservedBytes(pool)
+		r.MM = linuxmm.New(node, linuxmm.ModeHugeTLB, linuxmm.Mode4KOnly, pools)
+		node.SetDefaultMM(r.MM)
 		// THP is disabled in this configuration: no daemon.
 	case HPMMAP:
-		r.mm = linuxmm.New(node, linuxmm.ModeTHP, linuxmm.ModeTHP, nil)
-		node.SetDefaultMM(r.mm)
-		r.daemon = thp.Start(node, r.mm)
-		hp, err := core.Install(node, offlineBytes(node.Config(), sc))
+		r.MM = linuxmm.New(node, linuxmm.ModeTHP, linuxmm.ModeTHP, nil)
+		node.SetDefaultMM(r.MM)
+		r.Daemon = thp.Start(node, r.MM)
+		hp, err := core.Install(node, pool)
 		if err != nil {
-			return fmt.Errorf("experiments: hpmmap install: %w", err)
+			return nil, fmt.Errorf("experiments: hpmmap install: %w", err)
 		}
-		r.hp = hp
+		r.HP = hp
 	case Mixed:
 		// Datacenter tenancy: split the reservation budget between the
 		// hugetlb pools (a quarter) and HPMMAP's offlined memory (five
 		// eighths), leaving the rest to Linux; THP serves commodity
 		// processes as usual.
-		resv := offlineBytes(node.Config(), sc)
-		htlb := resv / 4
-		htlb -= htlb % (256 << 20)
-		if htlb < 256<<20 {
-			htlb = 256 << 20
-		}
-		hpB := resv * 5 / 8
-		hpB -= hpB % (256 << 20)
-		if hpB < 256<<20 {
-			hpB = 256 << 20
-		}
+		htlb, hpB := sectionFloor(pool/4), sectionFloor(pool*5/8)
 		// Offline HPMMAP's memory first: section offlining needs the top
 		// of each zone untouched, and the hugetlb reservation below
 		// would otherwise fragment it.
 		hp, err := core.Install(node, hpB)
 		if err != nil {
-			return fmt.Errorf("experiments: hpmmap install: %w", err)
+			return nil, fmt.Errorf("experiments: hpmmap install: %w", err)
 		}
-		r.hp = hp
+		r.HP = hp
 		pools, err := hugetlb.Reserve(node.Mem, htlb)
 		if err != nil {
-			return fmt.Errorf("experiments: hugetlb reserve: %w", err)
+			return nil, fmt.Errorf("experiments: hugetlb reserve: %w", err)
 		}
 		node.SetReservedBytes(htlb)
-		r.mm = linuxmm.New(node, linuxmm.ModeHugeTLB, linuxmm.ModeTHP, pools)
-		node.SetDefaultMM(r.mm)
-		r.daemon = thp.Start(node, r.mm)
+		r.MM = linuxmm.New(node, linuxmm.ModeHugeTLB, linuxmm.ModeTHP, pools)
+		node.SetDefaultMM(r.MM)
+		r.Daemon = thp.Start(node, r.MM)
 	default:
-		return fmt.Errorf("experiments: unknown manager kind %d", kind)
+		return nil, fmt.Errorf("experiments: unknown manager kind %d", kind)
 	}
-	return nil
+	return r, nil
 }
 
 // observe instruments every subsystem of the rig against one registry
@@ -230,19 +228,19 @@ func (r *rig) install(kind ManagerKind, sc Scale) error {
 // and the khugepaged daemon. Engine-level sim_* metrics are registered
 // separately by observeEngine, once per engine — cluster rigs share one
 // engine, and the registry's pull sources are additive.
-func (r *rig) observe(reg *metrics.Registry, tr *metrics.ChromeTracer) {
+func (r *Rig) observe(reg *metrics.Registry, tr *metrics.ChromeTracer) {
 	if reg == nil && tr == nil {
 		return
 	}
-	r.node.Observe(reg, tr)
-	if r.mm != nil {
-		r.mm.Observe(reg)
+	r.Node.Observe(reg, tr)
+	if r.MM != nil {
+		r.MM.Observe(reg)
 	}
-	if r.hp != nil {
-		r.hp.Observe(reg)
+	if r.HP != nil {
+		r.HP.Observe(reg)
 	}
-	if r.daemon != nil {
-		r.daemon.Observe(reg, tr)
+	if r.Daemon != nil {
+		r.Daemon.Observe(reg, tr)
 	}
 }
 
@@ -265,11 +263,11 @@ func observeEngine(reg *metrics.Registry, eng *sim.Engine) {
 // samples into rates). Every probe reads existing simulation state — no
 // PRNG draws, no mutations — so sampling never perturbs a run. Nil-safe
 // on a nil series.
-func wireSeries(s *timeline.Series, idx int, r *rig) {
+func wireSeries(s *timeline.Series, idx int, r *Rig) {
 	if s == nil {
 		return
 	}
-	node := r.node
+	node := r.Node
 	s.AddProbe(idx, "kernel_commit_pressure", node.CommitPressure)
 	s.AddProbe(idx, "mem_pressure", node.Mem.Pressure)
 	s.AddProbe(idx, "mem_free_bytes", func() float64 {
@@ -291,23 +289,25 @@ func wireSeries(s *timeline.Series, idx int, r *rig) {
 		}
 		return float64(pages)
 	})
-	if mm := r.mm; mm != nil {
+	if mm := r.MM; mm != nil {
 		s.AddProbe(idx, "linuxmm_small_faults_total", func() float64 { return float64(mm.SmallFaults) })
 		s.AddProbe(idx, "linuxmm_large_faults_total", func() float64 { return float64(mm.LargeFaults) })
 		s.AddProbe(idx, "linuxmm_fallback_faults_total", func() float64 { return float64(mm.FallbackFaults) })
 		s.AddProbe(idx, "linuxmm_reclaim_storms_total", func() float64 { return float64(mm.ReclaimStorms) })
 	}
-	if d := r.daemon; d != nil {
+	if d := r.Daemon; d != nil {
 		s.AddProbe(idx, "thp_merges_total", func() float64 { return float64(d.Merges) })
 	}
 }
 
-// launcher returns the rank launcher for this rig's HPC processes.
-func (r *rig) launcher() workload.Launcher {
-	if r.hp != nil {
-		return r.hp.Launch
+// Launcher returns the launcher of the rig's HPC processes: HPMMAP's
+// registration tool when the module is loaded, else a plain Linux
+// process on the HPC-side policy.
+func (r *Rig) Launcher() workload.Launcher {
+	if r.HP != nil {
+		return r.HP.Launch
 	}
-	node := r.node
+	node := r.Node
 	return func(name string, zone int) (*kernel.Process, error) {
 		return node.NewProcess(name, false, zone)
 	}
@@ -568,9 +568,9 @@ func (o ModelOverrides) applyConfig(mc *kernel.MachineConfig) {
 	}
 }
 
-func (o ModelOverrides) applyRig(r *rig) {
-	if o.THPFragSensitivity != nil && r.mm != nil {
-		r.mm.THPFragSensitivity = *o.THPFragSensitivity
+func (o ModelOverrides) applyRig(r *Rig) {
+	if o.THPFragSensitivity != nil && r.MM != nil {
+		r.MM.THPFragSensitivity = *o.THPFragSensitivity
 	}
 }
 
@@ -582,38 +582,38 @@ func ExecuteSingleNode(rs SingleRun) (RunOutcome, error) {
 	}
 	mc := kernel.DellR415()
 	rs.Overrides.applyConfig(&mc)
-	rig, err := newRig(mc, rs.Kind, rs.Seed, rs.Detail, rs.Scale)
+	rig, err := Boot(mc, sim.NewEngine(), rs.Seed, rs.Kind, rs.Detail, rs.Scale, 0)
 	if err != nil {
 		return RunOutcome{}, err
 	}
 	rs.Overrides.applyRig(rig)
 	rs.Tracer.SetClock(mc.ClockHz)
 	rig.observe(rs.Metrics, rs.Tracer)
-	observeEngine(rs.Metrics, rig.eng)
+	observeEngine(rs.Metrics, rig.Eng)
 	wireSeries(rs.Series, 0, rig)
 	rs.Series.Observe(rs.Metrics, rs.Tracer)
 	rs.Attribution.Observe(rs.Metrics)
 	spec := scaleSpec(rs.Bench, rs.Scale)
-	cores, err := pinCores(rig.node, rs.Ranks)
+	cores, err := pinCores(rig.Node, rs.Ranks)
 	if err != nil {
 		return RunOutcome{}, err
 	}
-	builds := startProfile(rig.node, rs.Profile, rs.Ranks, rs.Seed^0xb0b)
+	builds := startProfile(rig.Node, rs.Profile, rs.Ranks, rs.Seed^0xb0b)
 	var stopCoLocated func()
 	if rs.CoLocated != nil {
-		stopCoLocated = rs.CoLocated(rig.node)
+		stopCoLocated = rs.CoLocated(rig.Node)
 	}
 	if rs.Chaos != nil {
 		rs.Chaos.Observe(rs.Metrics)
-		rs.Chaos.Attach(rig.node)
+		rs.Chaos.Attach(rig.Node)
 	}
 	var dcAgent *datacenter.Agent
 	if rs.Datacenter != nil {
 		var hp datacenter.Launcher
-		if rig.hp != nil {
-			hp = rig.hp
+		if rig.HP != nil {
+			hp = rig.HP
 		}
-		dcAgent = datacenter.New(*rs.Datacenter, rig.node, hp, datacenter.DeriveSeed(rs.Seed))
+		dcAgent = datacenter.New(*rs.Datacenter, rig.Node, hp, datacenter.DeriveSeed(rs.Seed))
 		dcAgent.Observe(rs.Metrics)
 		dcAgent.Start()
 		// Node-failure chaos displaces the agent's pods; the handler is
@@ -623,7 +623,7 @@ func ExecuteSingleNode(rs SingleRun) (RunOutcome, error) {
 	var auditor *invariant.Auditor
 	if rs.Audit {
 		auditor = newNodeAuditor(rig, rs.Metrics)
-		auditor.Start(rig.eng, auditPeriod(mc.ClockHz))
+		auditor.Start(rig.Eng, auditPeriod(mc.ClockHz))
 		defer auditor.Stop()
 	}
 	// Sample memory pressure through the run for diagnostics. The series
@@ -632,15 +632,15 @@ func ExecuteSingleNode(rs SingleRun) (RunOutcome, error) {
 	// events or perturbs event ordering.
 	var psum float64
 	var pn int
-	sampler := rig.eng.NewTicker(sim.Cycles(rig.node.Config().ClockHz/4), func() {
-		psum += rig.node.Mem.Pressure()
+	sampler := rig.Eng.NewTicker(sim.Cycles(rig.Node.Config().ClockHz/4), func() {
+		psum += rig.Node.Mem.Pressure()
 		pn++
-		rs.Series.Sample(uint64(rig.eng.Now()))
+		rs.Series.Sample(uint64(rig.Eng.Now()))
 	})
 	defer sampler.Stop()
 	var placements []workload.RankPlacement
 	for _, c := range cores {
-		placements = append(placements, workload.RankPlacement{Node: rig.node, Core: c, Launch: rig.launcher()})
+		placements = append(placements, workload.RankPlacement{Node: rig.Node, Core: c, Launch: rig.Launcher()})
 	}
 	var res workload.Result
 	done := false
@@ -658,7 +658,7 @@ func ExecuteSingleNode(rs SingleRun) (RunOutcome, error) {
 	if rs.Attribution != nil {
 		rs.Chaos.SetAccounts(rs.Attribution.Rank)
 	}
-	_, err = workload.Start(rig.eng, wopts, func(got workload.Result) {
+	_, err = workload.Start(rig.Eng, wopts, func(got workload.Result) {
 		res = got
 		for _, b := range builds {
 			b.Stop()
@@ -675,60 +675,57 @@ func ExecuteSingleNode(rs SingleRun) (RunOutcome, error) {
 	if err != nil {
 		return RunOutcome{}, err
 	}
-	if err := runToCompletion(rs.Context, rig.eng, &done); err != nil {
+	if err := runToCompletion(rs.Context, rig.Eng, &done); err != nil {
 		return RunOutcome{}, err
 	}
 	if res.Err != nil {
 		return RunOutcome{}, res.Err
 	}
 	out := RunOutcome{
-		RuntimeSec: rig.node.Config().Seconds(float64(res.Runtime)),
+		RuntimeSec: rig.Node.Config().Seconds(float64(res.Runtime)),
 		Result:     res,
 		Datacenter: dcAgent,
 	}
 	if pn > 0 {
 		out.MeanPressure = psum / float64(pn)
 	}
-	if rig.mm != nil {
-		out.Compactions = rig.mm.Compactions
-		out.ReclaimStorms = rig.mm.ReclaimStorms
-		out.StormsHPC = rig.mm.StormsHPC
+	if rig.MM != nil {
+		out.Compactions = rig.MM.Compactions
+		out.ReclaimStorms = rig.MM.ReclaimStorms
+		out.StormsHPC = rig.MM.StormsHPC
 	}
-	if rig.daemon != nil {
-		out.Merges = rig.daemon.Merges
+	if rig.Daemon != nil {
+		out.Merges = rig.Daemon.Merges
 	}
 	return out, nil
 }
 
-// clusterRig is the 8-node testbed.
+// clusterRig is the 8-node testbed: one engine, the cluster, and each
+// node's rig.
 type clusterRig struct {
-	eng     *sim.Engine
-	cl      *cluster.Cluster
-	rigs    []*rig
-	daemons []*thp.Daemon
+	eng  *sim.Engine
+	cl   *cluster.Cluster
+	rigs []*Rig
 }
 
 // newClusterRig boots n SandiaXeon nodes under one manager kind.
 func newClusterRig(n int, kind ManagerKind, seed uint64, sc Scale) (*clusterRig, error) {
-	eng := sim.NewEngine()
-	cr := &clusterRig{eng: eng}
-	var buildErr error
-	cl, err := cluster.New(eng, n, cluster.GigE(), seed^0xc1, func(i int) *kernel.Node {
-		mc := kernel.SandiaXeon()
-		mc.MemoryBytes = sc.bytes(mc.MemoryBytes)
-		node := kernel.NewNode(mc, eng, sim.NewRand(seed+uint64(i)*104729))
-		r := &rig{eng: eng, node: node}
-		if err := r.install(kind, sc); err != nil && buildErr == nil {
-			buildErr = err
+	cr := &clusterRig{eng: sim.NewEngine()}
+	var bootErr error
+	cl, err := cluster.New(cr.eng, n, cluster.GigE(), seed^0xc1, func(i int) *kernel.Node {
+		r, err := Boot(kernel.SandiaXeon(), cr.eng, seed+uint64(i)*104729, kind, false, sc, 0)
+		if err != nil {
+			bootErr = err
+			return nil
 		}
 		cr.rigs = append(cr.rigs, r)
-		return node
+		return r.Node
 	})
+	if bootErr != nil {
+		return nil, bootErr
+	}
 	if err != nil {
 		return nil, err
-	}
-	if buildErr != nil {
-		return nil, buildErr
 	}
 	cr.cl = cl
 	return cr, nil
