@@ -114,16 +114,16 @@ fuzz:
 # Quick contention-storm study (see DESIGN.md §8): chaos intensity x
 # manager with the invariant auditor attached, small scale for speed.
 chaos:
-	$(GO) run ./cmd/hpmmap-bench -study chaos -scale 0.25 -runs 2 -audit -v
+	$(GO) run ./cmd/hpmmap-bench -exp chaos -scale 0.25 -runs 2 -audit -v
 
 # Quick datacenter churn study (see DESIGN.md §11): mixed-tenancy pod
 # churn x chaos on one node, per-class tail latency + interference,
 # with the CSV dropped into ./out for inspection.
 datacenter:
-	$(GO) run ./cmd/hpmmap-bench -study datacenter -scale 0.25 -audit -v -out out
+	$(GO) run ./cmd/hpmmap-bench -exp datacenter -scale 0.25 -audit -v -out out
 
 # Overcommit x node-failure eviction study (DESIGN.md §12). Scale 0.1
 # with -cores 2: at this scale the default 4-rank victim oversubscribes
 # the HPMMAP zone budget.
 eviction:
-	$(GO) run ./cmd/hpmmap-bench -study eviction -scale 0.1 -cores 2 -audit -v -out out
+	$(GO) run ./cmd/hpmmap-bench -exp eviction -scale 0.1 -cores 2 -audit -v -out out

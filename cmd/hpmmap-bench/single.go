@@ -1,8 +1,8 @@
 package main
 
-// The single-node calibration studies: -study probe, faulttrace and
+// The single-node calibration studies: -exp probe, faulttrace and
 // sweep. None of them uses -cache-dir: the probe and the fault study
-// are never cached, and a sweep's plans carry no Inputs, so a cache
+// are never cached, and the sweep's plan carries no Inputs, so a cache
 // would replay cells across -scale.
 
 import (
@@ -56,29 +56,25 @@ var sweepManagers = []experiments.ManagerKind{
 	experiments.HPMMAP, experiments.THP, experiments.HugeTLBfs,
 }
 
-// runProbe drives one calibration cell (-study probe) and prints its
+// runProbe drives one calibration cell (-exp probe) and prints its
 // diagnostics: runtime, manager counters (compactions, reclaim storms,
 // khugepaged merges, mean pressure) and the fault breakdown of the
 // first two ranks. Defaults: HPCCG, 8 ranks, profile A, seed 1.
 func runProbe(a studyArgs) error {
 	bench := cmp.Or(a.bench(), "HPCCG")
-	spec, ok := workload.ByName(bench)
-	if !ok {
-		return fmt.Errorf("unknown benchmark %q", bench)
-	}
+	spec, _ := workload.ByName(bench) // -bench is checked before anything runs
 	rs := experiments.SingleRun{
 		Bench: spec, Kind: a.kind, Profile: a.profileOr(experiments.ProfileA),
 		Ranks: cmp.Or(a.ranks(), 8), Seed: cmp.Or(a.seed, 1), Scale: a.scale,
 	}
 	// The cell runs through the runner so the ledger journals it, at
 	// the seed itself rather than a coordinate-derived seed.
-	obs := a.art.Observe("probe")
 	plan := runner.Plan{Name: "probe", Seed: rs.Seed, Cells: []runner.Cell{
 		{Exp: "probe", Bench: bench, Manager: rs.Kind.Key(), Cores: rs.Ranks},
 	}}
-	outs, err := runner.Run(runner.Options{Workers: 1, Context: a.ctx, Obs: obs}, plan,
+	outs, err := runner.Run(runner.Options{Workers: 1, Context: a.ctx, Obs: a.obs}, plan,
 		func(ctx context.Context, idx int, cell runner.Cell, _ uint64) (experiments.RunOutcome, error) {
-			return experiments.ExecuteSingleNode(rs.InCell(ctx, obs, idx, cell))
+			return experiments.ExecuteSingleNode(rs.InCell(ctx, a.obs, idx, cell))
 		})
 	if err != nil {
 		return err
@@ -96,29 +92,24 @@ func runProbe(a studyArgs) error {
 		}
 		fmt.Printf(" stalls=%d\n", rr.Faults.Stalls)
 	}
-	return a.art.Flush()
+	return nil
 }
 
 // runFaultTrace drives the per-fault study behind Figs. 2–5 for any
-// benchmark and the THP or HugeTLBfs manager (-study faulttrace): the
+// benchmark and the THP or HugeTLBfs manager (-exp faulttrace): the
 // instrumented benchmark at micro fidelity, with and without a
 // competing kernel build. It prints the fault-cost table, each load
 // condition's timeline scatter (-plot-height 0 skips them) and, with
 // -hist, one fault kind's cost histogram; -out also writes the loaded
 // run's faults as faulttrace.csv.
 func runFaultTrace(a studyArgs) error {
-	fs, err := experiments.RunFaultStudy(experiments.FaultStudyOptions{
-		Bench: a.bench(), Kind: a.kind, Ranks: a.ranks(), Seed: a.seed, Scale: a.scale,
-		Workers: a.workers, Context: a.ctx, Progress: a.progress,
-		Obs: a.art.Observe("faulttrace"),
-	})
+	o := a.faultStudy()
+	o.Bench, o.Kind, o.Ranks = a.bench(), a.kind, a.ranks()
+	fs, err := experiments.RunFaultStudy(o)
 	if err != nil {
 		return err
 	}
 	experiments.WriteFaultStudy(os.Stdout, fs)
-	if err := a.art.Flush(); err != nil {
-		return err
-	}
 	if a.plotH > 0 {
 		for _, row := range fs.Rows {
 			label := "no competition"
@@ -150,35 +141,26 @@ func runFaultTrace(a studyArgs) error {
 	})
 }
 
-// runSweep drives the sensitivity sweeps (-study sweep): each -knob
+// runSweep drives the sensitivity sweeps (-exp sweep): each -knob
 // perturbs one calibrated constant across a range and reports how the
 // headline result, HPMMAP's improvement over THP and HugeTLBfs,
 // responds — the evidence that the reproduction's conclusions do
-// not hinge on one lucky constant. Each knob's value x manager x run
-// grid is one runner plan whose seeds derive from the cell coordinates
-// (the knob value is the Variant axis), so the table is identical at
-// any -workers; each knob writes its own metrics, trace and series.
-// Defaults: HPCCG, 8 ranks, profile B, 2 runs, seed 4242.
+// not hinge on one lucky constant. Every selected knob's value x
+// manager x run grid runs as one runner plan, "sweep", whose seeds
+// derive from the cell coordinates (the knob and its value are the
+// Variant axis), so each table is identical at any -workers and
+// whichever knobs run beside it. Defaults: HPCCG, 8 ranks, profile B,
+// 2 runs, seed 4242.
 func runSweep(a studyArgs) error {
 	bench := cmp.Or(a.bench(), "HPCCG")
-	spec, ok := workload.ByName(bench)
-	if !ok {
-		return fmt.Errorf("unknown benchmark %q", bench)
-	}
+	spec, _ := workload.ByName(bench) // -bench is checked before anything runs
 	ranks := cmp.Or(a.ranks(), 8)
 	prof := a.profileOr(experiments.ProfileB)
 	runs := cmp.Or(a.runs, 2)
-	opts := runner.Options{
-		Workers: a.workers, Context: a.ctx,
-		Progress: func(e runner.Event) { a.progress(e.String()) },
-	}
-	for _, k := range knobs {
-		if a.knob != "all" && a.knob != k.name {
-			continue
-		}
-		plan := runner.Plan{Name: "sweep-" + k.name, Seed: cmp.Or(a.seed, 4242)}
-		var vals []float64
-		var kinds []experiments.ManagerKind
+	plan := runner.Plan{Name: "sweep", Seed: cmp.Or(a.seed, 4242)}
+	var sets []func(*experiments.ModelOverrides)
+	var kinds []experiments.ManagerKind
+	for _, k := range a.knobs {
 		for _, v := range k.values {
 			for _, kind := range sweepManagers {
 				for r := 0; r < runs; r++ {
@@ -187,30 +169,35 @@ func runSweep(a studyArgs) error {
 						Manager: kind.Key(), Variant: fmt.Sprintf("%s=%g", k.name, v),
 						Cores: ranks, Run: r,
 					})
-					vals, kinds = append(vals, v), append(kinds, kind)
+					sets = append(sets, func(o *experiments.ModelOverrides) { k.apply(o, v) })
+					kinds = append(kinds, kind)
 				}
 			}
 		}
-		obs := a.art.Observe(k.name)
-		opts.Obs = obs
-		secs, err := runner.Run(opts, plan, func(ctx context.Context, idx int, cell runner.Cell, cellSeed uint64) (float64, error) {
-			rs := experiments.SingleRun{
-				Bench: spec, Kind: kinds[idx], Profile: prof, Ranks: cell.Cores,
-				Seed: cellSeed, Scale: a.scale,
-			}
-			k.apply(&rs.Overrides, vals[idx])
-			out, err := experiments.ExecuteSingleNode(rs.InCell(ctx, obs, idx, cell))
-			return out.RuntimeSec, err
-		})
-		if err != nil {
-			return err
+	}
+	opts := runner.Options{
+		Workers: a.workers, Context: a.ctx, Obs: a.obs,
+		Progress: func(e runner.Event) { a.progress(e.String()) },
+	}
+	secs, err := runner.Run(opts, plan, func(ctx context.Context, idx int, cell runner.Cell, cellSeed uint64) (float64, error) {
+		rs := experiments.SingleRun{
+			Bench: spec, Kind: kinds[idx], Profile: prof, Ranks: cell.Cores,
+			Seed: cellSeed, Scale: a.scale,
 		}
+		sets[idx](&rs.Overrides)
+		out, err := experiments.ExecuteSingleNode(rs.InCell(ctx, a.obs, idx, cell))
+		return out.RuntimeSec, err
+	})
+	if err != nil {
+		return err
+	}
 
-		// Reduce in declaration order: mean per (value, manager).
+	// Reduce in declaration order: mean per (knob, value, manager).
+	i := 0
+	for _, k := range a.knobs {
 		fmt.Printf("=== sweep %s (%s, profile %s, %d cores) ===\n", k.name, bench, prof, ranks)
 		fmt.Printf("%12s %12s %12s %14s %12s %14s\n",
 			k.name, "hpmmap (s)", "thp (s)", "vs thp", "htlb (s)", "vs hugetlbfs")
-		i := 0
 		for _, v := range k.values {
 			means := make(map[experiments.ManagerKind]float64, len(sweepManagers))
 			for _, kind := range sweepManagers {
@@ -228,9 +215,6 @@ func runSweep(a studyArgs) error {
 				v, hp, th, 100*(th-hp)/th, ht, 100*(ht-hp)/ht)
 		}
 		fmt.Println()
-		if err := a.art.Flush(); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -124,24 +124,24 @@ func artifactFlags(dir string) []string {
 	}
 }
 
-// The names hpmmap-bench's -exp and -study take, as a rejected value
+// The names hpmmap-bench's -exp and -bench take, as a rejected value
 // lists them.
 const (
-	expNames   = "fig2, fig3, fig4, fig5, fig7, noise, attribution, fig8, all"
-	studyNames = "chaos, datacenter, eviction, probe, faulttrace, sweep"
+	expNames   = "fig2, fig3, fig4, fig5, fig7, noise, attribution, fig8, chaos, datacenter, eviction, probe, faulttrace, sweep, all"
+	benchNames = "HPCCG, CoMD, miniMD, miniFE, LAMMPS"
 )
 
 // TestEveryCLIWritesEveryArtifact runs the experiment CLI with all six
 // artifact flags and checks that each run writes the same set of
-// files: one metrics, trace and series file per experiment (the
-// experiment name spliced in when there are several), one ledger and
-// two profiles. A rejected invocation writes none of them. Every -exp
-// and -study name has a success case.
+// files: one metrics, trace and series file per run (the run's name
+// spliced in when there are several), one ledger and two profiles. A
+// rejected invocation writes none of them. Every -exp name has a
+// success case.
 func TestEveryCLIWritesEveryArtifact(t *testing.T) {
 	cases := []struct {
 		name, tool string
 		args       []string
-		// experiments is the per-experiment file suffixes the run must
+		// experiments is the per-run file suffixes the invocation must
 		// write ("" = the unspliced paths).
 		experiments []string
 		wantCode    int
@@ -155,38 +155,45 @@ func TestEveryCLIWritesEveryArtifact(t *testing.T) {
 		{"fig8", "hpmmap-bench", []string{"-exp", "fig8", "-bench", "LAMMPS", "-runs", "1", "-scale", "0.05"}, []string{""}, 0, nil},
 		{"noise", "hpmmap-bench", []string{"-exp", "noise", "-scale", "0.25"}, []string{""}, 0, nil},
 		{"attribution", "hpmmap-bench", []string{"-exp", "attribution", "-scale", "0.25"}, []string{""}, 0, nil},
-		{"chaos", "hpmmap-bench", []string{"-study", "chaos", "-scale", "0.1", "-runs", "1", "-cores", "2", "-intensities", "0,1"}, []string{""}, 0, nil},
-		{"datacenter", "hpmmap-bench", []string{"-study", "datacenter", "-scale", "0.1", "-runs", "1", "-cores", "2", "-churns", "0,50", "-intensities", "0"}, []string{""}, 0, nil},
+		{"chaos", "hpmmap-bench", []string{"-exp", "chaos", "-scale", "0.1", "-runs", "1", "-cores", "2", "-intensities", "0,1"}, []string{""}, 0, nil},
+		{"datacenter", "hpmmap-bench", []string{"-exp", "datacenter", "-scale", "0.1", "-runs", "1", "-cores", "2", "-churns", "0,50", "-intensities", "0"}, []string{""}, 0, nil},
 		// Overcommit 1 only: with -trace-out, a 1.5x cell records ~134 M
 		// reclaim events.
-		{"eviction", "hpmmap-bench", []string{"-study", "eviction", "-scale", "0.1", "-runs", "1", "-cores", "2", "-overcommits", "1", "-intensities", "0"}, []string{""}, 0, nil},
-		{"faulttrace", "hpmmap-bench", []string{"-study", "faulttrace", "-scale", "0.1", "-plot-height", "0"}, []string{""}, 0, nil},
-		{"probe", "hpmmap-bench", []string{"-study", "probe", "-cores", "2"}, []string{""}, 0, nil},
-		{"sweep", "hpmmap-bench", []string{"-study", "sweep", "-knob", "thp-frag", "-runs", "1", "-scale", "0.25"}, []string{""}, 0, nil},
-		{"sweep -cores 2", "hpmmap-bench", []string{"-study", "sweep", "-knob", "thp-frag", "-runs", "1", "-scale", "0.1", "-cores", "2"}, []string{""}, 0, nil},
+		{"eviction", "hpmmap-bench", []string{"-exp", "eviction", "-scale", "0.1", "-runs", "1", "-cores", "2", "-overcommits", "1", "-intensities", "0"}, []string{""}, 0, nil},
+		{"faulttrace", "hpmmap-bench", []string{"-exp", "faulttrace", "-scale", "0.1", "-plot-height", "0"}, []string{""}, 0, nil},
+		{"probe", "hpmmap-bench", []string{"-exp", "probe", "-cores", "2"}, []string{""}, 0, nil},
+		{"sweep", "hpmmap-bench", []string{"-exp", "sweep", "-knob", "thp-frag", "-runs", "1", "-scale", "0.25"}, []string{""}, 0, nil},
+		{"sweep -cores 2", "hpmmap-bench", []string{"-exp", "sweep", "-knob", "thp-frag", "-runs", "1", "-scale", "0.1", "-cores", "2"}, []string{""}, 0, nil},
+		// Every knob runs in one plan and writes one set of artifacts.
+		{"sweep -knob all", "hpmmap-bench", []string{"-exp", "sweep", "-knob", "all", "-runs", "1", "-scale", "0.1", "-cores", "2"}, []string{""}, 0, nil},
 		// Below scale 0.25 the noise study's 8-rank cell exhausts its
 		// pool.
 		{"all", "hpmmap-bench", []string{"-exp", "all", "-bench", "LAMMPS", "-cores", "1", "-runs", "1", "-scale", "0.25"},
 			[]string{"-fig2", "-fig3", "-fig4", "-fig5", "-fig7", "-noise", "-attribution", "-fig8"}, 0, nil},
 		{"bench unknown -exp", "hpmmap-bench", []string{"-exp", "fig9", "-scale", "0.1"}, nil, 2,
 			[]string{`unknown -exp "fig9"`, expNames}},
-		{"bench unknown -study", "hpmmap-bench", []string{"-study", "storm"}, nil, 2,
-			[]string{`unknown -study "storm"`, studyNames}},
-		{"sweep unknown -profile", "hpmmap-bench", []string{"-study", "sweep", "-profile", "7"}, nil, 2,
+		{"bench unknown -study", "hpmmap-bench", []string{"-study", "chaos"}, nil, 2, []string{"flag provided but not defined: -study"}},
+		{"sweep unknown -profile", "hpmmap-bench", []string{"-exp", "sweep", "-profile", "7"}, nil, 2,
 			[]string{`unknown -profile "7"`, "none, A, B"}},
-		{"probe unknown -manager", "hpmmap-bench", []string{"-study", "probe", "-manager", "2"}, nil, 2,
+		{"probe unknown -manager", "hpmmap-bench", []string{"-exp", "probe", "-manager", "2"}, nil, 2,
 			[]string{`unknown -manager "2"`, "thp, hugetlbfs, hpmmap"}},
-		{"faulttrace refuses hpmmap", "hpmmap-bench", []string{"-study", "faulttrace", "-manager", "hpmmap"}, nil, 2,
+		{"faulttrace refuses hpmmap", "hpmmap-bench", []string{"-exp", "faulttrace", "-manager", "hpmmap"}, nil, 2,
 			[]string{`unknown manager "hpmmap"`, "nothing to trace"}},
-		{"sweep unknown -knob", "hpmmap-bench", []string{"-study", "sweep", "-knob", "nosuch"}, nil, 2,
+		{"sweep unknown -knob", "hpmmap-bench", []string{"-exp", "sweep", "-knob", "nosuch"}, nil, 2,
 			[]string{`unknown -knob "nosuch"`, "thp-frag, reclaim-prob, reclaim-tail, merge-period, store-cycles, mem-latency, all"}},
-		{"faulttrace unknown -hist", "hpmmap-bench", []string{"-study", "faulttrace", "-hist", "stack"}, nil, 2,
+		{"faulttrace unknown -hist", "hpmmap-bench", []string{"-exp", "faulttrace", "-hist", "stack"}, nil, 2,
 			[]string{`unknown -hist "stack"`, "small, large, merge, hugetlb-large, hugetlb-small"}},
-		{"datacenter negative -runs", "hpmmap-bench", []string{"-study", "datacenter", "-runs", "-1", "-scale", "0.1"}, nil, 2,
+		{"fig7 unknown -bench", "hpmmap-bench", []string{"-exp", "fig7", "-bench", "nosuch", "-runs", "1", "-scale", "0.05"}, nil, 2,
+			[]string{`unknown -bench "nosuch"`, benchNames}},
+		// Each benchmark takes one spelling; another would seed its
+		// cells differently.
+		{"fig7 lowercase -bench", "hpmmap-bench", []string{"-exp", "fig7", "-bench", "minimd", "-cores", "1", "-runs", "1", "-scale", "0.05"}, nil, 2,
+			[]string{`unknown -bench "minimd"`, benchNames}},
+		{"datacenter negative -runs", "hpmmap-bench", []string{"-exp", "datacenter", "-runs", "-1", "-scale", "0.1"}, nil, 2,
 			[]string{"bad -runs -1"}},
 		{"fig7 negative -runs", "hpmmap-bench", []string{"-exp", "fig7", "-runs", "-2"}, nil, 2,
 			[]string{"bad -runs -2"}},
-		{"bench negative -scale", "hpmmap-bench", []string{"-study", "datacenter", "-scale", "-1"}, nil, 2,
+		{"bench negative -scale", "hpmmap-bench", []string{"-exp", "datacenter", "-scale", "-1"}, nil, 2,
 			[]string{"bad -scale -1"}},
 		{"bench NaN -scale", "hpmmap-bench", []string{"-exp", "fig2", "-scale", "NaN"}, nil, 2,
 			[]string{"bad -scale NaN"}},
@@ -194,15 +201,19 @@ func TestEveryCLIWritesEveryArtifact(t *testing.T) {
 			[]string{"bad -scale +Inf"}},
 		{"fig7 bad -cores", "hpmmap-bench", []string{"-exp", "fig7", "-cores", "x"}, nil, 2,
 			[]string{`bad -cores entry "x"`}},
-		{"probe bad -cores", "hpmmap-bench", []string{"-study", "probe", "-cores", "x"}, nil, 2,
+		{"fig7 zero -cores", "hpmmap-bench", []string{"-exp", "fig7", "-bench", "miniMD", "-cores", "0", "-runs", "1", "-scale", "0.05"}, nil, 2,
+			[]string{`bad -cores entry "0" (want a count >= 1)`}},
+		{"fig7 negative -cores", "hpmmap-bench", []string{"-exp", "fig7", "-bench", "miniMD", "-cores", "-1", "-runs", "1", "-scale", "0.05"}, nil, 2,
+			[]string{`bad -cores entry "-1" (want a count >= 1)`}},
+		{"probe bad -cores", "hpmmap-bench", []string{"-exp", "probe", "-cores", "x"}, nil, 2,
 			[]string{`bad -cores entry "x"`}},
-		{"datacenter negative -churns", "hpmmap-bench", []string{"-study", "datacenter", "-churns", "-5"}, nil, 2,
+		{"datacenter negative -churns", "hpmmap-bench", []string{"-exp", "datacenter", "-churns", "-5"}, nil, 2,
 			[]string{`bad -churns entry "-5" (want a rate >= 0 in pods/sec)`}},
-		{"eviction zero -churns", "hpmmap-bench", []string{"-study", "eviction", "-churns", "0"}, nil, 2,
+		{"eviction zero -churns", "hpmmap-bench", []string{"-exp", "eviction", "-churns", "0"}, nil, 2,
 			[]string{`bad -churns entry "0" (want a rate > 0 in pods/sec)`}},
-		{"eviction -overcommits below 1", "hpmmap-bench", []string{"-study", "eviction", "-overcommits", "0.5"}, nil, 2,
+		{"eviction -overcommits below 1", "hpmmap-bench", []string{"-exp", "eviction", "-overcommits", "0.5"}, nil, 2,
 			[]string{`bad -overcommits entry "0.5" (want a ratio >= 1)`}},
-		{"chaos -intensities above 1", "hpmmap-bench", []string{"-study", "chaos", "-intensities", "2"}, nil, 2,
+		{"chaos -intensities above 1", "hpmmap-bench", []string{"-exp", "chaos", "-intensities", "2"}, nil, 2,
 			[]string{`bad -intensities entry "2" (want a number in [0,1])`}},
 	}
 	covered := map[string]bool{}
@@ -211,11 +222,9 @@ func TestEveryCLIWritesEveryArtifact(t *testing.T) {
 			covered[c.args[i]+" "+c.args[i+1]] = true
 		}
 	}
-	for flagName, names := range map[string]string{"-exp": expNames, "-study": studyNames} {
-		for _, name := range strings.Split(names, ", ") {
-			if !covered[flagName+" "+name] {
-				t.Errorf("hpmmap-bench %s %s has no success case", flagName, name)
-			}
+	for _, name := range strings.Split(expNames, ", ") {
+		if !covered["-exp "+name] {
+			t.Errorf("hpmmap-bench -exp %s has no success case", name)
 		}
 	}
 	for _, c := range cases {

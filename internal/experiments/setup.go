@@ -539,7 +539,7 @@ type RunOutcome struct {
 }
 
 // ModelOverrides perturbs the simulator's calibrated parameters for
-// sensitivity sweeps (hpmmap-bench -study sweep). Nil fields keep the
+// sensitivity sweeps (hpmmap-bench -exp sweep). Nil fields keep the
 // defaults.
 type ModelOverrides struct {
 	THPFragSensitivity  *float64

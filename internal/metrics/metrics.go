@@ -161,21 +161,14 @@ const (
 // worst cell), which is the reading a capacity question actually wants.
 type MergeMode string
 
-// Gauge merge modes. The empty string is the additive default, so the
-// field is omitted from JSON snapshots for the common case (and old
-// cached snapshots, which predate the field, fall back to
-// GaugeMergeModes by name).
-const (
-	MergeSum MergeMode = ""
-	MergeMax MergeMode = "max"
-)
+// MergeMax folds a gauge as its maximum across cells. A gauge absent
+// from GaugeMergeModes is additive and sums.
+const MergeMax MergeMode = "max"
 
-// GaugeMergeModes is the canonical name → merge-mode table for gauges
-// with a non-default mode. It is the source of truth at Snapshot time
-// (the mode is stamped into the metric) and the fallback at Merge time
-// for snapshots cached before the field existed. The OBSERVABILITY.md
-// metric table annotates these rows with "merge: max"; the contract
-// test cross-checks the two.
+// GaugeMergeModes is the name → merge-mode table for gauges that do not
+// sum; Merge reads it by name. The OBSERVABILITY.md metric table
+// annotates these rows with "merge: max"; the contract test
+// cross-checks the two.
 var GaugeMergeModes = map[string]MergeMode{
 	BuddyFragRatio:       MergeMax,
 	KernelCommitPressure: MergeMax,
@@ -311,9 +304,6 @@ type Metric struct {
 	Count   uint64   `json:"count,omitempty"`
 	Sum     uint64   `json:"sum,omitempty"`
 	Buckets []Bucket `json:"buckets,omitempty"`
-	// MergeMode records how Merge folds this gauge across cells
-	// (omitted for the additive default; see GaugeMergeModes).
-	MergeMode MergeMode `json:"merge,omitempty"`
 }
 
 // Snapshot is an immutable, JSON-serializable capture of a registry,
@@ -344,7 +334,6 @@ func (r *Registry) Snapshot() Snapshot {
 				v += fn()
 			}
 			m.Value = v
-			m.MergeMode = GaugeMergeModes[e.name]
 		case KindHistogram:
 			m.Count = e.hist.Count()
 			m.Sum = e.hist.Sum()
@@ -383,25 +372,18 @@ func (s Snapshot) CounterValue(name string) uint64 {
 }
 
 // Merge combines snapshots metric-by-metric: counter values, histogram
-// counts/sums/buckets always sum, and gauges fold per their MergeMode —
-// additive gauges (bytes, pages) sum, ratio/pressure gauges tagged
-// MergeMax in GaugeMergeModes take the maximum across cells (summing
-// buddy_fragmentation_ratio over 96 cells is meaningless; the worst
-// cell is the meaningful reduction). Snapshots cached before the
-// MergeMode field existed resolve their mode from GaugeMergeModes by
-// name, so old cache entries merge with the same semantics as fresh
-// ones. The result is sorted by name and carries the resolved mode, so
-// merged output is byte-identical whether inputs were stamped or not.
+// counts/sums/buckets always sum, and gauges fold per their name's
+// GaugeMergeModes entry — additive gauges (bytes, pages) sum,
+// ratio/pressure gauges tagged MergeMax take the maximum across cells
+// (summing buddy_fragmentation_ratio over 96 cells is meaningless; the
+// worst cell is the meaningful reduction). The result is sorted by
+// name.
 func Merge(snaps ...Snapshot) Snapshot {
 	acc := make(map[string]*Metric)
 	bkts := make(map[string]*[NumBuckets]uint64)
 	var order []string
 	for _, s := range snaps {
 		for _, m := range s.Metrics {
-			mode := m.MergeMode
-			if m.Kind == KindGauge && mode == MergeSum {
-				mode = GaugeMergeModes[m.Name]
-			}
 			a, ok := acc[m.Name]
 			if !ok {
 				cp := m
@@ -413,9 +395,8 @@ func Merge(snaps ...Snapshot) Snapshot {
 				a.Value = 0
 				a.Count = 0
 				a.Sum = 0
-				a.MergeMode = mode
 			}
-			if m.Kind == KindGauge && mode == MergeMax {
+			if m.Kind == KindGauge && GaugeMergeModes[m.Name] == MergeMax {
 				if m.Value > a.Value {
 					a.Value = m.Value
 				}

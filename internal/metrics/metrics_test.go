@@ -198,9 +198,8 @@ func TestMerge(t *testing.T) {
 	}
 }
 
-// TestMergeGaugeModes: additive gauges sum across cells, MergeMax
-// gauges (ratio/pressure-style) take the worst cell, and the mode is
-// stamped into snapshots and survives the merge.
+// TestMergeGaugeModes: additive gauges sum across cells, and MergeMax
+// gauges (ratio/pressure-style) take the worst cell.
 func TestMergeGaugeModes(t *testing.T) {
 	mk := func(pressure, bytes float64) Snapshot {
 		r := NewRegistry()
@@ -208,28 +207,18 @@ func TestMergeGaugeModes(t *testing.T) {
 		r.GaugeFunc("zone_free_bytes", func() float64 { return bytes })
 		return r.Snapshot()
 	}
-	a, b := mk(0.9, 100), mk(0.4, 50)
-	if m, _ := a.Get(KernelCommitPressure); m.MergeMode != MergeMax {
-		t.Fatalf("snapshot did not stamp merge mode: %q", m.MergeMode)
-	}
-	if m, _ := a.Get("zone_free_bytes"); m.MergeMode != MergeSum {
-		t.Fatalf("additive gauge stamped %q, want empty", m.MergeMode)
-	}
-	merged := Merge(a, b)
+	merged := Merge(mk(0.9, 100), mk(0.4, 50))
 	if m, _ := merged.Get(KernelCommitPressure); m.Value != 0.9 {
 		t.Errorf("max-merged pressure = %v, want 0.9", m.Value)
-	}
-	if m, _ := merged.Get(KernelCommitPressure); m.MergeMode != MergeMax {
-		t.Errorf("merge dropped the mode stamp")
 	}
 	if m, _ := merged.Get("zone_free_bytes"); m.Value != 150 {
 		t.Errorf("sum-merged bytes = %v, want 150", m.Value)
 	}
 }
 
-// TestMergeGaugeModeFallback: snapshots cached before the MergeMode
-// field existed carry no stamp; Merge must fall back to the
-// GaugeMergeModes table by name so old cache entries still merge as max.
+// TestMergeGaugeModeFallback: a snapshot that did not come from a
+// registry (a parsed .prom file, a cache entry) carries only names, and
+// Merge still folds a MergeMax gauge as the max.
 func TestMergeGaugeModeFallback(t *testing.T) {
 	unstamped := func(v float64) Snapshot {
 		return Snapshot{Metrics: []Metric{{Name: KernelCommitPressure, Kind: KindGauge, Value: v}}}
@@ -237,10 +226,7 @@ func TestMergeGaugeModeFallback(t *testing.T) {
 	m := Merge(unstamped(0.7), unstamped(0.2))
 	got, _ := m.Get(KernelCommitPressure)
 	if got.Value != 0.7 {
-		t.Errorf("fallback max-merge = %v, want 0.7", got.Value)
-	}
-	if got.MergeMode != MergeMax {
-		t.Errorf("fallback did not stamp the output: %q", got.MergeMode)
+		t.Errorf("max-merge by name = %v, want 0.7", got.Value)
 	}
 }
 

@@ -213,18 +213,22 @@ func LAMMPS() AppSpec {
 	}
 }
 
-// ByName returns the spec for a benchmark name, or false.
+// Names are the benchmark names ByName takes, one spelling each.
+var Names = []string{"HPCCG", "CoMD", "miniMD", "miniFE", "LAMMPS"}
+
+// ByName returns the spec for a benchmark name, spelled as in Names, or
+// false.
 func ByName(name string) (AppSpec, bool) {
 	switch name {
-	case "HPCCG", "hpccg":
+	case "HPCCG":
 		return HPCCG(), true
-	case "CoMD", "comd":
+	case "CoMD":
 		return CoMD(), true
-	case "miniMD", "minimd":
+	case "miniMD":
 		return MiniMD(), true
-	case "miniFE", "minife":
+	case "miniFE":
 		return MiniFE(), true
-	case "LAMMPS", "lammps":
+	case "LAMMPS":
 		return LAMMPS(), true
 	}
 	return AppSpec{}, false

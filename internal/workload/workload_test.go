@@ -229,14 +229,16 @@ func TestBuildCreatesMemoryPressure(t *testing.T) {
 }
 
 func TestSpecLookup(t *testing.T) {
-	for _, name := range []string{"HPCCG", "CoMD", "miniMD", "miniFE", "LAMMPS"} {
+	for _, name := range Names {
 		s, ok := ByName(name)
 		if !ok || s.Name != name {
 			t.Fatalf("ByName(%q) = %+v, %v", name, s, ok)
 		}
 	}
-	if _, ok := ByName("nope"); ok {
-		t.Fatal("unknown benchmark resolved")
+	for _, name := range []string{"nope", "minimd", "lammps"} {
+		if _, ok := ByName(name); ok {
+			t.Fatalf("ByName(%q) resolved; each benchmark takes one spelling", name)
+		}
 	}
 }
 
