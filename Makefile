@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: verify build test race vet lint lint-fast bench bench-check fuzz chaos datacenter eviction
+.PHONY: verify build test race vet lint lint-fast cross bench bench-check fuzz chaos datacenter eviction
 
 verify: build test race vet lint
 
@@ -52,6 +52,13 @@ lint-fast:
 	if [ -z "$$pkgs" ]; then echo "lint-fast: no changed Go packages"; exit 0; fi; \
 	echo "lint-fast:$$pkgs"; \
 	$(GO) vet -vettool=$(abspath bin/hpmmap-vet) $$pkgs
+
+# Cross-build for a GOARCH without assembly kernels: off amd64,
+# internal/sim's StdNormals is the scalar loop of boxmuller_other.go.
+# Build the tree and vet the two packages that use it.
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/sim ./internal/linuxmm
 
 # The benchmark (BENCHMARK.json; see benchmark/README.md): every
 # workload interleaved, with end-to-end and per-layer numbers and their
@@ -96,6 +103,8 @@ bench-check:
 #    engine it replaced;
 #  - sim/FuzzBoxMullerCos: Normal's branch-free cosine against
 #    math.Cos, bit for bit, at any angle in [0, 2π);
+#  - sim/FuzzStdNormals: StdNormals' AVX2 Box–Muller kernel against its
+#    scalar loop, bit for bit, at any pair in Normal's domain;
 #  - metrics/FuzzParseExposition, ledger/FuzzRead and
 #    runner/FuzzCacheGet: the decoders of on-disk bytes never panic,
 #    and what they accept round-trips through WriteOpenMetrics, Marshal
@@ -104,7 +113,7 @@ bench-check:
 # (internal/<pkg>/testdata/fuzz/<target>); this explores further. A
 # failing input is written back under that directory.
 FUZZTIME ?= 30s
-FUZZ_TARGETS = mem/FuzzZoneRuns kernel/FuzzPageCache pgtable/FuzzTable buddy/FuzzAllocator vma/FuzzSpace sim/FuzzEngine sim/FuzzBoxMullerCos metrics/FuzzParseExposition ledger/FuzzRead runner/FuzzCacheGet
+FUZZ_TARGETS = mem/FuzzZoneRuns kernel/FuzzPageCache pgtable/FuzzTable buddy/FuzzAllocator vma/FuzzSpace sim/FuzzEngine sim/FuzzBoxMullerCos sim/FuzzStdNormals metrics/FuzzParseExposition ledger/FuzzRead runner/FuzzCacheGet
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 	  echo "fuzz: $$t for $(FUZZTIME)"; \

@@ -1,6 +1,7 @@
 package linuxmm
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -163,14 +164,7 @@ func (d *detailTwins) run(r *sim.Rand, steps int) {
 		switch {
 		case op == 0 && len(live) < 4:
 			name = "new process"
-			var np [2]*kernel.Process
-			zone := r.Intn(2)
-			d.each(name, func(e *env, i int) (uint64, error) {
-				p, err := e.node.NewProcess("hpc", false, zone)
-				np[i] = p
-				return 0, err
-			})
-			d.addProc(np)
+			d.newPair(r.Intn(2))
 		case op <= 1:
 			name = "mmap"
 			size := mmapSizes[r.Intn(len(mmapSizes))]
@@ -281,7 +275,10 @@ func (d *detailTwins) run(r *sim.Rand, steps int) {
 // munmap, fork, exec, mlock, merge, page-cache and hog sequences on THP
 // and HugeTLBfs nodes and compares, after every step, each process's
 // page table (leaves and all eight counters), faults and records with a
-// twin node that maps each page as it is charged.
+// twin node that draws, charges and maps each page in turn. Then it
+// touches regions around the detail touch's chunk size (touchEdges), at
+// the default jitter and at none, and extends a prefix from a misaligned
+// end (touchMisaligned).
 func TestDetailTouchMatchesPerPageReference(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
@@ -313,6 +310,150 @@ func TestDetailTouchMatchesPerPageReference(t *testing.T) {
 			if tc.hpc == ModeHugeTLB && stalls == 0 {
 				t.Fatal("no per-page reclaim stall: the HugeTLBfs sequences never drew one in a detail touch")
 			}
+			t.Run("chunk edges", func(t *testing.T) {
+				for _, jitter := range []float64{fault.DefaultCostParams().SmallJitter, 0} {
+					t.Run(fmt.Sprintf("jitter %g", jitter), func(t *testing.T) {
+						d := newDetailTwins(t, tc.hpc, tc.commodity, tc.hugetlb)
+						for _, e := range d.envs {
+							e.node.Costs().SmallJitter = jitter
+						}
+						d.touchEdges(tc.hpc == ModeHugeTLB)
+					})
+				}
+			})
+			t.Run("misaligned start", func(t *testing.T) {
+				newDetailTwins(t, tc.hpc, tc.commodity, tc.hugetlb).touchMisaligned()
+			})
 		})
+	}
+}
+
+// detailEdgePages are touch sizes around the detail touch's chunk: one
+// page, one short of a chunk, a chunk, one past it, and three chunks and
+// five pages.
+var detailEdgePages = [...]uint64{1, detailChunk - 1, detailChunk, detailChunk + 1, 3*detailChunk + 5}
+
+// stallPages replays on a copy of a manager's generator the draws a
+// detail touch of n pages under load makes, as the per-page reference
+// makes them, and reports which pages stall.
+func stallPages(r sim.Rand, c *fault.CostParams, load fault.Load, n uint64) []bool {
+	stalled := make([]bool, n)
+	for i := range stalled {
+		c.SmallFault(&r, load)
+		if p := c.ReclaimProb(load.MemPressure); p > 0 && r.Bool(p) {
+			c.DirectReclaim(&r, load)
+			stalled[i] = true
+		}
+	}
+	return stalled
+}
+
+// newPair starts a process preferring zone on both twins.
+func (d *detailTwins) newPair(zone int) [2]*kernel.Process {
+	var np [2]*kernel.Process
+	d.each("new process", func(e *env, i int) (uint64, error) {
+		p, err := e.node.NewProcess("hpc", false, zone)
+		np[i] = p
+		return 0, err
+	})
+	d.addProc(np)
+	return np
+}
+
+// touchEdges touches a fresh region of each detailEdgePages size in one
+// call on both twins and compares them after each touch. Each touch must
+// reach the detail touch whole. With stalls, every touch runs at a
+// reclaim probability of 1/2, and before the longest both twins' managers
+// draw until that touch stalls on the last page of its first chunk and
+// the first page of its second. Without, a touch at zero jitter must
+// draw nothing.
+func (d *detailTwins) touchEdges(stalls bool) {
+	t := d.t
+	var sizes []uint64
+	d.envs[0].mgr.touchDetail = func(m *Manager, tc *touchCtx, kind fault.Kind, va pgtable.VirtAddr, pages uint64) {
+		sizes = append(sizes, pages)
+		m.touchSmallDetail(tc, kind, va, pages)
+	}
+	np := d.newPair(0)
+	for step, pages := range detailEdgePages {
+		addr := d.each("mmap", func(e *env, i int) (uint64, error) {
+			a, _, err := e.node.Mmap(np[i], pages*mem.PageSize, rw, vma.KindAnon)
+			return uint64(a), err
+		})
+		e0 := d.envs[0]
+		if stalls {
+			for i, e := range d.envs {
+				c := e.node.Costs()
+				c.ReclaimThreshold, c.ReclaimProbAtFull = 0, 0.5/e.node.LoadFor(np[i]).MemPressure
+			}
+		}
+		if stalls && pages == 3*detailChunk+5 {
+			for tries := 0; ; tries++ {
+				st := stallPages(*e0.mgr.rand, e0.node.Costs(), e0.node.LoadFor(np[0]), pages)
+				if st[detailChunk-1] && st[detailChunk] {
+					break
+				}
+				if tries == 1000 {
+					t.Fatal("1000 draws found no stall on both sides of the first chunk edge")
+				}
+				for _, e := range d.envs {
+					e.mgr.rand.Uint64()
+				}
+			}
+		}
+		before := *e0.mgr.rand
+		d.each("touch", func(e *env, i int) (uint64, error) {
+			c, err := e.node.TouchRange(np[i], pgtable.VirtAddr(addr), pages*mem.PageSize)
+			return uint64(c), err
+		})
+		d.check(step, "touch")
+		if !stalls && e0.node.Costs().SmallJitter == 0 && *e0.mgr.rand != before {
+			t.Fatalf("a touch of %d pages at zero jitter drew from the generator", pages)
+		}
+		if stalls && pages == 3*detailChunk+5 {
+			var edge []bool
+			for _, rec := range np[0].Recorder.Records() {
+				if rec.VA >= addr+(detailChunk-1)*mem.PageSize && rec.VA <= addr+detailChunk*mem.PageSize {
+					edge = append(edge, rec.Stalls)
+				}
+			}
+			if !slices.Equal(edge, []bool{true, true}) {
+				t.Fatalf("the pages on each side of the first chunk edge recorded stalls %v, want [true true]", edge)
+			}
+		}
+	}
+	if !slices.Equal(sizes, detailEdgePages[:]) {
+		t.Fatalf("the detail touch ran on %v pages, want %v", sizes, detailEdgePages)
+	}
+}
+
+// touchMisaligned extends a touched prefix that ends inside a page by a
+// chunk and more. It pins what the model does today (CHANGES.md FOUND,
+// touchSmall): the touch starts at the misaligned prefix end, charges
+// ceil(bytes/4 KB) faults, one more than the pages it newly covers, and
+// maps no PTE, because every Map from a misaligned address is refused.
+func (d *detailTwins) touchMisaligned() {
+	t := d.t
+	np := d.newPair(0)
+	const first = 5*mem.PageSize + 123
+	const more = (detailChunk+6)*mem.PageSize + 1
+	addr := d.each("mmap", func(e *env, i int) (uint64, error) {
+		a, _, err := e.node.Mmap(np[i], 2*detailChunk*mem.PageSize, rw, vma.KindAnon)
+		return uint64(a), err
+	})
+	for step, length := range []uint64{first, first + more} {
+		mapped := np[0].PT.Mapped4K
+		faults := d.each("touch", func(e *env, i int) (uint64, error) {
+			st, err := e.touch(np[i], pgtable.VirtAddr(addr), length)
+			return st.TotalFaults(), err
+		})
+		d.check(step, "touch")
+		want, wantMapped := uint64(6), uint64(6)
+		if step == 1 {
+			want, wantMapped = (more+mem.PageSize-1)/mem.PageSize, 0
+		}
+		if got := np[0].PT.Mapped4K - mapped; faults != want || got != wantMapped {
+			t.Fatalf("touch %d: %d faults and %d PTEs mapped, want %d and %d", step, faults, got, want, wantMapped)
+		}
 	}
 }

@@ -537,6 +537,10 @@ func sqrt(x float64) float64 {
 	return z
 }
 
+// detailChunk is how many pages touchSmallDetail draws, transforms and
+// charges at a time, with its scratch on the stack.
+const detailChunk = 64
+
 // touchSmallDetail is touchSmall at micro fidelity: it draws and charges
 // each of the pages 4KB faults from va, then maps them as one run.
 // Nothing a charge reaches reads the page table, so this leaves the
@@ -545,6 +549,13 @@ func sqrt(x float64) float64 {
 // cost's mean and deviation and the HugeTLBfs reclaim probability are
 // computed once; each page draws what SmallFault, then on HugeTLBfs
 // Bool(ReclaimProb) and DirectReclaim, would, in the same order.
+//
+// The pages go in chunks of detailChunk, each in three passes: draw
+// every page's uniforms (and stall) in stream order, turn the uniforms
+// into the Normal draws with one StdNormals call, and charge the pages
+// in order. Charges never draw, so the draws, the costs and the records
+// are those of drawing and charging page by page (DESIGN.md §10
+// "Vectorised Box–Muller").
 //
 //detsim:hotpath
 func (m *Manager) touchSmallDetail(tc *touchCtx, kind fault.Kind, va pgtable.VirtAddr, pages uint64) {
@@ -555,16 +566,46 @@ func (m *Manager) touchSmallDetail(tc *touchCtx, kind fault.Kind, va pgtable.Vir
 	if kind == fault.KindHugeTLBSmall {
 		reclaimP = c.ReclaimProb(tc.load.MemPressure)
 	}
-	for i := uint64(0); i < pages; i++ {
-		pva := va + pgtable.VirtAddr(i*mem.PageSize)
-		cost := m.rand.CyclesNormal(mean, stdev, c.TrapOverhead)
-		if reclaimP > 0 && m.rand.Bool(reclaimP) {
-			stall := c.DirectReclaim(m.rand, tc.load)
-			tc.charge(m, kind, cost+stall, pva, true)
-			p.Account.Reattribute(timeline.FaultCause(kind), timeline.CauseReclaimStorm, stall)
-			continue
+	var u1, u2, z [detailChunk]float64
+	var stall [detailChunk]sim.Cycles
+	var stalled [detailChunk]bool
+	for done := uint64(0); done < pages; done += detailChunk {
+		n := min(pages-done, detailChunk)
+		switch {
+		case reclaimP > 0:
+			for i := range n {
+				if stdev > 0 {
+					m.rand.FillNormalUniforms(u1[i:i+1], u2[i:i+1])
+				}
+				if stalled[i] = m.rand.Bool(reclaimP); stalled[i] {
+					stall[i] = c.DirectReclaim(m.rand, tc.load)
+				}
+			}
+		case stdev > 0:
+			m.rand.FillNormalUniforms(u1[:n], u2[:n])
 		}
-		tc.charge(m, kind, cost, pva, false)
+		if stdev > 0 {
+			sim.StdNormals(z[:n], u1[:n], u2[:n])
+		}
+		for i := range n {
+			// CyclesNormal(mean, stdev, TrapOverhead), whose Normal
+			// draw is mean + stdev·z.
+			v := mean
+			if stdev > 0 {
+				v = mean + stdev*z[i]
+			}
+			if v < c.TrapOverhead {
+				v = c.TrapOverhead
+			}
+			cost := sim.Cycles(v)
+			pva := va + pgtable.VirtAddr((done+i)*mem.PageSize)
+			if stalled[i] {
+				tc.charge(m, kind, cost+stall[i], pva, true)
+				p.Account.Reattribute(timeline.FaultCause(kind), timeline.CauseReclaimStorm, stall[i])
+				continue
+			}
+			tc.charge(m, kind, cost, pva, false)
+		}
 	}
 	mapSmallRun(p, tc.r, va, pages)
 }

@@ -33,6 +33,16 @@ func BenchmarkRandNormal(b *testing.B) {
 	}
 }
 
+// BenchmarkStdNormals transforms 64 drawn pairs per op, the chunk the
+// micro-fidelity fault path transforms at a time.
+func BenchmarkStdNormals(b *testing.B) {
+	var u1, u2, z [64]float64
+	NewRand(1).FillNormalUniforms(u1[:], u2[:])
+	for i := 0; i < b.N; i++ {
+		StdNormals(z[:], u1[:], u2[:])
+	}
+}
+
 func BenchmarkRandPareto(b *testing.B) {
 	r := NewRand(1)
 	for i := 0; i < b.N; i++ {

@@ -46,15 +46,23 @@ func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 random bits.
 func (r *Rand) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	var x uint64
+	x, r.s[0], r.s[1], r.s[2], r.s[3] = xoshiro(r.s[0], r.s[1], r.s[2], r.s[3])
+	return x
+}
+
+// xoshiro is one xoshiro256** step: the output of state (s0, s1, s2,
+// s3) and the state after it.
+func xoshiro(s0, s1, s2, s3 uint64) (x, n0, n1, n2, n3 uint64) {
+	x = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = rotl(s3, 45)
+	return x, s0, s1, s2, s3
 }
 
 // Uint64n returns a uniform value in [0, n). n must be > 0.
@@ -83,9 +91,11 @@ func (r *Rand) Intn(n int) int {
 }
 
 // Float64 returns a uniform value in [0, 1).
-func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
-}
+func (r *Rand) Float64() float64 { return unit(r.Uint64()) }
+
+// unit maps 64 random bits to a uniform value in [0, 1): the top 53
+// bits times 2^-53.
+func unit(x uint64) float64 { return float64(x>>11) * (1.0 / (1 << 53)) }
 
 // Bool returns true with probability p.
 func (r *Rand) Bool(p float64) bool {
@@ -110,8 +120,36 @@ func (r *Rand) Normal(mean, stdev float64) float64 {
 		u1 = r.Float64()
 	}
 	u2 := r.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * boxMullerCos(2*math.Pi*u2)
-	return mean + stdev*z
+	return mean + stdev*stdNormal(u1, u2)
+}
+
+// stdNormal is Box–Muller's standard normal of the uniform pair (u1,
+// u2), u1 in (0, 1) and u2 in [0, 1): the value Normal scales.
+func stdNormal(u1, u2 float64) float64 {
+	return math.Sqrt(-2*math.Log(u1)) * boxMullerCos(2*math.Pi*u2)
+}
+
+// FillNormalUniforms fills u1 and u2, which must be at least as long as
+// u1, with the uniform pairs that len(u1) successive Normal calls with a
+// positive deviation draw, and advances the generator as those calls
+// do: u1[i] is call i's first nonzero Float64 and u2[i] the one after
+// it, so StdNormals turns the pairs into the calls' standard draws. The
+// state lives in locals for the whole fill, not in r.s.
+func (r *Rand) FillNormalUniforms(u1, u2 []float64) {
+	u2 = u2[:len(u1)]
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	var x uint64
+	for i := range u1 {
+		u := 0.0
+		for u == 0 { // Normal redraws a zero u1
+			x, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+			u = unit(x)
+		}
+		u1[i] = u
+		x, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+		u2[i] = unit(x)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // Go's math.cos kernel (Cephes sin.c): π/4 in three parts for the

@@ -330,3 +330,45 @@ func FuzzBoxMullerCos(f *testing.F) {
 		checkCos(t, "fuzz", x)
 	})
 }
+
+// TestFillNormalUniformsMatchesNormal fills pairs in batches of 0 to 9
+// and of 64 on three seeds and requires the pairs and the generator's
+// final state of per-call draws, which a twin generator's Normal scales
+// to the same bits. Every tenth batch starts with a zero u1, which both
+// must redraw (the per-call draws count the redraws): xoshiro's next
+// output is rotl(s[1]·5, 7)·9, so a zero s[1] makes it 0.
+func TestFillNormalUniformsMatchesNormal(t *testing.T) {
+	lens := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 64}
+	var u1, u2 [64]float64
+	for _, seed := range []uint64{1, 0x7e57, 0xfa01} {
+		a, b, c := NewRand(seed), NewRand(seed), NewRand(seed)
+		redraws := 0
+		for round := 0; round < 20_000; round++ {
+			n := lens[round%len(lens)]
+			if round%10 == 5 {
+				a.s[1], b.s[1], c.s[1] = 0, 0, 0
+			}
+			a.FillNormalUniforms(u1[:n], u2[:n])
+			for i := range n {
+				w1 := b.Float64()
+				for w1 == 0 {
+					redraws++
+					w1 = b.Float64()
+				}
+				w2 := b.Float64()
+				if math.Float64bits(u1[i]) != math.Float64bits(w1) || math.Float64bits(u2[i]) != math.Float64bits(w2) {
+					t.Fatalf("seed %#x round %d pair %d: filled (%v, %v), per-call (%v, %v)", seed, round, i, u1[i], u2[i], w1, w2)
+				}
+				if got, want := 100+15*stdNormal(w1, w2), c.Normal(100, 15); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seed %#x round %d pair %d: 100 + 15·stdNormal = %v, Normal %v", seed, round, i, got, want)
+				}
+			}
+			if a.s != b.s || a.s != c.s {
+				t.Fatalf("seed %#x round %d: state after the fill %x, per-call %x, Normal %x", seed, round, a.s, b.s, c.s)
+			}
+		}
+		if redraws != 2_000 {
+			t.Fatalf("seed %#x: %d zero u1 redrawn, want one per tenth batch, 2000", seed, redraws)
+		}
+	}
+}
