@@ -99,8 +99,8 @@ bench-check:
 #    reference allocator, block for block in hand-out order;
 #  - vma/FuzzSpace: the address space, node pool on, against a sorted
 #    interval slice, region for region and counter for counter;
-#  - sim/FuzzEngine: the pooled event queue against the container/heap
-#    engine it replaced;
+#  - sim/FuzzEngine: the event-value heap against a container/heap
+#    engine of heap-allocated events;
 #  - sim/FuzzBoxMullerCos: Normal's branch-free cosine against
 #    math.Cos, bit for bit, at any angle in [0, 2π);
 #  - sim/FuzzStdNormals: StdNormals' AVX2 Box–Muller kernel against its

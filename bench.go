@@ -18,7 +18,8 @@ type BenchmarkOptions struct {
 	// Manager configuration (default ManagerHPMMAP).
 	Manager Manager
 	// Profile of competing commodity work: "none", "A", "B" (single
-	// node), "C", "D" (cluster). Default "none".
+	// node), "C", "D" (cluster). Default "none". A fault study runs
+	// its own two load conditions and rejects any Profile.
 	Profile string
 	// Ranks of the weak-scaled MPI application.
 	Ranks int
@@ -163,8 +164,12 @@ func RunFaultStudy(benchmark string, m Manager, seed uint64, scale float64) ([]F
 // study's load conditions run as cells of an internal/runner plan, so
 // Workers bounds the worker pool (<= 0 selects runtime.NumCPU(); results
 // are identical at any worker count) and Context cancels the study
-// mid-simulation. Ranks defaults to the paper's 8.
+// mid-simulation. Ranks defaults to the paper's 8. Profile must be
+// empty: the study runs its own two load conditions.
 func RunFaultStudyOptions(o BenchmarkOptions) ([]FaultStudyRow, error) {
+	if o.Profile != "" {
+		return nil, fmt.Errorf("hpmmap: a fault study runs without load and with a kernel build; Profile %q is not accepted", o.Profile)
+	}
 	kind, err := managerKind(o.Manager)
 	if err != nil {
 		return nil, err

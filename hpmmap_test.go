@@ -333,6 +333,15 @@ func TestRunFaultStudyFacade(t *testing.T) {
 	}
 }
 
+func TestRunFaultStudyRejectsProfile(t *testing.T) {
+	for _, prof := range []string{"bogus", "none", "A"} {
+		rows, err := RunFaultStudyOptions(BenchmarkOptions{Benchmark: "miniMD", Manager: ManagerTHP, Profile: prof, Scale: 0.05})
+		if err == nil {
+			t.Fatalf("Profile %q accepted: %d rows", prof, len(rows))
+		}
+	}
+}
+
 func TestTimelineFacade(t *testing.T) {
 	plot, err := Timeline("miniFE", ManagerTHP, true, 3, 0.25, 50, 8)
 	if err != nil {

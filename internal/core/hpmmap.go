@@ -583,12 +583,6 @@ func (m *Manager) TouchRange(p *kernel.Process, addr pgtable.VirtAddr, length ui
 	return 0, nil
 }
 
-// PageSizeAt implements kernel.MemoryManager: everything is large-page
-// mapped.
-func (m *Manager) PageSizeAt(p *kernel.Process, va pgtable.VirtAddr) pgtable.PageSize {
-	return pgtable.Page2M
-}
-
 // StackRange implements kernel.MemoryManager: the eagerly mapped stack
 // sits at RegionBase.
 func (m *Manager) StackRange(p *kernel.Process, bytes uint64) (pgtable.VirtAddr, uint64) {

@@ -126,9 +126,8 @@ func TestOnRequestAllocationNoFaults(t *testing.T) {
 func TestEverythingLargeMapped(t *testing.T) {
 	e := newEnv(t, 12<<30, false)
 	p, _ := e.hp.Launch("app", 0)
-	addr, _, _ := e.node.Mmap(p, 64<<20, rw, vma.KindAnon)
-	if ps := e.node.PageSizeAt(p, addr); ps != pgtable.Page2M {
-		t.Fatalf("page size %v", ps)
+	if _, _, err := e.node.Mmap(p, 64<<20, rw, vma.KindAnon); err != nil {
+		t.Fatal(err)
 	}
 	if p.LargeFraction() != 1 {
 		t.Fatalf("large fraction %v", p.LargeFraction())

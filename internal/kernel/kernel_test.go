@@ -42,9 +42,6 @@ func (f *fakeMM) TouchRange(p *Process, addr pgtable.VirtAddr, length uint64) (s
 	f.touches++
 	return 0, nil
 }
-func (f *fakeMM) PageSizeAt(p *Process, va pgtable.VirtAddr) pgtable.PageSize {
-	return pgtable.Page4K
-}
 func (f *fakeMM) StackRange(p *Process, bytes uint64) (pgtable.VirtAddr, uint64) {
 	return 0x7000_0000, bytes
 }

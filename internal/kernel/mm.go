@@ -38,10 +38,6 @@ type MemoryManager interface {
 	// nothing for validly mapped ranges.
 	TouchRange(p *Process, addr pgtable.VirtAddr, length uint64) (sim.Cycles, error)
 
-	// PageSizeAt reports the mapping granularity backing addr, for the
-	// TLB model.
-	PageSizeAt(p *Process, addr pgtable.VirtAddr) pgtable.PageSize
-
 	// StackRange returns the address range to touch to exercise `bytes`
 	// of stack under this manager's layout (managers place stacks
 	// differently).

@@ -416,11 +416,6 @@ func (n *Node) TouchRange(p *Process, addr pgtable.VirtAddr, length uint64) (sim
 	return n.mmFor(p).TouchRange(p, addr, length)
 }
 
-// PageSizeAt reports the mapping granularity at addr.
-func (n *Node) PageSizeAt(p *Process, addr pgtable.VirtAddr) pgtable.PageSize {
-	return n.mmFor(p).PageSizeAt(p, addr)
-}
-
 // TouchStack drives first-touch over `bytes` of the process stack and
 // returns the fault cycles charged, as TouchRange does.
 func (n *Node) TouchStack(p *Process, bytes uint64) (sim.Cycles, error) {

@@ -366,22 +366,6 @@ func TestDetailModeBuildsPageTables(t *testing.T) {
 	}
 }
 
-func TestPageSizeAtReportsGranularity(t *testing.T) {
-	e := newEnv(t, ModeTHP, ModeTHP, 0, false)
-	p := e.proc(t, false)
-	addr, _, _ := e.node.Mmap(p, 16<<20, rw, vma.KindAnon)
-	if _, err := e.node.TouchRange(p, addr, 16<<20); err != nil {
-		t.Fatal(err)
-	}
-	if ps := e.node.PageSizeAt(p, addr+8<<20); ps != pgtable.Page2M {
-		t.Fatalf("interior page size %v", ps)
-	}
-	top := p.Space.Layout().StackTop
-	if ps := e.node.PageSizeAt(p, top-4096); ps != pgtable.Page4K {
-		t.Fatalf("stack page size %v", ps)
-	}
-}
-
 func TestMprotectFragmentsTHPSpan(t *testing.T) {
 	e := newEnv(t, ModeTHP, ModeTHP, 0, false)
 	p := e.proc(t, false)

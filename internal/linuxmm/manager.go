@@ -524,22 +524,6 @@ func (m *Manager) Mprotect(p *kernel.Process, addr pgtable.VirtAddr, length uint
 	return sim.Cycles(m.rand.Jitter(1500, 0.3)), nil
 }
 
-// PageSizeAt implements kernel.MemoryManager.
-func (m *Manager) PageSizeAt(p *kernel.Process, va pgtable.VirtAddr) pgtable.PageSize {
-	r := state(p).findRegion(va)
-	if r == nil {
-		return pgtable.Page4K
-	}
-	off := uint64(va - r.start)
-	if r.hugetlb && off < r.slabs*m.Pools.SlabBytes {
-		return pgtable.Page2M
-	}
-	if off >= r.largeLo && off < r.largeHi && r.largeBytes > 0 {
-		return pgtable.Page2M
-	}
-	return pgtable.Page4K
-}
-
 // StackRange implements kernel.MemoryManager: the Linux stack grows down
 // from StackTop.
 func (m *Manager) StackRange(p *kernel.Process, bytes uint64) (pgtable.VirtAddr, uint64) {

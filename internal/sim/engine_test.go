@@ -76,48 +76,6 @@ func TestEngineAtPastClampsToNow(t *testing.T) {
 	}
 }
 
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	id := e.Schedule(10, func() { fired = true })
-	if !e.Cancel(id) {
-		t.Fatal("Cancel returned false for live event")
-	}
-	if e.Cancel(id) {
-		t.Fatal("second Cancel returned true")
-	}
-	e.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if !id.Cancelled() {
-		t.Fatal("Cancelled() = false after cancel")
-	}
-}
-
-func TestEngineCancelAmongMany(t *testing.T) {
-	e := NewEngine()
-	var fired []int
-	var ids []EventID
-	for i := 0; i < 20; i++ {
-		i := i
-		ids = append(ids, e.Schedule(Cycles(i+1), func() { fired = append(fired, i) }))
-	}
-	// Cancel the even ones.
-	for i := 0; i < 20; i += 2 {
-		e.Cancel(ids[i])
-	}
-	e.Run()
-	if len(fired) != 10 {
-		t.Fatalf("fired %d events, want 10", len(fired))
-	}
-	for _, v := range fired {
-		if v%2 == 0 {
-			t.Fatalf("cancelled event %d fired", v)
-		}
-	}
-}
-
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	var fired []Cycles
@@ -161,12 +119,39 @@ func TestTicker(t *testing.T) {
 
 func TestTickerStopIsIdempotent(t *testing.T) {
 	e := NewEngine()
-	tk := e.NewTicker(10, func() {})
+	calls := 0
+	tk := e.NewTicker(10, func() { calls++ })
 	tk.Stop()
 	tk.Stop()
 	e.Run()
-	if e.Executed() != 0 {
-		t.Fatalf("stopped ticker executed %d events", e.Executed())
+	// The first tick was queued at creation; it pops as a no-op.
+	if calls != 0 || e.Executed() != 1 || e.Now() != 10 {
+		t.Fatalf("after Stop, Stop, Run: calls=%d executed=%d now=%d, want 0, 1, 10",
+			calls, e.Executed(), e.Now())
+	}
+}
+
+func TestTickerStoppedBetweenTicks(t *testing.T) {
+	for _, c := range []struct {
+		stopAt   Cycles
+		ticks    []Cycles
+		executed uint64
+		now      Cycles
+	}{
+		// Ticks at 10 and 20, the stop at 25, the queued tick at 30.
+		{stopAt: 25, ticks: []Cycles{10, 20}, executed: 4, now: 30},
+		// The stop was queued before the tick at 20, so it pops first.
+		{stopAt: 20, ticks: []Cycles{10}, executed: 3, now: 20},
+	} {
+		e := NewEngine()
+		var ticks []Cycles
+		tk := e.NewTicker(10, func() { ticks = append(ticks, e.Now()) })
+		e.At(c.stopAt, tk.Stop)
+		e.Run()
+		if fmt.Sprint(ticks) != fmt.Sprint(c.ticks) || e.Executed() != c.executed || e.Now() != c.now {
+			t.Fatalf("stop at %d: ticks=%v executed=%d now=%d, want %v, %d, %d",
+				c.stopAt, ticks, e.Executed(), e.Now(), c.ticks, c.executed, c.now)
+		}
 	}
 }
 
@@ -197,42 +182,45 @@ func TestDeterminismAcrossEngines(t *testing.T) {
 	}
 }
 
-func TestEngineSteadyStateAllocationFree(t *testing.T) {
+func TestEngineStepDropsFiredCallbacks(t *testing.T) {
 	e := NewEngine()
-	tk := e.NewTicker(3, func() {})
-	defer tk.Stop()
-	noop := func() {}
-	step := func() {
-		id := e.Schedule(2, noop)
-		e.Schedule(1, noop)
-		e.Cancel(id)
-		e.RunUntil(e.Now() + 3)
+	for i := 0; i < 9; i++ {
+		e.Schedule(Cycles(i%3), func() {})
 	}
-	step() // grow the slab, free list and heap once
-	if n := testing.AllocsPerRun(100, step); n != 0 {
-		t.Fatalf("Schedule/Cancel/RunUntil with a ticker: %v allocs per cycle, want 0", n)
+	e.RunUntil(1)
+	// Only the three events due at 2 may still hold a callback.
+	for i, ev := range e.queue[:cap(e.queue)] {
+		if (i < len(e.queue)) != (ev.fn != nil) {
+			t.Fatalf("heap slot %d of %d queued: callback held = %v", i, len(e.queue), ev.fn != nil)
+		}
 	}
 }
 
-// The reference engine is the event queue as it was before events were
-// pooled: one heap-allocated event per At, ordered by container/heap.
+func TestEngineSteadyStateAllocationFree(t *testing.T) {
+	e := NewEngine()
+	e.NewTicker(3, func() {})
+	noop := func() {}
+	step := func() {
+		e.Schedule(2, noop)
+		e.Schedule(1, noop)
+		e.RunUntil(e.Now() + 3)
+	}
+	step() // grow the heap once
+	if n := testing.AllocsPerRun(100, step); n != 0 {
+		t.Fatalf("Schedule/RunUntil with a ticker: %v allocs per cycle, want 0", n)
+	}
+}
+
+// The reference engine is the event queue as it was first written: one
+// heap-allocated event per At, ordered by container/heap.
 // TestEngineMatchesReference and FuzzEngine drive it and Engine with the
 // same operations and compare everything either one reports.
 
 type refEvent struct {
-	at   Cycles
-	seq  uint64
-	fn   func()
-	heap *refHeap
-	idx  int // index in the heap, -1 when popped or cancelled
+	at  Cycles
+	seq uint64
+	fn  func()
 }
-
-type refEventID struct{ ev *refEvent }
-
-// Cancelled reports whether the event was cancelled or already fired.
-func (id EventID) Cancelled() bool { return id.eng == nil || !id.eng.live(id) }
-
-func (id refEventID) Cancelled() bool { return id.ev == nil || id.ev.idx < 0 }
 
 type refHeap []*refEvent
 
@@ -243,22 +231,13 @@ func (h refHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h refHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *refHeap) Push(x any) {
-	ev := x.(*refEvent)
-	ev.idx = len(*h)
-	*h = append(*h, ev)
-}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(*refEvent)) }
 func (h *refHeap) Pop() any {
 	old := *h
 	n := len(old)
 	ev := old[n-1]
 	old[n-1] = nil
-	ev.idx = -1
 	*h = old[:n-1]
 	return ev
 }
@@ -274,25 +253,14 @@ func (e *refEngine) Now() Cycles      { return e.now }
 func (e *refEngine) Executed() uint64 { return e.nexec }
 func (e *refEngine) Pending() int     { return len(e.queue) }
 
-func (e *refEngine) Schedule(delay Cycles, fn func()) refEventID { return e.At(e.now+delay, fn) }
+func (e *refEngine) Schedule(delay Cycles, fn func()) { e.At(e.now+delay, fn) }
 
-func (e *refEngine) At(t Cycles, fn func()) refEventID {
+func (e *refEngine) At(t Cycles, fn func()) {
 	if t < e.now {
 		t = e.now
 	}
-	ev := &refEvent{at: t, seq: e.seq, fn: fn, heap: &e.queue}
+	heap.Push(&e.queue, &refEvent{at: t, seq: e.seq, fn: fn})
 	e.seq++
-	heap.Push(&e.queue, ev)
-	return refEventID{ev: ev}
-}
-
-func (e *refEngine) Cancel(id refEventID) bool {
-	ev := id.ev
-	if ev == nil || ev.idx < 0 || ev.heap != &e.queue {
-		return false
-	}
-	heap.Remove(&e.queue, ev.idx)
-	return true
 }
 
 func (e *refEngine) Step() bool {
@@ -317,12 +285,13 @@ func (e *refEngine) RunUntil(deadline Cycles) {
 	}
 }
 
+// refTicker arms a new closure per tick; Stop leaves the queued tick in
+// place to pop as a no-op.
 type refTicker struct {
 	eng     *refEngine
 	period  Cycles
 	fn      func()
 	stopped bool
-	next    refEventID
 }
 
 func (e *refEngine) NewTicker(period Cycles, fn func()) *refTicker {
@@ -332,7 +301,7 @@ func (e *refEngine) NewTicker(period Cycles, fn func()) *refTicker {
 }
 
 func (t *refTicker) arm() {
-	t.next = t.eng.Schedule(t.period, func() {
+	t.eng.Schedule(t.period, func() {
 		if t.stopped {
 			return
 		}
@@ -343,20 +312,13 @@ func (t *refTicker) arm() {
 	})
 }
 
-func (t *refTicker) Stop() {
-	if t.stopped {
-		return
-	}
-	t.stopped = true
-	t.eng.Cancel(t.next)
-}
+func (t *refTicker) Stop() { t.stopped = true }
 
 // testEngine is the surface the differential harness exercises, met by
 // both *Engine and *refEngine.
-type testEngine[ID interface{ Cancelled() bool }, T interface{ Stop() }] interface {
-	At(Cycles, func()) ID
-	Schedule(Cycles, func()) ID
-	Cancel(ID) bool
+type testEngine[T interface{ Stop() }] interface {
+	At(Cycles, func())
+	Schedule(Cycles, func())
 	Step() bool
 	RunUntil(Cycles)
 	Now() Cycles
@@ -369,60 +331,48 @@ type testEngine[ID interface{ Cancelled() bool }, T interface{ Stop() }] interfa
 const (
 	opSchedule = iota
 	opAt
-	opCancel
 	opStep
 	opRunUntil
 	opTicker
 	opStopTicker
-	opForeign
-	opCheck
 	numOps
 )
 
 // driveEngine runs the program encoded in prog on eng and returns a log
-// of everything the engine reported. foreign is a second engine whose
-// first events share slot indexes and sequence numbers with eng's, so
-// cancelling their IDs on eng checks the engine test, not the generation.
-func driveEngine[ID interface{ Cancelled() bool }, T interface{ Stop() }, E testEngine[ID, T]](prog []byte, eng, foreign E) []string {
+// of everything the engine reported.
+func driveEngine[T interface{ Stop() }, E testEngine[T]](prog []byte, eng E) []string {
 	var (
-		log      []string
-		ids      []ID
-		foreigns []ID
-		tickers  []T
+		log     []string
+		events  int
+		tickers []T
 	)
 	logf := func(format string, args ...any) { log = append(log, fmt.Sprintf(format, args...)) }
-	for i := 0; i < 4; i++ {
-		foreigns = append(foreigns, foreign.Schedule(Cycles(i), func() {}))
-	}
-	cancel := func(sel byte) {
-		if len(ids) == 0 {
-			var zero ID
-			logf("cancel zero %v", eng.Cancel(zero))
-			return
+	stop := func(sel byte) {
+		if len(tickers) > 0 {
+			k := int(sel) % len(tickers)
+			logf("stop ticker %d", k)
+			tickers[k].Stop()
 		}
-		h := int(sel) % len(ids)
-		logf("cancel %d %v", h, eng.Cancel(ids[h]))
 	}
 	// event schedules a callback that logs its firing, then acts on arg:
 	// arg%4 is 1 or 3 for a child at a later or a past time (the child
-	// takes arg>>2, so chains end), 2 for a cancel. The callback logs
-	// its own ID's Cancelled() last, after a child may have reused the
-	// slot.
+	// takes arg>>2, so chains end), 2 to stop a ticker from outside its
+	// own callback.
 	var event func(t Cycles, arg byte)
 	event = func(t Cycles, arg byte) {
-		h := len(ids)
-		ids = append(ids, eng.At(t, func() {
+		h := events
+		events++
+		eng.At(t, func() {
 			logf("fire %d now=%d exec=%d pending=%d", h, eng.Now(), eng.Executed(), eng.Pending())
 			switch arg % 4 {
 			case 1:
 				event(eng.Now()+Cycles(arg>>4%4), arg>>2)
 			case 2:
-				cancel(arg >> 2)
+				stop(arg >> 2)
 			case 3:
 				event(eng.Now()-min(eng.Now(), 1), arg>>2)
 			}
-			logf("fire %d self-cancelled=%v", h, ids[h].Cancelled())
-		}))
+		})
 	}
 	for i := 0; i+2 < len(prog); i += 3 {
 		a, b := prog[i+1], prog[i+2]
@@ -436,8 +386,6 @@ func driveEngine[ID interface{ Cancelled() bool }, T interface{ Stop() }, E test
 				t = eng.Now() - min(eng.Now(), Cycles(a%8))
 			}
 			event(t, b)
-		case opCancel:
-			cancel(a)
 		case opStep:
 			logf("step %v", eng.Step())
 		case opRunUntil:
@@ -454,16 +402,7 @@ func driveEngine[ID interface{ Cancelled() bool }, T interface{ Stop() }, E test
 			})
 			tickers = append(tickers, tk)
 		case opStopTicker:
-			if len(tickers) > 0 {
-				tickers[int(a)%len(tickers)].Stop()
-			}
-		case opForeign:
-			id := foreigns[int(a)%len(foreigns)]
-			logf("foreign cancel %v cancelled=%v", eng.Cancel(id), id.Cancelled())
-		case opCheck:
-			for h, id := range ids {
-				logf("id %d cancelled=%v", h, id.Cancelled())
-			}
+			stop(a)
 		}
 		logf("now=%d exec=%d pending=%d", eng.Now(), eng.Executed(), eng.Pending())
 	}
@@ -473,9 +412,6 @@ func driveEngine[ID interface{ Cancelled() bool }, T interface{ Stop() }, E test
 	for eng.Step() {
 	}
 	logf("end now=%d exec=%d pending=%d", eng.Now(), eng.Executed(), eng.Pending())
-	for h, id := range ids {
-		logf("id %d cancelled=%v", h, id.Cancelled())
-	}
 	return log
 }
 
@@ -483,8 +419,8 @@ func driveEngine[ID interface{ Cancelled() bool }, T interface{ Stop() }, E test
 // engine and reports the first line where their logs differ.
 func checkEngineMatchesReference(t *testing.T, prog []byte) {
 	t.Helper()
-	got := driveEngine[EventID, *Ticker](prog, NewEngine(), NewEngine())
-	want := driveEngine[refEventID, *refTicker](prog, &refEngine{}, &refEngine{})
+	got := driveEngine[*Ticker](prog, NewEngine())
+	want := driveEngine[*refTicker](prog, &refEngine{})
 	for i := 0; i < len(got) || i < len(want); i++ {
 		var g, w string
 		if i < len(got) {
@@ -511,9 +447,9 @@ func TestEngineMatchesReference(t *testing.T) {
 }
 
 func FuzzEngine(f *testing.F) {
-	f.Add([]byte{opSchedule, 3, 0, opSchedule, 3, 0, opSchedule, 3, 0, opStep, 0, 0, opCheck, 0, 0})
-	f.Add([]byte{opSchedule, 1, 0, opStep, 0, 0, opSchedule, 1, 0, opCancel, 0, 0, opForeign, 0, 0})
-	f.Add([]byte{opTicker, 2, 1, opSchedule, 5, 2, opRunUntil, 20, 0, opStopTicker, 0, 0, opCheck, 0, 0})
+	f.Add([]byte{opSchedule, 3, 0, opSchedule, 3, 0, opSchedule, 3, 0, opStep, 0, 0})
+	f.Add([]byte{opTicker, 3, 4, opSchedule, 4, 2, opSchedule, 1, 0, opRunUntil, 30, 0})
+	f.Add([]byte{opTicker, 2, 1, opSchedule, 5, 2, opRunUntil, 20, 0, opStopTicker, 0, 0, opStep, 0, 0})
 	f.Add([]byte{opAt, 12, 1, opSchedule, 0, 3, opStep, 0, 0, opRunUntil, 9, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 3*64 {

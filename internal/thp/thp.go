@@ -33,7 +33,6 @@ type Daemon struct {
 	node   *kernel.Node
 	merger Merger
 	rand   *sim.Rand
-	ticker *sim.Ticker
 	tracer *metrics.ChromeTracer // nil unless Observe attached one
 
 	// Statistics.
@@ -44,11 +43,12 @@ type Daemon struct {
 func Start(node *kernel.Node, merger Merger) *Daemon {
 	d := &Daemon{node: node, merger: merger, rand: node.Rand().Split()}
 	period := sim.Cycles(node.Config().KhugepagedScanPeriod)
-	// Jitter the first scan so multiple nodes' daemons do not align.
-	d.ticker = node.Engine().NewTicker(d.rand.Jitter(period, 0.5)+1, func() {
+	// Jitter the first scan so multiple nodes' daemons do not align; it
+	// starts the periodic scans.
+	eng := node.Engine()
+	eng.Schedule(d.rand.Jitter(period, 0.5)+1, func() {
 		d.scan()
-		d.ticker.Stop()
-		d.ticker = node.Engine().NewTicker(d.rand.Jitter(period, 0.25)+1, d.scan)
+		eng.NewTicker(d.rand.Jitter(period, 0.25)+1, d.scan)
 	})
 	return d
 }
